@@ -148,10 +148,6 @@ class FeasibilityOracle:
         return result
 
 
-def feasibility_query(oracle: FeasibilityOracle, x: Allocation) -> bool:
-    return oracle.query(x)
-
-
 def tabulate(algorithm: Algorithm, *, max_inputs: int = 65536) -> CaseTable:
     """Tabulate an algorithm into a case table over the full input space.
 

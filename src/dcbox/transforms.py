@@ -19,13 +19,17 @@ Available transformations, by registry id:
               at the raised neighbor. Preserves full welfare on more inputs.
 - "multi":    ladders with k >= 3; staged upgrade scans at growing Hamming
               distances, then zero out everything below the allocation's
-              top attained value class.
+              top attained value class. Scans integer-coded inputs: an
+              input is its index in `all_inputs` order, an allocation a
+              bitmask with bit i for agent i, and the memo maps an index
+              to its (Allocation, bitmask) answer.
 - "identity": pass-through (query once, return the answer); a harness
               convenience for verifying raw algorithms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -69,13 +73,6 @@ def classify_allocation(
         if bit and (best is None or lvl > best):
             best = lvl
     return best
-
-
-def _step_class(x: Allocation, v: ValuationVector) -> int:
-    # For step matching the empty allocation counts as the lowest class:
-    # it is neither a high- nor a mid-class allocation.
-    c = classify_allocation(x, v)
-    return 0 if c is None else c
 
 
 def class_counts(x: Allocation, v: ValuationVector, k: int) -> list[int]:
@@ -268,26 +265,16 @@ class _ScanStep:
     target: int | None = None
 
 
-def _k3_steps() -> tuple[_ScanStep, ...]:
-    # Three-value ladder (low=0, mid=1, high=2), steps enumerated verbatim:
-    # distance 1 upgrades the class; distances 2-5 are targeted upgrades.
-    return (
-        _ScanStep(1, "class-up"),
-        _ScanStep(2, "targeted", frozenset({0}), 1),
-        _ScanStep(3, "targeted", frozenset({0, 1}), 2),
-        _ScanStep(4, "targeted", frozenset({1}), 2),
-        _ScanStep(5, "targeted", frozenset({0}), 2),
-    )
-
-
-def _general_steps(k: int) -> tuple[_ScanStep, ...]:
-    # General ladder: step j scans distance j. The leading step adopts any
-    # strictly higher allocation (lexicographic per-class counts); each
+@functools.cache
+def _scan_steps(k: int) -> tuple[_ScanStep, ...]:
+    # Step j scans distance j. The leading step adopts a higher allocation:
+    # for k = 3 any allocation of a strictly higher class, for larger
+    # ladders any lexicographically higher one (per-class counts). Each
     # later step upgrades from a source class ("any class below the target"
     # for the ?-steps) to an exact target class. The source order for the
     # third value is (mid, low), as listed; later targets ascend.
     steps: list[_ScanStep] = [
-        _ScanStep(1, "lex-up"),
+        _ScanStep(1, "class-up" if k == 3 else "lex-up"),
         _ScanStep(2, "targeted", frozenset({0}), 1),
     ]
     distance = 3
@@ -301,86 +288,96 @@ def _general_steps(k: int) -> tuple[_ScanStep, ...]:
     return tuple(steps)
 
 
-def _steps_for(k: int) -> tuple[_ScanStep, ...]:
-    return _k3_steps() if k == 3 else _general_steps(k)
-
-
-def t_multi(
-    bb: InstrumentedBlackBox,
-    v: ValuationVector,
-    ladder: ValueLadder | None = None,
-    cache: dict | None = None,
-) -> Allocation:
+def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = None) -> Allocation:
     """Multi-value ladder transformation (k >= 3).
 
-    Runs the staged upgrade scans for the ladder size, each step one
-    Hamming distance further out, then zeroes out every position whose
-    level is strictly below the allocation's top attained class. Scans
-    whose target class does not appear in v are skipped: no candidate
+    Runs the staged upgrade scans for the environment's ladder size, each
+    step one Hamming distance further out, then zeroes out every position
+    whose level is strictly below the allocation's top attained class.
+    Scans whose target class does not appear in v are skipped: no candidate
     could qualify. For k = 3 queries stay within Hamming distance 5 of v.
+
+    The scan runs on integers. An input is its mixed-radix index, the
+    position of its level tuple in `all_inputs` order (agent 0 most
+    significant); the distance-d neighbours are v's index plus one level
+    delta per changed position, in the canonical order of
+    `inputs_at_distance`. An allocation is a bitmask with bit i for agent i.
+    `cache` maps an input index to its (Allocation, bitmask) answer; it may
+    be shared across evaluations of one algorithm. A ValuationVector is
+    built only on a cache miss, for the black-box query, so the black box
+    sees the same queries in the same order as a scan over vectors.
     """
-    ladder = ladder if ladder is not None else bb.algorithm.env.ladder
-    k = ladder.k
+    k = bb.algorithm.env.ladder.k
     if k < 3:
         raise ParameterError("t_multi requires at least three ladder values; use t_two for two")
     if cache is None:
         cache = {}
+    levels = v.levels
+    n = len(levels)
+    weights = [k ** (n - 1 - i) for i in range(n)]
+    index = sum(lvl * w for lvl, w in zip(levels, weights))
+    deltas = [[(lv - lvl) * w for lv in range(k) if lv != lvl] for lvl, w in zip(levels, weights)]
+    lm = [0] * k  # lm[c]: positions of v at level c
+    for i, lvl in enumerate(levels):
+        lm[lvl] |= 1 << i
+    above = [0] * k  # above[c]: positions of v above level c
+    for c in range(k - 2, -1, -1):
+        above[c] = above[c + 1] | lm[c + 1]
+    top_down = lm[::-1]
 
-    def raw(u: ValuationVector) -> Allocation:
-        x = cache.get(u.levels)
-        if x is None:
-            x = bb.query(u)
-            cache[u.levels] = x
-        return x
+    def answer(u: int) -> tuple[Allocation, int]:
+        x = bb.query(ValuationVector(tuple(u // w % k for w in weights)))
+        if x.n != n:
+            raise DimensionError(f"allocation of length {x.n} vs input of length {n}")
+        entry = cache[u] = (x, sum(b << i for i, b in enumerate(x.bits)))
+        return entry
 
-    current = raw(v)
-    levels_present = set(v.levels)
-    for step in _steps_for(k):
-        current_class = _step_class(current, v)
+    def scan(distance: int) -> Iterator[tuple[Allocation, int]]:
+        # Answers at the distance-`distance` neighbours, canonical order.
+        # Cache entries are non-empty tuples, so `or` queries only on a miss.
+        for combo in itertools.combinations(deltas, distance):
+            for offset in map(sum, itertools.product(*combo)):
+                u = index + offset
+                yield cache.get(u) or answer(u)
+
+    def top_class(mask: int) -> int:
+        # The empty allocation counts as the lowest class: it is neither a
+        # high- nor a mid-class allocation.
+        for c in range(k - 1, 0, -1):
+            if mask & lm[c]:
+                return c
+        return 0
+
+    current = cache.get(index) or answer(index)
+    for step in _scan_steps(k):
+        mask = current[1]
+        cls = top_class(mask)
+        if step.kind == "lex-up":
+            counts = [(mask & m).bit_count() for m in top_down]
+            for candidate in scan(step.distance):
+                if [(candidate[1] & m).bit_count() for m in top_down] > counts:
+                    current = candidate
+                    break
+            continue
+        # Adopt the first candidate with a 1 in `want` and none in `reject`.
         if step.kind == "class-up":
-            if not any(lvl > current_class for lvl in levels_present):
-                continue
-            for u in inputs_at_distance(v, step.distance, k):
-                candidate = raw(u)
-                if _step_class(candidate, v) > current_class:
-                    current = candidate
-                    break
-        elif step.kind == "lex-up":
-            for u in inputs_at_distance(v, step.distance, k):
-                candidate = raw(u)
-                if higher_than(candidate, current, v, ladder):
-                    current = candidate
-                    break
+            want, reject = above[cls], 0
+        elif cls in step.sources:
+            want, reject = lm[step.target], above[step.target]
         else:
-            if current_class not in step.sources or step.target not in levels_present:
-                continue
-            for u in inputs_at_distance(v, step.distance, k):
-                candidate = raw(u)
-                if _step_class(candidate, v) == step.target:
-                    current = candidate
-                    break
-    return zero_out_below(current, v, _step_class(current, v))
+            continue
+        if not want:
+            continue
+        for candidate in scan(step.distance):
+            if candidate[1] & want and not candidate[1] & reject:
+                current = candidate
+                break
+    return zero_out_below(current[0], v, top_class(current[1]))
 
 
 TRANSFORMATION_IDS = ("const", "two", "two-plus", "multi", "identity")
 
 _STATEFUL = frozenset({"two-plus", "multi"})
-
-
-@dataclass(frozen=True)
-class Transformation:
-    """A transformation selected by its registry id."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in TRANSFORMATION_IDS:
-            raise ParameterError(
-                f"unknown transformation {self.kind!r}; known: {', '.join(TRANSFORMATION_IDS)}"
-            )
-
-    def bind(self, algorithm: Algorithm, **kwargs) -> "TransformedRule":
-        return TransformedRule(self.kind, algorithm, **kwargs)
 
 
 class TransformedRule:

@@ -1,15 +1,19 @@
 """Transformations: classification, step traces, locality, determinism."""
 
+import hashlib
+
 import pytest
 
 from dcbox import (
     Allocation,
+    DimensionError,
     Environment,
     FeasibilitySet,
+    HammingRestrictionViolation,
     InstrumentedBlackBox,
     ParameterError,
     ProvisionalState,
-    Transformation,
+    QueryBudgetExceeded,
     TransformedRule,
     ValueLadder,
     ValuationVector,
@@ -258,6 +262,11 @@ class TestTMulti:
         with pytest.raises(ParameterError):
             t_multi(InstrumentedBlackBox(alg), vec(0, 0))
 
+    def test_rejects_allocation_of_wrong_length(self):
+        alg = constant_algorithm(3, bits("10"), [bits("111")], ladder=LAD3)
+        with pytest.raises(DimensionError):
+            t_multi(InstrumentedBlackBox(alg), vec(2, 1, 0))
+
 
 def _literal_two_plus(alg, v):
     """Independent oracle: eager, unmemoized reimplementation of the
@@ -348,6 +357,40 @@ def _literal_multi3(alg, v):
     return Allocation(tuple(b if lvl >= cls else 0 for b, lvl in zip(cur.bits, v.levels)))
 
 
+def _literal_multi(alg, v):
+    """Independent oracle for ladders with k >= 4: the general step table
+    written out as loops, classing with classify_allocation and comparing
+    with higher_than, no caching, no scan skipping."""
+    ladder = alg.env.ladder
+    k = ladder.k
+    assert k >= 4
+
+    def classify(x):
+        return classify_allocation(x, v) or 0
+
+    def first(distance, accept):
+        for u in inputs_at_distance(v, distance, k):
+            if accept(alg(u)):
+                return alg(u)
+        return None
+
+    cur = alg(v)
+    cur = first(1, lambda x: higher_than(x, cur, v, ladder)) or cur  # lex-up
+    if classify(cur) == 0:
+        cur = first(2, lambda x: classify(x) == 1) or cur  # low -> mid
+    distance = 3
+    for target in range(2, k):
+        if classify(cur) < target:  # any class below the target -> target
+            cur = first(distance, lambda x: classify(x) == target) or cur
+        distance += 1
+        for source in (1, 0) if target == 2 else range(target):
+            if classify(cur) == source:  # one source class -> target
+                cur = first(distance, lambda x: classify(x) == target) or cur
+            distance += 1
+    cls = classify(cur)
+    return Allocation(tuple(b if lvl >= cls else 0 for b, lvl in zip(cur.bits, v.levels)))
+
+
 class TestLiteralOracles:
     def test_two_plus_matches_unmemoized_oracle(self):
         ladder = ValueLadder.of(1, 9)
@@ -367,6 +410,89 @@ class TestLiteralOracles:
             for v in env.inputs():
                 assert rule(v) == _literal_multi3(alg, v)
 
+
+    @pytest.mark.parametrize("shared_state", [True, False])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_multi_four_values_matches_unmemoized_oracle(self, n, shared_state):
+        ladder = ValueLadder.of(1, 4, 16, 64)
+        for seed in range(3):
+            env = gen_random_environment(n, ladder, 6200 + seed)
+            alg = gen_random_algorithm(env, 6300 + seed)
+            rule = TransformedRule("multi", alg, shared_state=shared_state)
+            for v in env.inputs():
+                assert rule(v) == _literal_multi(alg, v)
+
+# Per-input digests of t_multi's black-box query sequence with fresh state,
+# in all_inputs order, recorded from the scan over ValuationVectors that the
+# integer kernel replaced: (n, ladder, environment seed, algorithm seed).
+QUERY_ORDER_CASES = {
+    "k3-n4": (4, (1, 4, 16), 7103, 7203),
+    "k4-n3": (3, (1, 4, 16, 64), 7301, 7401),
+}
+QUERY_ORDER_DIGESTS = {
+    "k3-n4": """
+    ca5b5568 61aa6e60 096794b5 e0ccf3be 37c186ff d38d1fbc a13cb86b 4bf429dd
+    1c9afd55 b410b4ef 5cd2f8a5 097c78e6 811afed1 60058585 2fc63d37 eef5d165
+    fb9835e9 8215222c 036ed2c6 9acae753 b600dbd3 e7dc1833 68d86908 e52334cd
+    7ff2f1ed 7d499dfd 0dbde4e5 6409aa47 bf84b1fc 0156d0b9 7a2141a5 0ef065d0
+    ec671da3 a71cb457 39b1f565 b6e408a3 d3dc8991 ae055ef7 736108c2 ca97551f
+    f6ec9fb7 881f13de 4a846f84 0a27246e 5fe6b6f8 62453bff d441c13f c6f78d3e
+    939ea010 2a05ea47 3cbe615e cc3a17ed 0df4be94 43ce3fd1 a35156dc db58b989
+    b1e8cb35 b6e44ed2 003c5934 72dbf6d6 a4e08c25 8a590766 1ab7fa30 6d23e271
+    6e1adfb8 88e57ccf 081c6a45 86833368 92de1bbe 2547a9dd ef6fd797 9d499e2c
+    80126a54 7cf65fd0 93cfcfa5 88b715c3 ab9c8ab3 dfd5cecd 0990721c ac2cb057
+    91696c44
+    """,
+    "k4-n3": """
+    dfd0ff4a 8988c640 3a410225 75a20859 223298b7 fa16494b e1b58abc aa0a1368
+    41c668f1 1d3fb423 456053c2 8a741eb0 1312b661 bcd901d9 e05922a5 8460112c
+    1cdd170a 1448f8c2 a352306d af38c375 7e71532f 600707ce d6e64282 4e3772dc
+    426add02 d5e5ebd9 e1749281 6af34b33 6dbcdb38 88140406 62e18062 2696b24c
+    b3d79e99 097740eb 35e42829 01e94ba4 7b1208b9 f8589beb 98cf8196 15356e60
+    8fd0b90b 6ad48071 690d6936 db7b787f f11ae8d5 b45130a1 60315ffb 40bd2a37
+    9de5d09d e4d66572 610f5449 43bd6c3f 14e38af5 a977a8eb 41ab431a 3e7e6876
+    21c03cad 9b8680d9 ffa002e9 8624929d 3f69b355 a4a478bc 43c6af8a f0388e5b
+    """,
+}
+
+
+def _query_order_algorithm(case):
+    n, values, env_seed, alg_seed = QUERY_ORDER_CASES[case]
+    env = gen_random_environment(n, ValueLadder.of(*values), env_seed)
+    return gen_random_algorithm(env, alg_seed)
+
+
+def _fresh_multi_logs(alg):
+    """(input, queried inputs in order) per input, fresh state each time."""
+    for v in alg.env.inputs():
+        bb = InstrumentedBlackBox(alg)
+        t_multi(bb, v)
+        yield v, [u for u, _ in bb.log]
+
+
+class TestMultiQueryOrder:
+    @pytest.mark.parametrize("case", sorted(QUERY_ORDER_CASES))
+    def test_query_sequence_per_input(self, case):
+        got = [
+            hashlib.sha256(repr([u.levels for u in log]).encode()).hexdigest()[:8]
+            for _, log in _fresh_multi_logs(_query_order_algorithm(case))
+        ]
+        assert got == QUERY_ORDER_DIGESTS[case].split()
+
+    @pytest.mark.parametrize("case", sorted(QUERY_ORDER_CASES))
+    def test_budget_and_radius_one_too_small(self, case):
+        alg = _query_order_algorithm(case)
+        for v, log in _fresh_multi_logs(alg):
+            tight = InstrumentedBlackBox(alg, budget=len(log) - 1)
+            with pytest.raises(QueryBudgetExceeded):
+                t_multi(tight, v)
+            assert tight.query_count == len(log) - 1
+            radius = max(hamming_distance(u, v) for u in log)
+            near = InstrumentedBlackBox(alg, hamming_center=v, hamming_radius=radius)
+            with pytest.raises(HammingRestrictionViolation):
+                t_multi(near, v)
+            first_far = next(i for i, u in enumerate(log) if hamming_distance(u, v) == radius)
+            assert near.query_count == first_far
 
 class TestFeasibilityInvariant:
     def test_output_is_subset_of_a_queried_allocation(self):
@@ -410,13 +536,11 @@ class TestFeasibilityInvariant:
 class TestTransformedRule:
     def test_registry_rejects_unknown_kind(self):
         with pytest.raises(ParameterError):
-            Transformation("frobnicate")
-        with pytest.raises(ParameterError):
             TransformedRule("frobnicate", gen_all_ones(2, LAD2))
 
     def test_bind(self):
         alg = gen_all_ones(2, LAD2)
-        rule = Transformation("two").bind(alg)
+        rule = TransformedRule("two", alg)
         assert rule(vec(1, 0)) == bits("10")
 
     def test_identity_kind(self):
