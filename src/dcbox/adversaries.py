@@ -390,17 +390,11 @@ def gen_knapsack(
         name = "knapsack-greedy"
     else:
         scaled = ScaledWelfare(ladder)
-        candidates = [(a, a.bits) for a in sorted(maximal, key=lambda a: a.bits)]
+        # Never empty: the empty subset fits any capacity >= 0.
+        by_bits = {a.bits: a for a in maximal}
 
         def rule(v: ValuationVector) -> Allocation:
-            levels = v.levels
-            best = None
-            best_key = None
-            for a, bits in candidates:
-                key = (scaled.of(levels, bits), bits)
-                if best_key is None or key > best_key:
-                    best, best_key = a, key
-            return best if best is not None else Allocation.zeros(n)
+            return by_bits[scaled.optimum(v.levels, by_bits)[1]]
 
         name = "knapsack-optimal"
     return Algorithm(environment, rule, name=name)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .errors import DcboxError, NonMonotoneRuleError, ParameterError
 from .harness import (
@@ -19,6 +20,7 @@ from .harness import (
     cmd_regime_sweep,
     cmd_verify,
     load_config,
+    parse_param,
 )
 from .model import ValueLadder
 
@@ -104,7 +106,9 @@ def _adversary_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         config.seed = args.seed
     if args.ladder:
-        config.ladder = ValueLadder.of(*args.ladder.split())
+        config.ladder = ValueLadder(
+            tuple(parse_param("--ladder", token, Fraction) for token in args.ladder.split())
+        )
     if args.output:
         config.output = args.output
     return config

@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import adversaries
 from .adversaries import (
@@ -60,6 +61,8 @@ from .verify import (
 )
 
 _RANDOMIZED_GENERATORS = frozenset({"thm1", "random"})
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -240,11 +243,23 @@ def ladder_for_ratio(token: str, n: int) -> ValueLadder:
     return ValueLadder.of(1, ratio)
 
 
-def _require_param(config: ExperimentConfig, key: str) -> str:
-    value = config.param(key)
-    if value is None:
+def parse_param(key: str, text: str, parse: Callable[[str], T] = int) -> T:
+    """`parse(text)`; a malformed value raises ParameterError naming `key`."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"{key}: cannot parse {text!r}") from exc
+
+
+def _param(config: ExperimentConfig, key: str, parse: Callable[[str], T] = int) -> T:
+    text = config.param(key)
+    if text is None:
         raise ParameterError(f"generator {config.generator!r} needs param {key!r}")
-    return value
+    return parse_param(f"param {key}", text, parse)
+
+
+def _comma_list(parse: Callable[[str], T]) -> Callable[[str], list[T]]:
+    return lambda text: [parse(item) for item in text.split(",")]
 
 
 def build_algorithm(config: ExperimentConfig) -> Algorithm:
@@ -267,39 +282,32 @@ def build_algorithm(config: ExperimentConfig) -> Algorithm:
         raise ParameterError(f"generator {name!r} is randomized and needs a seed")
     ladder = config.ladder if config.ladder is not None else adversaries.DEFAULT_LADDER
     if name == "thm1":
-        m = int(_require_param(config, "m"))
-        return gen_thm1(m, config.seed, ladder).algorithm
+        return gen_thm1(_param(config, "m"), config.seed, ladder).algorithm
     if name == "block":
-        L1 = int(_require_param(config, "L1"))
-        L2 = int(_require_param(config, "L2"))
-        L3 = int(_require_param(config, "L3"))
-        ones = int(_require_param(config, "ones"))
-        positions_text = config.param("positions")
-        positions = (
-            [int(p) for p in positions_text.split(",")] if positions_text is not None else None
-        )
-        if positions is None and config.seed is None:
-            raise ParameterError("generator 'block' needs a seed or explicit positions")
+        L1 = _param(config, "L1")
+        L2 = _param(config, "L2")
+        L3 = _param(config, "L3")
+        ones = _param(config, "ones")
+        positions = None
+        if config.param("positions") is not None:
+            positions = _param(config, "positions", _comma_list(int))
         return gen_block_adversary(
             L1, L2, L3, ones, seed=config.seed, positions=positions, ladder=ladder
         ).algorithm
     if name == "hamming":
-        m = int(_require_param(config, "m"))
-        f_value = int(_require_param(config, "f"))
-        return gen_hamming_adversary(m, f_value, ladder).algorithm
+        return gen_hamming_adversary(_param(config, "m"), _param(config, "f"), ladder).algorithm
     if name == "all-ones":
-        return gen_all_ones(int(_require_param(config, "n")), ladder)
+        return gen_all_ones(_param(config, "n"), ladder)
     if name == "knapsack":
-        weights = [Fraction(w) for w in _require_param(config, "weights").split(",")]
-        capacity = Fraction(_require_param(config, "capacity"))
+        weights = _param(config, "weights", _comma_list(Fraction))
+        capacity = _param(config, "capacity", Fraction)
         policy_key = config.param("policy") or "greedy"
         policy = {"greedy": POLICY_GREEDY, "optimal": POLICY_OPTIMAL}.get(policy_key)
         if policy is None:
             raise ParameterError(f"knapsack policy must be greedy or optimal, got {policy_key!r}")
         return gen_knapsack(weights, capacity, policy, ladder)
     # name == "random"
-    n = int(_require_param(config, "n"))
-    env = gen_random_environment(n, ladder, config.seed)
+    env = gen_random_environment(_param(config, "n"), ladder, config.seed)
     return gen_random_algorithm(env, config.seed + 1)
 
 
@@ -426,14 +434,11 @@ def _verify_entry(
     config: ExperimentConfig, algorithm: Algorithm, transformation: str
 ) -> VerifyEntry:
     env = algorithm.env
-    # A Hamming restriction forces fresh per-evaluation state so that every
-    # query of every evaluation actually reaches the restricted black box.
     rule = TransformedRule(
         transformation,
         algorithm,
         query_budget=_budget_for(config, env.n),
         hamming_radius=config.hamming_radius,
-        shared_state=config.hamming_radius is None,
     )
     cached = CachedRule(rule)
     seed = config.seed if config.seed is not None else 0

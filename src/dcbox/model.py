@@ -224,8 +224,9 @@ def opt_welfare(v: ValuationVector, feasibility: FeasibilitySet, ladder: ValueLa
         raise DimensionError(f"input of length {v.n} vs feasibility over n={feasibility.n}")
     if not feasibility.maximal:
         warnings.warn("optimal welfare over an empty feasibility set is 0", stacklevel=2)
-        return Fraction(0)
-    return max(welfare(v, m, ladder) for m in feasibility.maximal)
+    scaled = ScaledWelfare(ladder)
+    best, _ = scaled.optimum(v.levels, (m.bits for m in feasibility.maximal))
+    return scaled.fraction(best)
 
 
 def normalize_antichain(allocs: Iterable[Allocation], n: int | None = None) -> FeasibilitySet:
@@ -281,6 +282,14 @@ class ScaledWelfare:
     def of(self, levels: tuple[int, ...], bits: tuple[int, ...]) -> int:
         w = self.weights
         return sum(w[lvl] for lvl, bit in zip(levels, bits) if bit)
+
+    def optimum(
+        self, levels: tuple[int, ...], candidates: Iterable[tuple[int, ...]]
+    ) -> tuple[int, tuple[int, ...] | None]:
+        """The largest scaled welfare at `levels` over the candidate bit
+        tuples and the bits attaining it, ties going to the lexicographically
+        largest bits; (0, None) when there are no candidates."""
+        return max(((self.of(levels, bits), bits) for bits in candidates), default=(0, None))
 
     def fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.denominator)

@@ -377,8 +377,6 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
 
 TRANSFORMATION_IDS = ("const", "two", "two-plus", "multi", "identity")
 
-_STATEFUL = frozenset({"two-plus", "multi"})
-
 
 class TransformedRule:
     """An allocation rule: a transformation bound to a black-boxed algorithm.
@@ -386,11 +384,13 @@ class TransformedRule:
     Every evaluation wraps the algorithm in a fresh InstrumentedBlackBox
     (applying the per-evaluation query budget and optional Hamming-radius
     restriction centered at the evaluated input) and updates query
-    statistics. Stateful transformations keep their memo across evaluations
-    when shared_state is set; outputs are identical either way, so sweeps
-    share state per worker for speed while locality experiments use fresh
-    state to observe complete per-evaluation query logs. Not thread-safe:
-    one instance per worker.
+    statistics. The algorithm's answers are memoized below the black box,
+    so every query still reaches it. Stateful transformations keep their
+    memo across evaluations only when shared_state is set and neither a
+    query budget nor a Hamming radius is: the shared memo answers inputs
+    without querying, so a limit would be checked against memo misses
+    only. Outputs are identical either way. Not thread-safe: one instance
+    per worker.
     """
 
     def __init__(
@@ -402,7 +402,6 @@ class TransformedRule:
         hamming_radius: int | None = None,
         shared_state: bool = True,
         check_feasible: bool = False,
-        memoize_algorithm: bool = True,
     ):
         if kind not in TRANSFORMATION_IDS:
             raise ParameterError(
@@ -413,28 +412,27 @@ class TransformedRule:
         self.query_budget = query_budget
         self.hamming_radius = hamming_radius
         self.check_feasible = check_feasible
-        if memoize_algorithm:
-            outputs: dict[tuple[int, ...], Allocation] = {}
-            inner = algorithm.rule
+        outputs: dict[tuple[int, ...], Allocation] = {}
+        inner = algorithm.rule
 
-            def cached(u: ValuationVector) -> Allocation:
-                x = outputs.get(u.levels)
-                if x is None:
-                    x = inner(u)
-                    outputs[u.levels] = x
-                return x
+        def cached(u: ValuationVector) -> Allocation:
+            x = outputs.get(u.levels)
+            if x is None:
+                x = inner(u)
+                outputs[u.levels] = x
+            return x
 
-            self._target = Algorithm(algorithm.env, cached, algorithm.name, algorithm.table)
-        else:
-            self._target = algorithm
-        self._shared = bool(shared_state) and kind in _STATEFUL
+        self._target = Algorithm(algorithm.env, cached, algorithm.name, algorithm.table)
+        self._shared = shared_state and query_budget is None and hamming_radius is None
         self._state = self._new_state() if self._shared else None
         self.evaluations = 0
         self.max_queries = 0
         self.max_radius = 0
 
     def _new_state(self):
-        return ProvisionalState() if self.kind == "two-plus" else {}
+        if self.kind == "two-plus":
+            return ProvisionalState()
+        return {} if self.kind == "multi" else None
 
     @property
     def env(self):
@@ -449,10 +447,7 @@ class TransformedRule:
             hamming_radius=self.hamming_radius if restricted else None,
             check_feasible=self.check_feasible,
         )
-        if self.kind in _STATEFUL:
-            state = self._state if self._shared else self._new_state()
-        else:
-            state = None
+        state = self._state if self._shared else self._new_state()
         if self.kind == "identity":
             out = bb.query(v)
         elif self.kind == "const":

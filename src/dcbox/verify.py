@@ -10,7 +10,6 @@ deterministically: violations are sorted canonically before emission.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -220,7 +219,7 @@ def welfare_report(
             zero_original += 1
         else:
             min_fraction.offer(w_rule, w_orig)
-        opt = max((scaled.of(levels, mb) for mb in maximal_bits), default=0)
+        opt, _ = scaled.optimum(levels, maximal_bits)
         if opt == 0:
             opt_zero += 1
         else:
@@ -239,57 +238,6 @@ def welfare_report(
         sampled=sampled,
         seed=seed if sampled else None,
     )
-
-
-def approx_ratio(
-    rule: AllocationRule,
-    env: Environment,
-    *,
-    enum_bound: int = DEFAULT_ENUM_BOUND,
-    seed: int = 0,
-) -> Fraction | None:
-    """Exact minimum over inputs of rule welfare / optimal welfare.
-
-    Inputs with zero optimum are skipped; returns None if every optimum is
-    zero. Above the enumeration bound the minimum is taken over a seeded
-    sample and a warning is emitted (use welfare_report for a flagged
-    record).
-    """
-    k, n = env.ladder.k, env.n
-    scaled = ScaledWelfare(env.ladder)
-    maximal_bits = [m.bits for m in env.feasibility.sorted_maximal()]
-    total = k**n
-    if total > enum_bound:
-        warnings.warn(
-            f"approx_ratio sampling {max(1, enum_bound)} of {total} inputs (seed={seed})",
-            stacklevel=2,
-        )
-        inputs: Iterable[ValuationVector] = _sampled_inputs(
-            n, k, max(1, enum_bound), random.Random(seed)
-        )
-    else:
-        inputs = all_inputs(n, k)
-    best = _MinRatio()
-    for v in inputs:
-        levels = v.levels
-        opt = max((scaled.of(levels, mb) for mb in maximal_bits), default=0)
-        if opt == 0:
-            continue
-        best.offer(scaled.of(levels, rule(v).bits), opt)
-    return best.value()
-
-
-def fraction_full_welfare(
-    rule: AllocationRule,
-    original: AllocationRule,
-    env: Environment,
-    *,
-    enum_bound: int = DEFAULT_ENUM_BOUND,
-    seed: int = 0,
-) -> Fraction:
-    """Fraction of inputs where the rule's welfare is at least the original's."""
-    report = welfare_report(rule, original, env, enum_bound=enum_bound, seed=seed)
-    return Fraction(report.full_welfare_count, report.total_inputs)
 
 
 def myerson_payments(

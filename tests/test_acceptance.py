@@ -20,7 +20,6 @@ from dcbox import (
     TransformedRule,
     ValueLadder,
     ValuationVector,
-    approx_ratio,
     check_monotone,
     gen_all_ones,
     gen_block_adversary,
@@ -148,8 +147,9 @@ def test_c06_const_ratio_preservation():
         ladder = ValueLadder.of(low, high)
         env = gen_random_environment(n, ladder, 9000 + s)
         algorithm = gen_random_algorithm(env, 9500 + s)
-        ratio_original = approx_ratio(algorithm, env)
-        ratio_const = approx_ratio(CachedRule(TransformedRule("const", algorithm)), env)
+        report = welfare_report(CachedRule(TransformedRule("const", algorithm)), algorithm, env)
+        ratio_original = report.approx_ratio_original
+        ratio_const = report.approx_ratio_rule
         assert ratio_original is not None and ratio_const is not None
         assert ratio_const >= (low / high) * ratio_original, (
             s,
@@ -163,9 +163,10 @@ def test_c07_hamming_quantities():
     for m in (4, 6, 8):
         for f in (2, 3):
             inst = gen_hamming_adversary(m, f, ValueLadder.of(1, 2))
-            assert approx_ratio(inst.algorithm, inst.environment) == Fraction(1, 2)
             transformed = CachedRule(TransformedRule("two", inst.algorithm))
-            degraded = approx_ratio(transformed, inst.environment)
+            report = welfare_report(transformed, inst.algorithm, inst.environment)
+            assert report.approx_ratio_original == Fraction(1, 2)
+            degraded = report.approx_ratio_rule
             assert degraded <= Fraction(1, m), (m, f, degraded)
 
 

@@ -217,6 +217,14 @@ class TestKnapsack:
         assert best == welfare(v, alg(v), ladder)
         assert alg(v) == bits("110")
 
+    def test_optimal_ties_break_to_largest_bits(self):
+        # both singletons weigh in equally at hh and at ll; the documented
+        # tie-break picks the lexicographically largest bit string
+        alg = gen_knapsack([1, 1], 1, POLICY_OPTIMAL, ValueLadder.of(1, 2))
+        assert alg(vec(1, 1)) == bits("10")
+        assert alg(vec(0, 0)) == bits("10")
+        assert alg(vec(0, 1)) == bits("01")
+
     def test_greedy_fills_by_density(self):
         ladder = ValueLadder.of(1, 10)
         alg = gen_knapsack([1, 1, 2], 2, POLICY_GREEDY, ladder)

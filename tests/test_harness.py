@@ -222,6 +222,24 @@ class TestCmdVerify:
         )
         assert cmd_verify(roomy).total_violations == 0
 
+    @pytest.mark.parametrize("radius", [None, 6])
+    def test_budget_verdict_independent_of_radius(self, radius):
+        from dcbox import QueryBudgetExceeded
+
+        # multi at n=5 needs up to 171 queries in one evaluation, all within
+        # radius 5, so a radius of 6 restricts nothing and must not change
+        # whether a budget holds
+        def config(c):
+            lines = ["transformation multi", "generator random", "param n 5"]
+            lines += ["ladder 1 5 25", "seed 2", f"query-budget {c} 2"]
+            if radius is not None:
+                lines.append(f"hamming-radius {radius}")
+            return parse_config(config_text(*lines))
+
+        with pytest.raises(QueryBudgetExceeded):
+            cmd_verify(config(4))  # 4 * 5^2 = 100 queries
+        assert "queries.max-per-eval 171" in cmd_verify(config(7)).to_document()
+
 
 class TestCmdSweep:
     def sweep_config(self, workers=1):
@@ -441,6 +459,27 @@ class TestCli:
         )
         assert main(["verify", "--config", path]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_generator_param_exit_two(self, tmp_path, capsys):
+        path = self.write_config(
+            tmp_path, "transformation two", "generator thm1", "param m x", "seed 1"
+        )
+        assert main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        path = self.write_config(
+            tmp_path,
+            "transformation two",
+            "generator knapsack",
+            "param weights 1,a",
+            "param capacity 1",
+        )
+        assert main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_ladder_flag_exit_two(self, capsys):
+        args = ["adversary", "--generator", "hamming", "--param", "m=2", "--param", "f=1"]
+        assert main([*args, "--ladder", "1 x"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_adversary_flags(self, tmp_path, capsys):
         out = tmp_path / "doc.txt"

@@ -22,6 +22,7 @@ from dcbox import (
     opt_welfare,
     welfare,
 )
+from dcbox.model import ScaledWelfare
 
 L, H = 0, 1  # two-value level indices
 
@@ -160,6 +161,9 @@ class TestOptWelfare:
             feas = normalize_antichain(allocs, n)
             v = ValuationVector(tuple(rng.randint(0, 1) for _ in range(n)))
             assert opt_welfare(v, feas, ladder) == brute_force_opt(v, feas, ladder)
+
+    def test_scaled_optimum_without_candidates(self):
+        assert ScaledWelfare(ValueLadder.of(1, 2)).optimum((0, 1), []) == (0, None)
 
     def test_welfare_never_exceeds_opt(self):
         feas = normalize_antichain([bits("1100"), bits("0111")])

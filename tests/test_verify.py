@@ -11,9 +11,7 @@ from dcbox import (
     TransformedRule,
     ValueLadder,
     ValuationVector,
-    approx_ratio,
     check_monotone,
-    fraction_full_welfare,
     gen_all_ones,
     gen_hamming_adversary,
     gen_knapsack,
@@ -143,15 +141,17 @@ class TestWelfareReport:
 
     def test_fraction_full_welfare(self):
         alg = gen_all_ones(3, LAD2)
-        assert fraction_full_welfare(alg, alg, alg.env) == 1
-        assert fraction_full_welfare(TransformedRule("two", alg), alg, alg.env) == Fraction(2, 8)
+        report = welfare_report(alg, alg, alg.env)
+        assert Fraction(report.full_welfare_count, report.total_inputs) == 1
+        report = welfare_report(TransformedRule("two", alg), alg, alg.env)
+        assert Fraction(report.full_welfare_count, report.total_inputs) == Fraction(2, 8)
 
     def test_two_plus_fraction_bound(self):
         n = 4
         ladder = ValueLadder.of(1, n + 1)
         alg = gen_all_ones(n, ladder)
-        frac = fraction_full_welfare(TransformedRule("two-plus", alg), alg, alg.env)
-        assert frac >= Fraction(1, n)
+        report = welfare_report(TransformedRule("two-plus", alg), alg, alg.env)
+        assert Fraction(report.full_welfare_count, report.total_inputs) >= Fraction(1, n)
 
     def test_zero_welfare_inputs_counted_separately(self):
         feas = FeasibilitySet(2, frozenset({bits("10")}))
@@ -166,30 +166,31 @@ class TestWelfareReport:
 class TestApproxRatio:
     def test_optimal_knapsack_is_one(self):
         alg = gen_knapsack([2, 1, 3], 4, POLICY_OPTIMAL, ValueLadder.of(1, 4))
-        assert approx_ratio(alg, alg.env) == 1
+        assert welfare_report(alg, alg, alg.env).approx_ratio_rule == 1
 
     def test_hamming_adversary_ratio(self):
         inst = gen_hamming_adversary(6, 3)
-        assert approx_ratio(inst.algorithm, inst.environment) == Fraction(1, 2)
+        report = welfare_report(inst.algorithm, inst.algorithm, inst.environment)
+        assert report.approx_ratio_rule == Fraction(1, 2)
 
     def test_two_over_hamming_degrades(self):
         # at (h^6, h l^5) the transformation keeps one high bit of welfare
         # against an optimum of 6 highs
         inst = gen_hamming_adversary(6, 3)
         rule = CachedRule(TransformedRule("two", inst.algorithm))
-        assert approx_ratio(rule, inst.environment) <= Fraction(1, 6)
+        assert welfare_report(rule, rule, inst.environment).approx_ratio_rule <= Fraction(1, 6)
 
     def test_never_exceeds_one(self):
         for seed in range(8):
             env = gen_random_environment(4, LAD2, seed + 300)
             alg = gen_random_algorithm(env, seed + 400)
-            ratio = approx_ratio(alg, env)
+            ratio = welfare_report(alg, alg, env).approx_ratio_rule
             assert ratio is None or ratio <= 1
 
     def test_vacuous_environment(self):
         env = Environment(2, LAD2, FeasibilitySet(2, frozenset()))
         alg = Algorithm(env, lambda v: bits("00"))
-        assert approx_ratio(alg, env) is None
+        assert welfare_report(alg, alg, env).approx_ratio_rule is None
 
 
 class TestMyersonPayments:
