@@ -333,6 +333,16 @@ def gen_all_ones(n: int, ladder: ValueLadder = DEFAULT_LADDER) -> Algorithm:
     return Algorithm(environment, lambda v: everyone, name="all-ones", table=table)
 
 
+def _density_ranks(weights: tuple[Fraction, ...], ladder: ValueLadder) -> list[list[int]]:
+    """rank[i][level]: the position of agent i's density value / weight at
+    that level among all distinct densities, highest first; equal densities
+    share a rank. Sorting agents by (rank, index) is the greedy order."""
+    density = [[value / w for value in ladder.values] for w in weights]
+    distinct = sorted({d for row in density for d in row}, reverse=True)
+    position = {d: r for r, d in enumerate(distinct)}
+    return [[position[d] for d in row] for row in density]
+
+
 def gen_knapsack(
     weights,
     capacity: Rational,
@@ -375,10 +385,12 @@ def gen_knapsack(
     environment = Environment(n, ladder, feasibility)
 
     if policy == POLICY_GREEDY:
-        values = ladder.values
+        rank = _density_ranks(weights, ladder)
 
         def rule(v: ValuationVector) -> Allocation:
-            order = sorted(range(n), key=lambda i: (-(values[v.levels[i]] / weights[i]), i))
+            levels = v.levels
+            # A stable sort of the agents by rank: ties stay in agent order.
+            order = sorted(range(n), key=lambda i: rank[i][levels[i]])
             remaining = capacity
             bits = [0] * n
             for i in order:
@@ -389,12 +401,12 @@ def gen_knapsack(
 
         name = "knapsack-greedy"
     else:
-        scaled = ScaledWelfare(ladder)
         # Never empty: the empty subset fits any capacity >= 0.
-        by_bits = {a.bits: a for a in maximal}
+        scaled = ScaledWelfare(ladder, maximal)
+        by_mask = {a.mask: a for a in maximal}
 
         def rule(v: ValuationVector) -> Allocation:
-            return by_bits[scaled.optimum(v.levels, by_bits)[1]]
+            return by_mask[scaled.optimum(v.levels)[1]]
 
         name = "knapsack-optimal"
     return Algorithm(environment, rule, name=name)

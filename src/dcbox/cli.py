@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 
 from .errors import DcboxError, NonMonotoneRuleError, ParameterError
@@ -154,7 +155,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.environment:
             config.environment_path = args.environment
         config.input_text = args.input
-        value = cmd_opt(config)
+        # Degenerate environments warn rather than fail; report each warning
+        # as a diagnostic line, not as a Python warning naming source lines.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = cmd_opt(config)
+        for warning in caught:
+            sys.stderr.write(f"warning: {warning.message}\n")
         sys.stdout.write(f"{value}\n")
         return 0
     except (DcboxError, OSError) as exc:

@@ -130,6 +130,11 @@ class Allocation:
     def count(self) -> int:
         return sum(self.bits)
 
+    @property
+    def mask(self) -> int:
+        """The bits as an integer bitmask, bit i for agent i."""
+        return sum(b << i for i, b in enumerate(self.bits))
+
     def dominated_by(self, other: "Allocation") -> bool:
         """Coordinatewise self <= other."""
         if len(self.bits) != len(other.bits):
@@ -224,9 +229,8 @@ def opt_welfare(v: ValuationVector, feasibility: FeasibilitySet, ladder: ValueLa
         raise DimensionError(f"input of length {v.n} vs feasibility over n={feasibility.n}")
     if not feasibility.maximal:
         warnings.warn("optimal welfare over an empty feasibility set is 0", stacklevel=2)
-    scaled = ScaledWelfare(ladder)
-    best, _ = scaled.optimum(v.levels, (m.bits for m in feasibility.maximal))
-    return scaled.fraction(best)
+    scaled = ScaledWelfare(ladder, feasibility.maximal)
+    return scaled.fraction(scaled.optimum(v.levels)[0])
 
 
 def normalize_antichain(allocs: Iterable[Allocation], n: int | None = None) -> FeasibilitySet:
@@ -273,23 +277,42 @@ class ScaledWelfare:
     Multiplies every ladder value by the common denominator so that welfare
     sums are plain integers; ratios of scaled welfares equal ratios of the
     exact values because the scale cancels.
+
+    The optimum kernel scans `candidates` (an environment's maximal
+    allocations), encoded once as bitmasks with bit i for agent i, each
+    with its base weight w_0 * popcount. The scaled welfare of mask m at an
+    input is then that base plus, for each level c >= 1,
+    (w_c - w_{c-1}) * popcount(m & above[c]), where above[c] holds the
+    input's positions at level >= c: one popcount per level above the
+    lowest, so a single one on a two-value ladder.
     """
 
-    def __init__(self, ladder: ValueLadder):
+    def __init__(self, ladder: ValueLadder, candidates: Iterable[Allocation]):
         self.denominator = lcm(*(v.denominator for v in ladder.values))
-        self.weights = tuple(int(v * self.denominator) for v in ladder.values)
+        self.weights = w = tuple(int(v * self.denominator) for v in ladder.values)
+        self._steps = tuple(b - a for a, b in zip(w, w[1:]))
+        # Descending bit order, so the first maximum is the lexicographically
+        # largest bits among ties.
+        ordered = sorted(candidates, key=lambda x: x.bits, reverse=True)
+        self._masks = tuple(x.mask for x in ordered)
+        self._bases = tuple(w[0] * m.bit_count() for m in self._masks)
 
     def of(self, levels: tuple[int, ...], bits: tuple[int, ...]) -> int:
         w = self.weights
         return sum(w[lvl] for lvl, bit in zip(levels, bits) if bit)
 
-    def optimum(
-        self, levels: tuple[int, ...], candidates: Iterable[tuple[int, ...]]
-    ) -> tuple[int, tuple[int, ...] | None]:
-        """The largest scaled welfare at `levels` over the candidate bit
-        tuples and the bits attaining it, ties going to the lexicographically
-        largest bits; (0, None) when there are no candidates."""
-        return max(((self.of(levels, bits), bits) for bits in candidates), default=(0, None))
+    def optimum(self, levels: tuple[int, ...]) -> tuple[int, int | None]:
+        """The largest scaled welfare at `levels` over the candidates and the
+        bitmask attaining it, ties going to the lexicographically largest
+        bits; (0, None) when there are no candidates."""
+        if not self._masks:
+            return 0, None
+        scores = self._bases
+        for c, step in enumerate(self._steps):
+            above = sum(1 << i for i, lvl in enumerate(levels) if lvl > c)
+            scores = [s + step * (m & above).bit_count() for s, m in zip(scores, self._masks)]
+        best = max(scores)
+        return best, self._masks[scores.index(best)]
 
     def fraction(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.denominator)

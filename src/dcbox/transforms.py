@@ -150,25 +150,18 @@ def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     return original
 
 
-STAGE_ORIGINAL = "original"
-STAGE_UPGRADED = "upgraded"
-STAGE_ZEROED = "zeroed"
-
-
 class ProvisionalState:
     """Memo of intermediate allocations for the provisional transformation.
 
     All entries are pure functions of the underlying algorithm, so the memo
     may be reused across evaluations of one rule instance within a single
-    worker; recomputation always returns the identical allocation. `stage`
-    records how each input's provisional allocation came about.
+    worker; recomputation always returns the identical allocation.
     """
 
     def __init__(self) -> None:
         self.raw: dict[tuple[int, ...], Allocation] = {}
         self.first_pass: dict[tuple[int, ...], Allocation] = {}
         self.provisional: dict[tuple[int, ...], Allocation] = {}
-        self.stage: dict[tuple[int, ...], str] = {}
 
 
 def t_two_plus(
@@ -223,26 +216,21 @@ def t_two_plus(
             return cur
         original = raw(u)
         cur = first_pass(u)
-        stage = STAGE_ORIGINAL if cur == original else STAGE_UPGRADED
         if _high_count(cur, u) == 0:
             for w in inputs_at_distance(u, 1, 2):
                 candidate = first_pass(w)
                 if _high_count(candidate, u):
                     cur = candidate
-                    stage = STAGE_UPGRADED
                     break
         if _high_count(cur, u) == 0:
             for w in inputs_at_distance(u, 2, 2):
                 candidate = first_pass(w)
                 if _high_count(candidate, u):
                     cur = candidate
-                    stage = STAGE_UPGRADED
                     break
         if _high_count(cur, u) > _high_count(original, u):
             cur = zero_out_below(cur, u, 1)
-            stage = STAGE_ZEROED
         state.provisional[u.levels] = cur
-        state.stage[u.levels] = stage
         return cur
 
     result = provisional(v)
@@ -329,7 +317,7 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
         x = bb.query(ValuationVector(tuple(u // w % k for w in weights)))
         if x.n != n:
             raise DimensionError(f"allocation of length {x.n} vs input of length {n}")
-        entry = cache[u] = (x, sum(b << i for i, b in enumerate(x.bits)))
+        entry = cache[u] = (x, x.mask)
         return entry
 
     def scan(distance: int) -> Iterator[tuple[Allocation, int]]:

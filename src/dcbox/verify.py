@@ -188,8 +188,7 @@ def welfare_report(
     """Enumerate all inputs (or a seeded sample above the bound) and compare
     rule welfare against original welfare and against the optimum."""
     k, n = env.ladder.k, env.n
-    scaled = ScaledWelfare(env.ladder)
-    maximal_bits = [m.bits for m in env.feasibility.sorted_maximal()]
+    scaled = ScaledWelfare(env.ladder, env.feasibility.maximal)
     total = k**n
     sampled = total > enum_bound
     if sampled:
@@ -219,7 +218,7 @@ def welfare_report(
             zero_original += 1
         else:
             min_fraction.offer(w_rule, w_orig)
-        opt, _ = scaled.optimum(levels, maximal_bits)
+        opt, _ = scaled.optimum(levels)
         if opt == 0:
             opt_zero += 1
         else:

@@ -10,6 +10,7 @@ from dcbox import (
     ParameterError,
     ValueLadder,
     ValuationVector,
+    all_inputs,
     gen_all_ones,
     gen_block_adversary,
     gen_hamming_adversary,
@@ -21,7 +22,7 @@ from dcbox import (
     is_feasible,
     welfare,
 )
-from dcbox.adversaries import POLICY_GREEDY, POLICY_OPTIMAL, stable_rng
+from dcbox.adversaries import POLICY_GREEDY, POLICY_OPTIMAL, _density_ranks, stable_rng
 
 
 def bits(text):
@@ -230,6 +231,27 @@ class TestKnapsack:
         alg = gen_knapsack([1, 1, 2], 2, POLICY_GREEDY, ladder)
         # densities at (l,h,h): 1, 10, 5 -> picks agent 1 then agent 0
         assert alg(vec(0, 1, 1)) == bits("110")
+
+    @pytest.mark.parametrize("values", [(1, 2), (1, 2, 4)])
+    def test_greedy_rank_order_is_the_density_order(self, values):
+        # weights 1,2,2,4 on ladder 1 2 make densities tie within and
+        # across agents (1/1 == 2/2, 1/2 == 2/4)
+        ladder = ValueLadder.of(*values)
+        capacity = 4
+        for n in range(1, 7):
+            weights = tuple(Fraction(w) for w in (1, 2, 2, 4, 1, 2)[:n])
+            rank = _density_ranks(weights, ladder)
+            alg = gen_knapsack(weights, capacity, POLICY_GREEDY, ladder)
+            for v in all_inputs(n, ladder.k):
+                lv = v.levels
+                literal = sorted(range(n), key=lambda i: (-(ladder.values[lv[i]] / weights[i]), i))
+                assert sorted(range(n), key=lambda i: (rank[i][lv[i]], i)) == literal
+                remaining, taken = capacity, [0] * n
+                for i in literal:
+                    if weights[i] <= remaining:
+                        taken[i] = 1
+                        remaining -= weights[i]
+                assert alg(v).bits == tuple(taken)
 
     def test_greedy_equals_optimal_for_equal_weights(self):
         ladder = ValueLadder.of(1, 3)

@@ -505,6 +505,14 @@ class TestCli:
         assert main(["opt", "--environment", str(env_path), "--input", "hl"]) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    def test_opt_empty_feasibility_warns_on_stderr(self, tmp_path, capsys):
+        env_path = tmp_path / "env.txt"
+        env_path.write_text("dcbox-env 1\nn 3\nladder 1 2\n")
+        assert main(["opt", "--environment", str(env_path), "--input", "010"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0\n"
+        assert captured.err == "warning: optimal welfare over an empty feasibility set is 0\n"
+
     def test_seed_override(self, tmp_path, capsys):
         path = self.write_config(
             tmp_path,

@@ -163,7 +163,7 @@ class TestOptWelfare:
             assert opt_welfare(v, feas, ladder) == brute_force_opt(v, feas, ladder)
 
     def test_scaled_optimum_without_candidates(self):
-        assert ScaledWelfare(ValueLadder.of(1, 2)).optimum((0, 1), []) == (0, None)
+        assert ScaledWelfare(ValueLadder.of(1, 2), []).optimum((0, 1)) == (0, None)
 
     def test_welfare_never_exceeds_opt(self):
         feas = normalize_antichain([bits("1100"), bits("0111")])
@@ -173,6 +173,61 @@ class TestOptWelfare:
                 x = Allocation(candidate)
                 if is_feasible(x, feas):
                     assert welfare(v, x, ladder) <= opt_welfare(v, feas, ladder)
+
+
+def literal_optimum(v, maximal, ladder):
+    """Oracle: exact welfare of every maximal allocation, the maximum taken
+    with ties to the lexicographically largest bits."""
+    return max(((welfare(v, m, ladder), m.bits) for m in maximal), default=(0, None))
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([2, 3, 4]))
+    values = draw(
+        st.one_of(
+            st.just((Fraction(1, 3), Fraction(5, 2), Fraction(7), Fraction(19, 2))[:k]),
+            st.lists(
+                st.fractions(min_value=Fraction(1, 6), max_value=40, max_denominator=6),
+                min_size=k,
+                max_size=k,
+                unique=True,
+            ),
+        )
+    )
+    ladder = ValueLadder(tuple(sorted(Fraction(x) for x in values)))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), max_size=7))
+    feasibility = normalize_antichain([Allocation(r) for r in rows], n)
+    levels = draw(st.tuples(*[st.integers(0, k - 1)] * n))
+    return ladder, feasibility, ValuationVector(levels)
+
+
+class TestOptimumKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_cases())
+    def test_matches_literal_oracle(self, case):
+        ladder, feasibility, v = case
+        scaled = ScaledWelfare(ladder, feasibility.maximal)
+        value, mask = scaled.optimum(v.levels)
+        best, best_bits = literal_optimum(v, feasibility.maximal, ladder)
+        assert scaled.fraction(value) == best
+        if best_bits is None:
+            assert mask is None
+        else:
+            assert mask == sum(b << i for i, b in enumerate(best_bits))
+
+    def test_fractional_ladder_ties_go_to_largest_bits(self):
+        # at v = (high, mid, high) on ladder 1/3 5/2 17/6, both 110 and 011
+        # have welfare 17/6 + 5/2 = 16/3; 110 is the larger bit string
+        ladder = ValueLadder.of(Fraction(1, 3), Fraction(5, 2), Fraction(17, 6))
+        maximal = [bits("110"), bits("011")]
+        scaled = ScaledWelfare(ladder, maximal)
+        v = vec(2, 1, 2)
+        assert welfare(v, maximal[0], ladder) == welfare(v, maximal[1], ladder)
+        value, mask = scaled.optimum(v.levels)
+        assert scaled.fraction(value) == Fraction(16, 3)
+        assert mask == 0b011  # bits 110: agents 0 and 1
 
 
 class TestNormalizeAntichain:

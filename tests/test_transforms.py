@@ -201,7 +201,6 @@ class TestTTwoPlus:
         first = t_two_plus(InstrumentedBlackBox(alg), v, state)
         again = t_two_plus(InstrumentedBlackBox(alg), v, state)
         assert first == again
-        assert state.stage[v.levels] in {"original", "upgraded", "zeroed"}
 
     def test_queries_stay_within_distance_five(self):
         for seed in range(4):

@@ -163,6 +163,15 @@ class TestWelfareReport:
         assert report.pointwise_min_fraction == 1
 
 
+    def test_empty_feasibility_set(self):
+        env = Environment(3, ValueLadder.of(1, 4), FeasibilitySet(3, frozenset()))
+        nobody = lambda v: Allocation.zeros(3)
+        report = welfare_report(nobody, nobody, env)
+        assert report.opt_zero_count == report.total_inputs == 8
+        assert report.approx_ratio_rule is None
+        assert report.approx_ratio_original is None
+
+
 class TestApproxRatio:
     def test_optimal_knapsack_is_one(self):
         alg = gen_knapsack([2, 1, 3], 4, POLICY_OPTIMAL, ValueLadder.of(1, 4))
