@@ -3,13 +3,14 @@
 An `Algorithm` is a total deterministic allocation rule attached to its
 environment. Transformations never call it directly: they go through an
 `InstrumentedBlackBox`, which logs every query, enforces an optional query
-budget, and optionally restricts queries to a strict Hamming radius around
-a center input. A `FeasibilityOracle` answers membership queries about the
-feasibility set with its own counter and budget.
+budget, measures each query's Hamming distance from an optional center and
+optionally restricts it to a strict radius. A `FeasibilityOracle` answers
+membership queries about the feasibility set with its own counter and budget.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,7 +29,7 @@ def hamming_distance(u: ValuationVector, v: ValuationVector) -> int:
     """Number of coordinates where the two inputs differ."""
     if u.n != v.n:
         raise DimensionError(f"hamming distance needs equal lengths, got {u.n} and {v.n}")
-    return sum(a != b for a, b in zip(u.levels, v.levels))
+    return sum(map(operator.ne, u.levels, v.levels))
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,10 @@ class Algorithm:
 class InstrumentedBlackBox:
     """Query wrapper recording (input, allocation) pairs.
 
-    The budget counts successful queries. The Hamming restriction is strict:
-    with a center and radius f set, only inputs at distance < f are allowed.
-    Budget exhaustion and radius violations raise distinct exception types.
+    The budget counts successful queries. `max_radius` is the largest Hamming
+    distance of a successful query from the center, if one is set. With a
+    radius f set too, only inputs at distance < f are allowed. Budget
+    exhaustion and radius violations raise distinct exception types.
     Single-owner mutable state: do not share one instance between workers.
     """
 
@@ -91,8 +93,8 @@ class InstrumentedBlackBox:
         hamming_radius: int | None = None,
         check_feasible: bool = False,
     ):
-        if (hamming_center is None) != (hamming_radius is None):
-            raise ParameterError("hamming_center and hamming_radius must be set together")
+        if hamming_radius is not None and hamming_center is None:
+            raise ParameterError("hamming_radius needs a hamming_center")
         if hamming_radius is not None and hamming_radius < 0:
             raise ParameterError("hamming_radius must be nonnegative")
         if budget is not None and budget < 0:
@@ -103,6 +105,7 @@ class InstrumentedBlackBox:
         self.hamming_radius = hamming_radius
         self.check_feasible = check_feasible
         self.log: list[tuple[ValuationVector, Allocation]] = []
+        self.max_radius = 0
 
     @property
     def query_count(self) -> int:
@@ -111,9 +114,10 @@ class InstrumentedBlackBox:
     def query(self, v: ValuationVector) -> Allocation:
         if self.budget is not None and len(self.log) >= self.budget:
             raise QueryBudgetExceeded(f"query budget of {self.budget} exhausted")
+        d = 0
         if self.hamming_center is not None:
             d = hamming_distance(v, self.hamming_center)
-            if d >= self.hamming_radius:
+            if self.hamming_radius is not None and d >= self.hamming_radius:
                 raise HammingRestrictionViolation(
                     f"query at distance {d} from the center; allowed distance is < {self.hamming_radius}"
                 )
@@ -123,11 +127,9 @@ class InstrumentedBlackBox:
                 f"algorithm {self.algorithm.name!r} returned infeasible {x.to_string()}"
             )
         self.log.append((v, x))
+        if d > self.max_radius:
+            self.max_radius = d
         return x
-
-    def max_radius_from(self, center: ValuationVector) -> int:
-        """Largest Hamming distance between a logged query and the given input."""
-        return max((hamming_distance(center, q) for q, _ in self.log), default=0)
 
 
 class FeasibilityOracle:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
@@ -98,6 +98,8 @@ class Allocation:
     """A binary allocation: bit i says whether agent i receives its unit."""
 
     bits: tuple[int, ...]
+    # `mask`'s cache: a slot left unset by __init__, filled on first read.
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bits = self.bits if isinstance(self.bits, tuple) else tuple(self.bits)
@@ -132,8 +134,16 @@ class Allocation:
 
     @property
     def mask(self) -> int:
-        """The bits as an integer bitmask, bit i for agent i."""
-        return sum(b << i for i, b in enumerate(self.bits))
+        """The bits as an integer bitmask, bit i for agent i (cached)."""
+        try:
+            return self._mask
+        except AttributeError:
+            object.__setattr__(self, "_mask", sum(b << i for i, b in enumerate(self.bits)))
+            return self._mask
+
+    def __reduce__(self):
+        # Pickle and copy by the bits alone, whether or not the cache is set.
+        return (Allocation, (self.bits,))
 
     def dominated_by(self, other: "Allocation") -> bool:
         """Coordinatewise self <= other."""

@@ -19,12 +19,16 @@ Available transformations, by registry id:
               at the raised neighbor. Preserves full welfare on more inputs.
 - "multi":    ladders with k >= 3; staged upgrade scans at growing Hamming
               distances, then zero out everything below the allocation's
-              top attained value class. Scans integer-coded inputs: an
-              input is its index in `all_inputs` order, an allocation a
-              bitmask with bit i for agent i, and the memo maps an index
-              to its (Allocation, bitmask) answer.
+              top attained value class.
 - "identity": pass-through (query once, return the answer); a harness
               convenience for verifying raw algorithms.
+
+The scans run on integers: an allocation is a bitmask with bit i for agent
+i, and an input is the bitmask of its high positions on a two-value ladder,
+its index in `all_inputs` order on a larger one. The memos map an input to
+its (Allocation, bitmask) answer; a ValuationVector is built only on a memo
+miss, for the black-box query, so the black box sees the same queries in
+the same order as a scan over vectors.
 """
 
 from __future__ import annotations
@@ -96,17 +100,6 @@ def higher_than(x: Allocation, y: Allocation, v: ValuationVector, ladder: ValueL
     return False
 
 
-def zero_out_below(x: Allocation, v: ValuationVector, cls: int) -> Allocation:
-    """Clear every bit at a position whose level is strictly below cls."""
-    bits = tuple(b if lvl >= cls else 0 for b, lvl in zip(x.bits, v.levels))
-    return x if bits == x.bits else Allocation(bits)
-
-
-def _high_count(x: Allocation, v: ValuationVector) -> int:
-    # Two-value ladders only: count of 1s on high positions of v.
-    return sum(1 for lvl, bit in zip(v.levels, x.bits) if bit and lvl == 1)
-
-
 def _require_two_values(bb: InstrumentedBlackBox, name: str) -> None:
     if bb.algorithm.env.ladder.k != 2:
         raise ParameterError(f"{name} requires a two-value ladder")
@@ -121,6 +114,30 @@ def t_const(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     return bb.query(ValuationVector((0,) * v.n))
 
 
+def _answer(bb: InstrumentedBlackBox, u: ValuationVector) -> tuple[Allocation, int]:
+    """Query u; the answer with its bitmask. A wrong-length answer raises."""
+    x = bb.query(u)
+    if x.n != u.n:
+        raise DimensionError(f"allocation of length {x.n} vs input of length {u.n}")
+    return x, x.mask
+
+
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    # Bit i at index i: an allocation's bits, or a two-value input's levels.
+    return tuple([mask >> i & 1 for i in range(n)])
+
+
+@functools.cache
+def _flips(n: int, distance: int) -> tuple[int, ...]:
+    # XOR masks of the two-value neighbours at this distance, `inputs_at_distance` order.
+    return tuple(sum(1 << i for i in c) for c in itertools.combinations(range(n), distance))
+
+
+def _restrict(x: Allocation, mask: int, keep: int) -> Allocation:
+    """x with its 1s outside `keep` cleared; x itself if it has none."""
+    return Allocation(_bits(mask & keep, x.n)) if mask & ~keep else x
+
+
 def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     """Two-value transformation; queries stay within Hamming distance 2 of v.
 
@@ -132,22 +149,17 @@ def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     4. Otherwise return the allocation at v unchanged.
     """
     _require_two_values(bb, "t_two")
-    original = bb.query(v)
-    high = [i for i, lvl in enumerate(v.levels) if lvl == 1]
-    if not high:
-        # No high position: no candidate can qualify in steps 1-3, so the
-        # scans are skipped and the original allocation is returned.
-        return original
-    bits = original.bits
-    if any(bits[i] for i in high):
-        return zero_out_below(original, v, 1)
-    for distance in (1, 2):
-        for u in inputs_at_distance(v, distance, 2):
-            candidate = bb.query(u)
-            cbits = candidate.bits
-            if any(cbits[i] for i in high):
-                return zero_out_below(candidate, v, 1)
-    return original
+    n = v.n
+    high = sum(lvl << i for i, lvl in enumerate(v.levels))
+    x, mask = _answer(bb, v)
+    # Without a high position no candidate can qualify: the scans are skipped.
+    if high and not mask & high:
+        for flip in itertools.chain(_flips(n, 1), _flips(n, 2)):
+            candidate = _answer(bb, ValuationVector(_bits(high ^ flip, n)))
+            if candidate[1] & high:
+                x, mask = candidate
+                break
+    return _restrict(x, mask, high) if mask & high else x
 
 
 class ProvisionalState:
@@ -159,9 +171,9 @@ class ProvisionalState:
     """
 
     def __init__(self) -> None:
-        self.raw: dict[tuple[int, ...], Allocation] = {}
-        self.first_pass: dict[tuple[int, ...], Allocation] = {}
-        self.provisional: dict[tuple[int, ...], Allocation] = {}
+        self.raw: dict[int, tuple[Allocation, int]] = {}
+        self.first_pass: dict[int, tuple[Allocation, int]] = {}
+        self.provisional: dict[int, tuple[Allocation, int]] = {}
 
 
 def t_two_plus(
@@ -182,67 +194,63 @@ def t_two_plus(
     7. Zero a remaining 1 on a low position i only if the provisional
        allocation at the input with position i raised has a 0 at i.
 
-    Queries stay within Hamming distance 5 of v.
+    Queries stay within Hamming distance 5 of v. An input u is the bitmask
+    of its high positions, so `mask & u` keeps an allocation's 1s on them.
     """
     _require_two_values(bb, "t_two_plus")
     if state is None:
         state = ProvisionalState()
+    n = v.n
+    adjacent = _flips(n, 1)
+    near = adjacent + _flips(n, 2)
 
-    def raw(u: ValuationVector) -> Allocation:
-        x = state.raw.get(u.levels)
-        if x is None:
-            x = bb.query(u)
-            state.raw[u.levels] = x
-        return x
+    def raw(u: int) -> tuple[Allocation, int]:
+        entry = state.raw.get(u)
+        if entry is None:
+            entry = state.raw[u] = _answer(bb, ValuationVector(_bits(u, n)))
+        return entry
 
-    def first_pass(u: ValuationVector) -> Allocation:
-        cur = state.first_pass.get(u.levels)
-        if cur is not None:
-            return cur
-        cur = raw(u)
-        hc = _high_count(cur, u)
+    def first_pass(u: int) -> tuple[Allocation, int]:
+        entry = state.first_pass.get(u)
+        if entry is not None:
+            return entry
+        entry = raw(u)
+        hc = (entry[1] & u).bit_count()
         if hc:
-            for w in inputs_at_distance(u, 1, 2):
-                candidate = raw(w)
-                if _high_count(candidate, u) > hc:
-                    cur = candidate
+            for flip in adjacent:
+                candidate = raw(u ^ flip)
+                if (candidate[1] & u).bit_count() > hc:
+                    entry = candidate
                     break
-        state.first_pass[u.levels] = cur
-        return cur
+        state.first_pass[u] = entry
+        return entry
 
-    def provisional(u: ValuationVector) -> Allocation:
-        cur = state.provisional.get(u.levels)
-        if cur is not None:
-            return cur
-        original = raw(u)
-        cur = first_pass(u)
-        if _high_count(cur, u) == 0:
-            for w in inputs_at_distance(u, 1, 2):
-                candidate = first_pass(w)
-                if _high_count(candidate, u):
-                    cur = candidate
+    def provisional(u: int) -> tuple[Allocation, int]:
+        entry = state.provisional.get(u)
+        if entry is not None:
+            return entry
+        original = raw(u)[1]
+        entry = first_pass(u)
+        if not entry[1] & u:
+            # Distance 1, then distance 2: the first with a 1 on a high position.
+            for flip in near:
+                candidate = first_pass(u ^ flip)
+                if candidate[1] & u:
+                    entry = candidate
                     break
-        if _high_count(cur, u) == 0:
-            for w in inputs_at_distance(u, 2, 2):
-                candidate = first_pass(w)
-                if _high_count(candidate, u):
-                    cur = candidate
-                    break
-        if _high_count(cur, u) > _high_count(original, u):
-            cur = zero_out_below(cur, u, 1)
-        state.provisional[u.levels] = cur
-        return cur
+        x, mask = entry
+        if (mask & u).bit_count() > (original & u).bit_count():
+            entry = (_restrict(x, mask, u), mask & u)
+        state.provisional[u] = entry
+        return entry
 
-    result = provisional(v)
-    bits = list(result.bits)
-    changed = False
-    for i, lvl in enumerate(v.levels):
-        if lvl == 0 and bits[i] == 1:
-            neighbor = provisional(v.with_level(i, 1))
-            if neighbor.bits[i] == 0:
-                bits[i] = 0
-                changed = True
-    return Allocation(tuple(bits)) if changed else result
+    high = sum(lvl << i for i, lvl in enumerate(v.levels))
+    x, mask = provisional(high)
+    kept = mask
+    for bit in adjacent:
+        if bit & mask & ~high and not provisional(high | bit)[1] & bit:
+            kept ^= bit
+    return _restrict(x, mask, kept)
 
 
 @dataclass(frozen=True)
@@ -285,15 +293,11 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
     Scans whose target class does not appear in v are skipped: no candidate
     could qualify. For k = 3 queries stay within Hamming distance 5 of v.
 
-    The scan runs on integers. An input is its mixed-radix index, the
-    position of its level tuple in `all_inputs` order (agent 0 most
-    significant); the distance-d neighbours are v's index plus one level
-    delta per changed position, in the canonical order of
-    `inputs_at_distance`. An allocation is a bitmask with bit i for agent i.
-    `cache` maps an input index to its (Allocation, bitmask) answer; it may
-    be shared across evaluations of one algorithm. A ValuationVector is
-    built only on a cache miss, for the black-box query, so the black box
-    sees the same queries in the same order as a scan over vectors.
+    An input is its mixed-radix index (agent 0 most significant); the
+    distance-d neighbours are v's index plus one level delta per changed
+    position, in the order of `inputs_at_distance`. `cache` maps an index
+    to its (Allocation, bitmask) answer and may be shared across
+    evaluations of one algorithm.
     """
     k = bb.algorithm.env.ladder.k
     if k < 3:
@@ -314,10 +318,7 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
     top_down = lm[::-1]
 
     def answer(u: int) -> tuple[Allocation, int]:
-        x = bb.query(ValuationVector(tuple(u // w % k for w in weights)))
-        if x.n != n:
-            raise DimensionError(f"allocation of length {x.n} vs input of length {n}")
-        entry = cache[u] = (x, x.mask)
+        entry = cache[u] = _answer(bb, ValuationVector(tuple(u // w % k for w in weights)))
         return entry
 
     def scan(distance: int) -> Iterator[tuple[Allocation, int]]:
@@ -360,7 +361,9 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
             if candidate[1] & want and not candidate[1] & reject:
                 current = candidate
                 break
-    return zero_out_below(current[0], v, top_class(current[1]))
+    x, mask = current
+    cls = top_class(mask)
+    return _restrict(x, mask, lm[cls] | above[cls])
 
 
 TRANSFORMATION_IDS = ("const", "two", "two-plus", "multi", "identity")
@@ -370,9 +373,9 @@ class TransformedRule:
     """An allocation rule: a transformation bound to a black-boxed algorithm.
 
     Every evaluation wraps the algorithm in a fresh InstrumentedBlackBox
-    (applying the per-evaluation query budget and optional Hamming-radius
-    restriction centered at the evaluated input) and updates query
-    statistics. The algorithm's answers are memoized below the black box,
+    centered at the evaluated input (applying the per-evaluation query
+    budget and optional Hamming-radius restriction) and updates query
+    statistics from it. The algorithm's answers are memoized below the black box,
     so every query still reaches it. Stateful transformations keep their
     memo across evaluations only when shared_state is set and neither a
     query budget nor a Hamming radius is: the shared memo answers inputs
@@ -427,12 +430,11 @@ class TransformedRule:
         return self.algorithm.env
 
     def __call__(self, v: ValuationVector) -> Allocation:
-        restricted = self.hamming_radius is not None
         bb = InstrumentedBlackBox(
             self._target,
             budget=self.query_budget,
-            hamming_center=v if restricted else None,
-            hamming_radius=self.hamming_radius if restricted else None,
+            hamming_center=v,
+            hamming_radius=self.hamming_radius,
             check_feasible=self.check_feasible,
         )
         state = self._state if self._shared else self._new_state()
@@ -447,7 +449,6 @@ class TransformedRule:
         else:
             out = t_multi(bb, v, cache=state)
         self.evaluations += 1
-        if bb.log:
-            self.max_queries = max(self.max_queries, len(bb.log))
-            self.max_radius = max(self.max_radius, bb.max_radius_from(v))
+        self.max_queries = max(self.max_queries, len(bb.log))
+        self.max_radius = max(self.max_radius, bb.max_radius)
         return out

@@ -322,4 +322,4 @@ def test_c10_oracle_equivalences():
                 algorithm, hamming_center=v, hamming_radius=3
             )
             t_two(bb, v)
-            assert bb.max_radius_from(v) <= 2
+            assert bb.max_radius <= 2

@@ -9,6 +9,7 @@ from dcbox import (
     HammingRestrictionViolation,
     InfeasibleOutputError,
     InstrumentedBlackBox,
+    ParameterError,
     QueryBudgetExceeded,
     ValuationVector,
     gen_all_ones,
@@ -74,7 +75,48 @@ class TestInstrumentedBlackBox:
             bb.query(probe)
         inside = center.with_level(0, 0).with_level(1, 0)
         bb.query(inside)  # distance 2 < 3 is fine
-        assert bb.max_radius_from(center) == 2
+        assert bb.max_radius == 2
+
+    def test_center_without_radius_tracks_but_rejects_nothing(self):
+        center = vec(1, 1, 0, 0)
+        bb = InstrumentedBlackBox(gen_all_ones(4), hamming_center=center)
+        assert bb.max_radius == 0
+        bb.query(vec(1, 0, 0, 0))
+        bb.query(vec(0, 0, 1, 1))  # the farthest input is allowed
+        bb.query(center)
+        assert bb.query_count == 3
+        assert bb.max_radius == 4
+
+    def test_radius_without_center_is_rejected(self):
+        with pytest.raises(ParameterError):
+            InstrumentedBlackBox(gen_all_ones(2), hamming_radius=2)
+
+    def test_refused_queries_do_not_count_toward_max_radius(self):
+        center = vec(0, 0, 0)
+        far = vec(1, 1, 1)
+        budget = InstrumentedBlackBox(gen_all_ones(3), budget=1, hamming_center=center)
+        budget.query(vec(1, 0, 0))
+        with pytest.raises(QueryBudgetExceeded):
+            budget.query(far)
+        radius = InstrumentedBlackBox(gen_all_ones(3), hamming_center=center, hamming_radius=2)
+        radius.query(vec(0, 1, 0))
+        with pytest.raises(HammingRestrictionViolation):
+            radius.query(far)
+        feas = FeasibilitySet(3, frozenset({Allocation((1, 0, 0))}))
+        env = Environment(3, ValueLadder.of(1, 2), feas)
+
+        def rule(v):
+            return Allocation((1, 1, 1)) if v == far else Allocation((1, 0, 0))
+
+        checked = InstrumentedBlackBox(
+            Algorithm(env, rule), hamming_center=center, check_feasible=True
+        )
+        checked.query(vec(0, 0, 1))
+        with pytest.raises(InfeasibleOutputError):
+            checked.query(far)
+        for bb in (budget, radius, checked):
+            assert bb.query_count == 1
+            assert bb.max_radius == 1
 
     def test_budget_and_radius_errors_are_distinct(self):
         assert not issubclass(QueryBudgetExceeded, HammingRestrictionViolation)

@@ -1,6 +1,8 @@
 """Model layer: welfare, feasibility, optimal welfare, antichain normalization."""
 
+import copy
 import itertools
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -47,6 +49,33 @@ def brute_force_opt(v, feasibility, ladder):
         total = sum((val for val, bit in zip(values, candidate) if bit), Fraction(0))
         best = max(best, total)
     return best
+
+
+class TestAllocationMask:
+    @pytest.mark.parametrize("text", ["", "0", "1", "0110", "1011001"])
+    def test_mask_before_and_after_first_read(self, text):
+        expected = sum(int(b) << i for i, b in enumerate(text))
+        x = bits(text)
+        assert x.mask == expected  # first read fills the cache
+        assert x.mask == expected
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_pickle_and_copy_round_trip(self, read):
+        x = bits("1011")
+        if read:
+            x.mask
+        for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert clone == x
+            assert clone.bits == (1, 0, 1, 1)
+            assert clone.mask == 0b1101
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        read, unread = bits("0110"), bits("0110")
+        read.mask
+        assert read == unread
+        assert hash(read) == hash(unread) == hash(((0, 1, 1, 0),))
+        assert repr(read) == repr(unread) == "Allocation(bits=(0, 1, 1, 0))"
+        assert len({read, unread}) == 1
 
 
 class TestValueLadder:

@@ -147,9 +147,9 @@ class TestTTwo:
             env = gen_random_environment(5, LAD2, seed)
             alg = gen_random_algorithm(env, seed + 30)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg)
+                bb = InstrumentedBlackBox(alg, hamming_center=v)
                 t_two(bb, v)
-                assert bb.max_radius_from(v) <= 2
+                assert bb.max_radius <= 2
 
     def test_rejects_wider_ladders(self):
         alg = gen_all_ones(2, LAD3)
@@ -207,9 +207,9 @@ class TestTTwoPlus:
             env = gen_random_environment(4, LAD2, seed + 20)
             alg = gen_random_algorithm(env, seed + 40)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg)
+                bb = InstrumentedBlackBox(alg, hamming_center=v)
                 t_two_plus(bb, v)
-                assert bb.max_radius_from(v) <= 5
+                assert bb.max_radius <= 5
 
     def test_rejects_wider_ladders(self):
         alg = gen_all_ones(2, LAD3)
@@ -252,9 +252,9 @@ class TestTMulti:
             env = gen_random_environment(4, LAD3, seed + 60)
             alg = gen_random_algorithm(env, seed + 90)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg)
+                bb = InstrumentedBlackBox(alg, hamming_center=v)
                 t_multi(bb, v)
-                assert bb.max_radius_from(v) <= 5
+                assert bb.max_radius <= 5
 
     def test_rejects_two_value_ladders(self):
         alg = gen_all_ones(2, LAD2)
@@ -461,37 +461,107 @@ def _query_order_algorithm(case):
     return gen_random_algorithm(env, alg_seed)
 
 
-def _fresh_multi_logs(alg):
+def _fresh_logs(alg, transform):
     """(input, queried inputs in order) per input, fresh state each time."""
     for v in alg.env.inputs():
         bb = InstrumentedBlackBox(alg)
-        t_multi(bb, v)
+        transform(bb, v)
         yield v, [u for u, _ in bb.log]
+
+
+def _log_digests(alg, transform):
+    return [
+        hashlib.sha256(repr([u.levels for u in log]).encode()).hexdigest()[:8]
+        for _, log in _fresh_logs(alg, transform)
+    ]
+
+
+def _check_budget_and_radius_one_too_small(alg, transform):
+    """A budget one below the fresh query count, or a radius equal to the
+    farthest query's distance, raises at exactly the query that exceeds it."""
+    for v, log in _fresh_logs(alg, transform):
+        tight = InstrumentedBlackBox(alg, budget=len(log) - 1)
+        with pytest.raises(QueryBudgetExceeded):
+            transform(tight, v)
+        assert tight.query_count == len(log) - 1
+        radius = max(hamming_distance(u, v) for u in log)
+        near = InstrumentedBlackBox(alg, hamming_center=v, hamming_radius=radius)
+        with pytest.raises(HammingRestrictionViolation):
+            transform(near, v)
+        first_far = next(i for i, u in enumerate(log) if hamming_distance(u, v) == radius)
+        assert near.query_count == first_far
 
 
 class TestMultiQueryOrder:
     @pytest.mark.parametrize("case", sorted(QUERY_ORDER_CASES))
     def test_query_sequence_per_input(self, case):
-        got = [
-            hashlib.sha256(repr([u.levels for u in log]).encode()).hexdigest()[:8]
-            for _, log in _fresh_multi_logs(_query_order_algorithm(case))
-        ]
+        got = _log_digests(_query_order_algorithm(case), t_multi)
         assert got == QUERY_ORDER_DIGESTS[case].split()
 
     @pytest.mark.parametrize("case", sorted(QUERY_ORDER_CASES))
     def test_budget_and_radius_one_too_small(self, case):
-        alg = _query_order_algorithm(case)
-        for v, log in _fresh_multi_logs(alg):
-            tight = InstrumentedBlackBox(alg, budget=len(log) - 1)
-            with pytest.raises(QueryBudgetExceeded):
-                t_multi(tight, v)
-            assert tight.query_count == len(log) - 1
-            radius = max(hamming_distance(u, v) for u in log)
-            near = InstrumentedBlackBox(alg, hamming_center=v, hamming_radius=radius)
-            with pytest.raises(HammingRestrictionViolation):
-                t_multi(near, v)
-            first_far = next(i for i, u in enumerate(log) if hamming_distance(u, v) == radius)
-            assert near.query_count == first_far
+        _check_budget_and_radius_one_too_small(_query_order_algorithm(case), t_multi)
+
+
+# The same per-input digests for the two-value transformations on ladder
+# 1 100, recorded from the scan over ValuationVectors: (transformation, n,
+# environment seed, algorithm seed). The seeds were picked for many inputs
+# whose scans reach distance 2.
+TWO_VALUE_ORDER_CASES = {
+    "two-n4": (t_two, 4, 7511, 7611),
+    "two-n5": (t_two, 5, 7558, 7658),
+    "two-plus-n4": (t_two_plus, 4, 7534, 7634),
+    "two-plus-n5": (t_two_plus, 5, 7547, 7647),
+}
+TWO_VALUE_ORDER_DIGESTS = {
+    "two-n4": """
+    ca5b5568 55427162 2e340d52 3fe16a06 e5a09f2e 3eae0649 e4260ea5 fd9a6251
+    17dd864a c3a4c584 cd06b546 7c2f2f35 d3dc8991 ae055ef7 093d3e71 f6ec9fb7
+    """,
+    "two-n5": """
+    46efef09 f42877cc 898913b5 62cff77a 02b8da97 31b6068e 3f6d6a09 d9591a9f
+    9c63d17b b6225031 d8af9b56 2a4eb6ab 908000e8 8a5dbe30 e47b0135 e1c3beb9
+    b2c4dba2 d20807cd 6134c6d6 959e0ed0 9c25805b 189abdfd eb2942fa befceb2d
+    ca24a860 d5cba84e 232dc2ce 4aaeac1b e2685245 dd15f417 09dd7241 0eb6d1b6
+    """,
+    "two-plus-n4": """
+    e47c5ae5 c51e132e 67b32f93 9c6e1520 50e6c54a 47ba451b d0850486 0d6e5da5
+    6cb4a15a 012ab9a6 ae2e44a1 2b9efd11 a64b07a5 7dedc51e eaef8abe 589039ff
+    """,
+    "two-plus-n5": """
+    f42909d9 97db1392 21dc1bb1 4315a082 f39c2f9e 31b6068e 076a3827 bedca80c
+    63f6fff3 cb931748 d04011e9 28f29848 78500cde 33c79ea5 63493d53 492220c1
+    957cff19 2534755f 0d3d1638 eca6d2f9 1f66d983 189abdfd d867c1da fc2ea66e
+    a0fd9240 86f83bb1 5f740d58 1d19e68e e27e183e cbf4289f 1797788e 6fd7469c
+    """,
+}
+
+
+def _two_value_case(case):
+    transform, n, env_seed, alg_seed = TWO_VALUE_ORDER_CASES[case]
+    env = gen_random_environment(n, LAD2, env_seed)
+    return gen_random_algorithm(env, alg_seed), transform
+
+
+class TestTwoValueQueryOrder:
+    @pytest.mark.parametrize("case", sorted(TWO_VALUE_ORDER_CASES))
+    def test_query_sequence_per_input(self, case):
+        assert _log_digests(*_two_value_case(case)) == TWO_VALUE_ORDER_DIGESTS[case].split()
+
+    @pytest.mark.parametrize("case", sorted(TWO_VALUE_ORDER_CASES))
+    def test_budget_and_radius_one_too_small(self, case):
+        _check_budget_and_radius_one_too_small(*_two_value_case(case))
+
+    def test_two_plus_shared_state_equals_fresh_state(self):
+        # n=6, every input, the shared memo filled in both evaluation orders
+        env = gen_random_environment(6, LAD2, 7547)
+        alg = gen_random_algorithm(env, 7647)
+        fresh = TransformedRule("two-plus", alg, shared_state=False)
+        expected = {v: fresh(v) for v in env.inputs()}
+        for order in (list(expected), list(expected)[::-1]):
+            shared = TransformedRule("two-plus", alg, shared_state=True)
+            assert {v: shared(v) for v in order} == expected
+
 
 class TestFeasibilityInvariant:
     def test_output_is_subset_of_a_queried_allocation(self):
@@ -530,6 +600,21 @@ class TestFeasibilityInvariant:
             rule = TransformedRule("multi", alg, check_feasible=True)
             for v in env.inputs():
                 assert is_feasible(rule(v), env.feasibility)
+
+
+class TestWrongLengthAllocation:
+    @pytest.mark.parametrize("answer", ["11", "1111", "00"])
+    @pytest.mark.parametrize(
+        "transform, ladder",
+        [(t_two, (1, 5)), (t_two_plus, (1, 5)), (t_multi, (1, 5, 25))],
+        ids=["two", "two-plus", "multi"],
+    )
+    def test_raises_at_the_first_answer(self, transform, ladder, answer):
+        alg = constant_algorithm(3, bits(answer), [bits("111")], ValueLadder.of(*ladder))
+        bb = InstrumentedBlackBox(alg)
+        with pytest.raises(DimensionError):
+            transform(bb, vec(1, 0, 1))
+        assert bb.query_count == 1
 
 
 class TestTransformedRule:
