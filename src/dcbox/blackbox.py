@@ -2,15 +2,15 @@
 
 An `Algorithm` is a total deterministic allocation rule attached to its
 environment. Transformations never call it directly: they go through an
-`InstrumentedBlackBox`, which logs every query, enforces an optional query
-budget, measures each query's Hamming distance from an optional center and
-optionally restricts it to a strict radius. A `FeasibilityOracle` answers
-membership queries about the feasibility set with its own counter and budget.
+`InstrumentedBlackBox`, which takes each query as an input index (see
+`model.input_index`), logs it, enforces an optional query budget, measures
+its Hamming distance from an optional center and optionally restricts it to
+a strict radius. Below the box, an `AnswerTable` maps each index to the
+algorithm's answer, calling the algorithm once per distinct input.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,14 +22,14 @@ from .errors import (
     ParameterError,
     QueryBudgetExceeded,
 )
-from .model import Allocation, Environment, FeasibilitySet, ValuationVector, all_inputs, is_feasible
-
-
-def hamming_distance(u: ValuationVector, v: ValuationVector) -> int:
-    """Number of coordinates where the two inputs differ."""
-    if u.n != v.n:
-        raise DimensionError(f"hamming distance needs equal lengths, got {u.n} and {v.n}")
-    return sum(map(operator.ne, u.levels, v.levels))
+from .model import (
+    Allocation,
+    Environment,
+    ValuationVector,
+    input_at,
+    input_index,
+    is_feasible,
+)
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,44 @@ class Algorithm:
         return self.rule(v)
 
 
-class InstrumentedBlackBox:
-    """Query wrapper recording (input, allocation) pairs.
+class AnswerTable(dict):
+    """An algorithm's answers by input index. A miss decodes the index,
+    calls the rule once and checks the answer's length; later queries of
+    that index are dict hits."""
 
-    The budget counts successful queries. `max_radius` is the largest Hamming
-    distance of a successful query from the center, if one is set. With a
+    def __init__(self, algorithm: Algorithm):
+        super().__init__()
+        self.algorithm = algorithm
+        self.n = algorithm.env.n
+        self.k = algorithm.env.ladder.k
+        self.size = algorithm.env.input_count()
+
+    def __missing__(self, u: int) -> Allocation:
+        x = self.algorithm.rule(input_at(u, self.n, self.k))
+        if x.n != self.n:
+            raise DimensionError(f"allocation of length {x.n} vs input of length {self.n}")
+        self[u] = x
+        return x
+
+
+def _digit_distance(u: int, c: int, k: int) -> int:
+    # Base-k digits in which two indices differ; stops at the highest one.
+    d = 0
+    while u != c:
+        u, a = divmod(u, k)
+        c, b = divmod(c, k)
+        d += a != b
+    return d
+
+
+class InstrumentedBlackBox:
+    """Query wrapper taking input indices in [0, k**n) (`input_index`) and
+    recording (index, allocation) pairs; answers come from `answers`, a
+    fresh AnswerTable unless one is given.
+
+    The budget counts successful queries. `max_radius` is the largest
+    Hamming distance of a successful query from the center (an index or a
+    ValuationVector), if one is set, measured by the box itself. With a
     radius f set too, only inputs at distance < f are allowed. Budget
     exhaustion and radius violations raise distinct exception types.
     Single-owner mutable state: do not share one instance between workers.
@@ -89,9 +122,10 @@ class InstrumentedBlackBox:
         algorithm: Algorithm,
         *,
         budget: int | None = None,
-        hamming_center: ValuationVector | None = None,
+        hamming_center: ValuationVector | int | None = None,
         hamming_radius: int | None = None,
         check_feasible: bool = False,
+        answers: AnswerTable | None = None,
     ):
         if hamming_radius is not None and hamming_center is None:
             raise ParameterError("hamming_radius needs a hamming_center")
@@ -100,54 +134,48 @@ class InstrumentedBlackBox:
         if budget is not None and budget < 0:
             raise ParameterError("budget must be nonnegative")
         self.algorithm = algorithm
+        self.answers = answers = AnswerTable(algorithm) if answers is None else answers
+        self.k = answers.k
+        self.size = answers.size
+        if isinstance(hamming_center, ValuationVector):
+            if hamming_center.n != answers.n:
+                raise DimensionError(f"center of length {hamming_center.n} vs n={answers.n}")
+            hamming_center = input_index(hamming_center.levels, answers.k)
+        elif hamming_center is not None and not 0 <= hamming_center < answers.size:
+            raise ParameterError(f"center index {hamming_center} outside [0, {answers.size})")
         self.budget = budget
         self.hamming_center = hamming_center
         self.hamming_radius = hamming_radius
         self.check_feasible = check_feasible
-        self.log: list[tuple[ValuationVector, Allocation]] = []
+        self.log: list[tuple[int, Allocation]] = []
         self.max_radius = 0
 
     @property
     def query_count(self) -> int:
         return len(self.log)
 
-    def query(self, v: ValuationVector) -> Allocation:
+    def query(self, u: int) -> Allocation:
+        if not 0 <= u < self.size:
+            raise ParameterError(f"input index {u} outside [0, {self.size})")
         if self.budget is not None and len(self.log) >= self.budget:
             raise QueryBudgetExceeded(f"query budget of {self.budget} exhausted")
         d = 0
-        if self.hamming_center is not None:
-            d = hamming_distance(v, self.hamming_center)
+        c = self.hamming_center
+        if c is not None:
+            d = (u ^ c).bit_count() if self.k == 2 else _digit_distance(u, c, self.k)
             if self.hamming_radius is not None and d >= self.hamming_radius:
                 raise HammingRestrictionViolation(
                     f"query at distance {d} from the center; allowed distance is < {self.hamming_radius}"
                 )
-        x = self.algorithm(v)
+        x = self.answers[u]
         if self.check_feasible and not is_feasible(x, self.algorithm.env.feasibility):
             raise InfeasibleOutputError(
                 f"algorithm {self.algorithm.name!r} returned infeasible {x.to_string()}"
             )
-        self.log.append((v, x))
+        self.log.append((u, x))
         if d > self.max_radius:
             self.max_radius = d
         return x
-
-
-class FeasibilityOracle:
-    """Membership oracle over a feasibility set with a query counter and budget."""
-
-    def __init__(self, feasibility: FeasibilitySet, *, budget: int | None = None):
-        if budget is not None and budget < 0:
-            raise ParameterError("budget must be nonnegative")
-        self.feasibility = feasibility
-        self.budget = budget
-        self.counter = 0
-
-    def query(self, x: Allocation) -> bool:
-        if self.budget is not None and self.counter >= self.budget:
-            raise QueryBudgetExceeded(f"feasibility query budget of {self.budget} exhausted")
-        result = is_feasible(x, self.feasibility)
-        self.counter += 1
-        return result
 
 
 def tabulate(algorithm: Algorithm, *, max_inputs: int = 65536) -> CaseTable:
@@ -158,12 +186,12 @@ def tabulate(algorithm: Algorithm, *, max_inputs: int = 65536) -> CaseTable:
     output becomes an explicit case.
     """
     env = algorithm.env
-    total = env.ladder.k ** env.n
+    total = env.input_count()
     if total > max_inputs:
         raise ParameterError(
             f"cannot tabulate {total} inputs (limit {max_inputs}); use a generator with a built-in table"
         )
-    outputs = [(v, algorithm(v)) for v in all_inputs(env.n, env.ladder.k)]
+    outputs = [(v, algorithm(v)) for v in env.inputs()]
     counts = Counter(x for _, x in outputs)
     default = max(counts.items(), key=lambda item: (item[1], item[0].bits))[0]
     cases = tuple((v, x) for v, x in outputs if x != default)

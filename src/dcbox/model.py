@@ -8,7 +8,9 @@ without enumerating it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -272,6 +274,22 @@ def all_inputs(n: int, k: int) -> Iterator[ValuationVector]:
     """Every input in lexicographic order over level tuples."""
     for levels in itertools.product(range(k), repeat=n):
         yield ValuationVector(levels)
+
+
+@functools.cache
+def input_weights(n: int, k: int) -> tuple[int, ...]:
+    """Weights of the input encoding over n agents and k levels: agent i has k**i."""
+    return tuple(k**i for i in range(n))
+
+
+def input_index(levels: tuple[int, ...], k: int) -> int:
+    """An input's index, sum(level_i * k**i): on two values, its high positions' bitmask."""
+    return sum(map(operator.mul, levels, input_weights(len(levels), k)))
+
+
+def input_at(index: int, n: int, k: int) -> ValuationVector:
+    """The input of n agents with this index; the inverse of `input_index`."""
+    return ValuationVector(tuple([index // w % k for w in input_weights(n, k)]))
 
 
 def validate_levels(v: ValuationVector, ladder: ValueLadder) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blackbox import Algorithm, CaseTable
+from .blackbox import Algorithm, CaseTable, InstrumentedBlackBox
 from .errors import DcboxError, ParameterError, ParseError
 from .model import (
     Allocation,
@@ -21,6 +21,7 @@ from .model import (
     FeasibilitySet,
     ValueLadder,
     ValuationVector,
+    input_at,
 )
 
 ENV_HEADER = "dcbox-env 1"
@@ -210,6 +211,7 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     seed: int | None = None
     params: list[tuple[str, str]] = []
     default: Allocation | None = None
+    default_line = 0
     raw_cases: list[tuple[int, str, str]] = []
     for number, fields in _check_header(text, ADVERSARY_HEADER, source):
         key = fields[0]
@@ -234,6 +236,7 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
             if parser.n is None:
                 raise ParseError("default before n", source=source, line=number)
             default = parse_allocation(fields[1], parser.n, source=source, line=number)
+            default_line = number
         elif key == "case":
             if len(fields) != 3:
                 raise ParseError("case takes an input and an allocation", source=source, line=number)
@@ -244,6 +247,8 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     if default is None:
         raise ParseError("missing default allocation", source=source)
     cases = []
+    checked = [(default_line, default)]
+    first_line: dict[tuple[int, ...], int] = {}
     for number, input_text, alloc_text in raw_cases:
         v = parse_input(input_text, environment.k, source=source, line=number)
         if v.n != environment.n:
@@ -252,7 +257,18 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
                 source=source,
                 line=number,
             )
-        cases.append((v, parse_allocation(alloc_text, environment.n, source=source, line=number)))
+        if v.levels in first_line:
+            message = f"duplicate case input {input_text!r}, first at line {first_line[v.levels]}"
+            raise ParseError(message, source=source, line=number)
+        first_line[v.levels] = number
+        x = parse_allocation(alloc_text, environment.n, source=source, line=number)
+        cases.append((v, x))
+        checked.append((number, x))
+    tops = [m.mask for m in environment.feasibility.maximal]
+    for number, x in checked:
+        # Feasible iff some maximal allocation's mask covers every 1.
+        if all(x.mask & ~top for top in tops):
+            raise ParseError(f"infeasible allocation {x.to_string()}", source=source, line=number)
     table = CaseTable(environment.n, tuple(cases), default)
     return AdversaryDocument(
         environment=environment,
@@ -264,12 +280,13 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     )
 
 
-def dump_query_log(log) -> str:
+def dump_query_log(bb: InstrumentedBlackBox) -> str:
     """Render an instrumented black box's log: one record per query with its
-    index, the queried input, and the answered allocation."""
+    position, the queried input, and the answered allocation."""
+    n, k = bb.answers.n, bb.answers.k
     lines = [QUERY_LOG_HEADER]
-    for index, (v, x) in enumerate(log):
-        lines.append(f"query {index} {format_input(v)} {x.to_string()}")
+    for position, (u, x) in enumerate(bb.log):
+        lines.append(f"query {position} {format_input(input_at(u, n, k))} {x.to_string()}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,11 +24,11 @@ Available transformations, by registry id:
               convenience for verifying raw algorithms.
 
 The scans run on integers: an allocation is a bitmask with bit i for agent
-i, and an input is the bitmask of its high positions on a two-value ladder,
-its index in `all_inputs` order on a larger one. The memos map an input to
-its (Allocation, bitmask) answer; a ValuationVector is built only on a memo
-miss, for the black-box query, so the black box sees the same queries in
-the same order as a scan over vectors.
+i, and an input is its index, the sum of level_i * k**i (`input_index`),
+which on a two-value ladder is the bitmask of its high positions. The
+kernels query the black box with indices and build no ValuationVector; the
+memos map an index to its (Allocation, bitmask) answer. The black box sees
+the same queries in the same order as a scan over vectors.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .blackbox import Algorithm, InstrumentedBlackBox
+from .blackbox import Algorithm, AnswerTable, InstrumentedBlackBox
 from .errors import DimensionError, ParameterError
-from .model import Allocation, ValueLadder, ValuationVector
+from .model import Allocation, ValuationVector, input_index, input_weights
 
 
 def inputs_at_distance(v: ValuationVector, distance: int, k: int) -> Iterator[ValuationVector]:
@@ -61,45 +61,6 @@ def inputs_at_distance(v: ValuationVector, distance: int, k: int) -> Iterator[Va
             yield ValuationVector(tuple(new))
 
 
-def classify_allocation(
-    x: Allocation, v: ValuationVector, ladder: ValueLadder | None = None
-) -> int | None:
-    """Class of an allocation at an input: the highest level carrying a 1.
-
-    Returns the ladder index, or None for the empty allocation. An
-    allocation with a 1 on a high position is a high-class allocation even
-    if it also allocates lower positions.
-    """
-    if x.n != v.n:
-        raise DimensionError(f"allocation of length {x.n} vs input of length {v.n}")
-    best = None
-    for lvl, bit in zip(v.levels, x.bits):
-        if bit and (best is None or lvl > best):
-            best = lvl
-    return best
-
-
-def class_counts(x: Allocation, v: ValuationVector, k: int) -> list[int]:
-    """Per-class 1-counts of an allocation at an input."""
-    counts = [0] * k
-    for lvl, bit in zip(v.levels, x.bits):
-        if bit:
-            counts[lvl] += 1
-    return counts
-
-
-def higher_than(x: Allocation, y: Allocation, v: ValuationVector, ladder: ValueLadder) -> bool:
-    """Strict lexicographic comparison of per-class 1-counts, top class first."""
-    if x.n != v.n or y.n != v.n:
-        raise DimensionError("allocation/input lengths must match")
-    cx = class_counts(x, v, ladder.k)
-    cy = class_counts(y, v, ladder.k)
-    for c in range(ladder.k - 1, -1, -1):
-        if cx[c] != cy[c]:
-            return cx[c] > cy[c]
-    return False
-
-
 def _require_two_values(bb: InstrumentedBlackBox, name: str) -> None:
     if bb.algorithm.env.ladder.k != 2:
         raise ParameterError(f"{name} requires a two-value ladder")
@@ -111,20 +72,7 @@ def t_const(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     Exactly one query per call. Keeps a low/high fraction of the
     approximation ratio for any algorithm.
     """
-    return bb.query(ValuationVector((0,) * v.n))
-
-
-def _answer(bb: InstrumentedBlackBox, u: ValuationVector) -> tuple[Allocation, int]:
-    """Query u; the answer with its bitmask. A wrong-length answer raises."""
-    x = bb.query(u)
-    if x.n != u.n:
-        raise DimensionError(f"allocation of length {x.n} vs input of length {u.n}")
-    return x, x.mask
-
-
-def _bits(mask: int, n: int) -> tuple[int, ...]:
-    # Bit i at index i: an allocation's bits, or a two-value input's levels.
-    return tuple([mask >> i & 1 for i in range(n)])
+    return bb.query(0)
 
 
 @functools.cache
@@ -135,7 +83,10 @@ def _flips(n: int, distance: int) -> tuple[int, ...]:
 
 def _restrict(x: Allocation, mask: int, keep: int) -> Allocation:
     """x with its 1s outside `keep` cleared; x itself if it has none."""
-    return Allocation(_bits(mask & keep, x.n)) if mask & ~keep else x
+    if not mask & ~keep:
+        return x
+    kept = mask & keep
+    return Allocation(tuple([kept >> i & 1 for i in range(x.n)]))
 
 
 def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
@@ -150,14 +101,15 @@ def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     """
     _require_two_values(bb, "t_two")
     n = v.n
-    high = sum(lvl << i for i, lvl in enumerate(v.levels))
-    x, mask = _answer(bb, v)
+    high = input_index(v.levels, 2)
+    x = bb.query(high)
+    mask = x.mask
     # Without a high position no candidate can qualify: the scans are skipped.
     if high and not mask & high:
         for flip in itertools.chain(_flips(n, 1), _flips(n, 2)):
-            candidate = _answer(bb, ValuationVector(_bits(high ^ flip, n)))
-            if candidate[1] & high:
-                x, mask = candidate
+            candidate = bb.query(high ^ flip)
+            if candidate.mask & high:
+                x, mask = candidate, candidate.mask
                 break
     return _restrict(x, mask, high) if mask & high else x
 
@@ -207,7 +159,8 @@ def t_two_plus(
     def raw(u: int) -> tuple[Allocation, int]:
         entry = state.raw.get(u)
         if entry is None:
-            entry = state.raw[u] = _answer(bb, ValuationVector(_bits(u, n)))
+            x = bb.query(u)
+            entry = state.raw[u] = (x, x.mask)
         return entry
 
     def first_pass(u: int) -> tuple[Allocation, int]:
@@ -244,7 +197,7 @@ def t_two_plus(
         state.provisional[u] = entry
         return entry
 
-    high = sum(lvl << i for i, lvl in enumerate(v.levels))
+    high = input_index(v.levels, 2)
     x, mask = provisional(high)
     kept = mask
     for bit in adjacent:
@@ -293,11 +246,11 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
     Scans whose target class does not appear in v are skipped: no candidate
     could qualify. For k = 3 queries stay within Hamming distance 5 of v.
 
-    An input is its mixed-radix index (agent 0 most significant); the
-    distance-d neighbours are v's index plus one level delta per changed
-    position, in the order of `inputs_at_distance`. `cache` maps an index
-    to its (Allocation, bitmask) answer and may be shared across
-    evaluations of one algorithm.
+    An input is its index (agent i has weight k**i); the distance-d
+    neighbours are v's index plus one level delta per changed position, in
+    the order of `inputs_at_distance`. `cache` maps an index to its
+    (Allocation, bitmask) answer and may be shared across evaluations of
+    one algorithm.
     """
     k = bb.algorithm.env.ladder.k
     if k < 3:
@@ -306,8 +259,8 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
         cache = {}
     levels = v.levels
     n = len(levels)
-    weights = [k ** (n - 1 - i) for i in range(n)]
-    index = sum(lvl * w for lvl, w in zip(levels, weights))
+    weights = input_weights(n, k)
+    index = input_index(levels, k)
     deltas = [[(lv - lvl) * w for lv in range(k) if lv != lvl] for lvl, w in zip(levels, weights)]
     lm = [0] * k  # lm[c]: positions of v at level c
     for i, lvl in enumerate(levels):
@@ -318,7 +271,8 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
     top_down = lm[::-1]
 
     def answer(u: int) -> tuple[Allocation, int]:
-        entry = cache[u] = _answer(bb, ValuationVector(tuple(u // w % k for w in weights)))
+        x = bb.query(u)
+        entry = cache[u] = (x, x.mask)
         return entry
 
     def scan(distance: int) -> Iterator[tuple[Allocation, int]]:
@@ -373,10 +327,10 @@ class TransformedRule:
     """An allocation rule: a transformation bound to a black-boxed algorithm.
 
     Every evaluation wraps the algorithm in a fresh InstrumentedBlackBox
-    centered at the evaluated input (applying the per-evaluation query
-    budget and optional Hamming-radius restriction) and updates query
-    statistics from it. The algorithm's answers are memoized below the black box,
-    so every query still reaches it. Stateful transformations keep their
+    centered at the evaluated input's index (applying the per-evaluation
+    query budget and optional Hamming-radius restriction) and updates query
+    statistics from it. Below the boxes, one AnswerTable per rule runs the
+    algorithm once per distinct input. Stateful transformations keep their
     memo across evaluations only when shared_state is set and neither a
     query budget nor a Hamming radius is: the shared memo answers inputs
     without querying, so a limit would be checked against memo misses
@@ -403,20 +357,9 @@ class TransformedRule:
         self.query_budget = query_budget
         self.hamming_radius = hamming_radius
         self.check_feasible = check_feasible
-        outputs: dict[tuple[int, ...], Allocation] = {}
-        inner = algorithm.rule
-
-        def cached(u: ValuationVector) -> Allocation:
-            x = outputs.get(u.levels)
-            if x is None:
-                x = inner(u)
-                outputs[u.levels] = x
-            return x
-
-        self._target = Algorithm(algorithm.env, cached, algorithm.name, algorithm.table)
+        self._answers = AnswerTable(algorithm)
         self._shared = shared_state and query_budget is None and hamming_radius is None
         self._state = self._new_state() if self._shared else None
-        self.evaluations = 0
         self.max_queries = 0
         self.max_radius = 0
 
@@ -425,21 +368,22 @@ class TransformedRule:
             return ProvisionalState()
         return {} if self.kind == "multi" else None
 
-    @property
-    def env(self):
-        return self.algorithm.env
-
     def __call__(self, v: ValuationVector) -> Allocation:
+        answers = self._answers
+        if v.n != answers.n:
+            raise DimensionError(f"input of length {v.n} vs n={answers.n}")
+        center = input_index(v.levels, answers.k)
         bb = InstrumentedBlackBox(
-            self._target,
+            self.algorithm,
             budget=self.query_budget,
-            hamming_center=v,
+            hamming_center=center,
             hamming_radius=self.hamming_radius,
             check_feasible=self.check_feasible,
+            answers=answers,
         )
         state = self._state if self._shared else self._new_state()
         if self.kind == "identity":
-            out = bb.query(v)
+            out = bb.query(center)
         elif self.kind == "const":
             out = t_const(bb, v)
         elif self.kind == "two":
@@ -448,7 +392,6 @@ class TransformedRule:
             out = t_two_plus(bb, v, state)
         else:
             out = t_multi(bb, v, cache=state)
-        self.evaluations += 1
         self.max_queries = max(self.max_queries, len(bb.log))
         self.max_radius = max(self.max_radius, bb.max_radius)
         return out

@@ -28,7 +28,6 @@ from dcbox import (
     gen_random_algorithm,
     gen_random_environment,
     gen_thm1,
-    hamming_distance,
     is_feasible,
     opt_welfare,
     t_two,
@@ -37,6 +36,7 @@ from dcbox import (
 from dcbox.adversaries import stable_rng
 from dcbox.harness import standard_panel
 from dcbox.model import Environment, FeasibilitySet
+from oracles import hamming_distance
 
 PANEL_SEED = 20260809
 

@@ -18,11 +18,11 @@ from dcbox import (
     gen_random_algorithm,
     gen_random_environment,
     gen_thm1,
-    hamming_distance,
     is_feasible,
     welfare,
 )
 from dcbox.adversaries import POLICY_GREEDY, POLICY_OPTIMAL, _density_ranks, stable_rng
+from oracles import hamming_distance
 
 
 def bits(text):

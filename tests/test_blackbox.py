@@ -1,28 +1,40 @@
-"""Query layer: logging, budgets, Hamming restrictions, feasibility oracle."""
+"""Query layer: logging, budgets, Hamming restrictions, the answer table."""
+
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcbox import (
     Allocation,
     DimensionError,
-    FeasibilityOracle,
     HammingRestrictionViolation,
     InfeasibleOutputError,
     InstrumentedBlackBox,
     ParameterError,
     QueryBudgetExceeded,
+    TransformedRule,
     ValuationVector,
     gen_all_ones,
+    gen_random_algorithm,
+    gen_random_environment,
     gen_thm1,
-    hamming_distance,
+    is_feasible,
     tabulate,
 )
 from dcbox.blackbox import Algorithm
-from dcbox.model import Environment, FeasibilitySet, ValueLadder
+from dcbox.model import Environment, FeasibilitySet, ValueLadder, input_at, input_index
+from oracles import hamming_distance
 
 
 def vec(*levels):
     return ValuationVector(tuple(levels))
+
+
+def ix(v, k=2):
+    """The index the black box takes for input v."""
+    return input_index(v.levels, k)
 
 
 class TestHammingDistance:
@@ -45,24 +57,24 @@ class TestInstrumentedBlackBox:
     def test_logs_every_query(self):
         alg = gen_all_ones(3)
         bb = InstrumentedBlackBox(alg)
-        out = bb.query(vec(1, 0, 1))
+        out = bb.query(ix(vec(1, 0, 1)))
         assert out == Allocation((1, 1, 1))
         assert bb.query_count == 1
-        bb.query(vec(0, 0, 0))
+        bb.query(ix(vec(0, 0, 0)))
         assert bb.query_count == 2
-        assert bb.log[0][0] == vec(1, 0, 1)
+        assert input_at(bb.log[0][0], 3, 2) == vec(1, 0, 1)
 
     def test_zero_budget(self):
         bb = InstrumentedBlackBox(gen_all_ones(2), budget=0)
         with pytest.raises(QueryBudgetExceeded):
-            bb.query(vec(0, 0))
+            bb.query(ix(vec(0, 0)))
         assert bb.query_count == 0
 
     def test_budget_counts_successes_only(self):
         bb = InstrumentedBlackBox(gen_all_ones(2), budget=1)
-        bb.query(vec(0, 0))
+        bb.query(ix(vec(0, 0)))
         with pytest.raises(QueryBudgetExceeded):
-            bb.query(vec(1, 0))
+            bb.query(ix(vec(1, 0)))
         assert bb.query_count == 1
 
     def test_strict_hamming_radius(self):
@@ -72,18 +84,18 @@ class TestInstrumentedBlackBox:
         probe = center.with_level(0, 0).with_level(1, 0).with_level(2, 0)
         assert hamming_distance(center, probe) == 3
         with pytest.raises(HammingRestrictionViolation):
-            bb.query(probe)
+            bb.query(ix(probe))
         inside = center.with_level(0, 0).with_level(1, 0)
-        bb.query(inside)  # distance 2 < 3 is fine
+        bb.query(ix(inside))  # distance 2 < 3 is fine
         assert bb.max_radius == 2
 
     def test_center_without_radius_tracks_but_rejects_nothing(self):
         center = vec(1, 1, 0, 0)
         bb = InstrumentedBlackBox(gen_all_ones(4), hamming_center=center)
         assert bb.max_radius == 0
-        bb.query(vec(1, 0, 0, 0))
-        bb.query(vec(0, 0, 1, 1))  # the farthest input is allowed
-        bb.query(center)
+        bb.query(ix(vec(1, 0, 0, 0)))
+        bb.query(ix(vec(0, 0, 1, 1)))  # the farthest input is allowed
+        bb.query(ix(center))
         assert bb.query_count == 3
         assert bb.max_radius == 4
 
@@ -95,13 +107,13 @@ class TestInstrumentedBlackBox:
         center = vec(0, 0, 0)
         far = vec(1, 1, 1)
         budget = InstrumentedBlackBox(gen_all_ones(3), budget=1, hamming_center=center)
-        budget.query(vec(1, 0, 0))
+        budget.query(ix(vec(1, 0, 0)))
         with pytest.raises(QueryBudgetExceeded):
-            budget.query(far)
+            budget.query(ix(far))
         radius = InstrumentedBlackBox(gen_all_ones(3), hamming_center=center, hamming_radius=2)
-        radius.query(vec(0, 1, 0))
+        radius.query(ix(vec(0, 1, 0)))
         with pytest.raises(HammingRestrictionViolation):
-            radius.query(far)
+            radius.query(ix(far))
         feas = FeasibilitySet(3, frozenset({Allocation((1, 0, 0))}))
         env = Environment(3, ValueLadder.of(1, 2), feas)
 
@@ -111,9 +123,9 @@ class TestInstrumentedBlackBox:
         checked = InstrumentedBlackBox(
             Algorithm(env, rule), hamming_center=center, check_feasible=True
         )
-        checked.query(vec(0, 0, 1))
+        checked.query(ix(vec(0, 0, 1)))
         with pytest.raises(InfeasibleOutputError):
-            checked.query(far)
+            checked.query(ix(far))
         for bb in (budget, radius, checked):
             assert bb.query_count == 1
             assert bb.max_radius == 1
@@ -125,11 +137,12 @@ class TestInstrumentedBlackBox:
     def test_log_replays(self):
         inst = gen_thm1(2, seed=5)
         bb = InstrumentedBlackBox(inst.algorithm)
-        bb.query(inst.special_input)
+        bb.query(ix(inst.special_input))
         for v in list(inst.environment.inputs())[:40]:
-            bb.query(v)
+            bb.query(ix(v))
+        n = inst.environment.n
         for queried, answered in bb.log:
-            assert inst.algorithm(queried) == answered
+            assert inst.algorithm(input_at(queried, n, 2)) == answered
 
     def test_debug_mode_catches_infeasible_output(self):
         feas = FeasibilitySet(2, frozenset({Allocation((1, 0))}))
@@ -137,31 +150,92 @@ class TestInstrumentedBlackBox:
         broken = Algorithm(env, lambda v: Allocation((1, 1)), name="broken")
         bb = InstrumentedBlackBox(broken, check_feasible=True)
         with pytest.raises(InfeasibleOutputError):
-            bb.query(vec(0, 0))
+            bb.query(ix(vec(0, 0)))
 
 
-class TestFeasibilityOracle:
-    def test_counts_queries(self):
-        inst = gen_thm1(2, seed=1)
-        oracle = FeasibilityOracle(inst.feasibility)
-        assert oracle.query(Allocation.zeros(8)) is True
-        assert oracle.counter == 1
+@st.composite
+def center_and_query(draw):
+    """A ladder size k in {2, 3, 4}, a center and a query of n agents."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 6))
+    levels = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
+    return k, ValuationVector(draw(levels)), ValuationVector(draw(levels))
 
-    def test_budget_boundary(self):
-        inst = gen_thm1(2, seed=1)
-        oracle = FeasibilityOracle(inst.feasibility, budget=1)
-        oracle.query(Allocation.zeros(8))
-        with pytest.raises(QueryBudgetExceeded):
-            oracle.query(Allocation.zeros(8))
 
+class TestIndexQueries:
+    @given(center_and_query(), st.booleans())
+    def test_distance_matches_oracle_at_the_radius_boundary(self, case, center_as_index):
+        k, center, u = case
+        alg = gen_all_ones(center.n, ValueLadder.of(*range(1, k + 1)))
+        d = hamming_distance(u, center)
+        c = ix(center, k) if center_as_index else center
+        at_boundary = InstrumentedBlackBox(alg, hamming_center=c, hamming_radius=d)
+        with pytest.raises(HammingRestrictionViolation):
+            at_boundary.query(ix(u, k))
+        inside = InstrumentedBlackBox(alg, hamming_center=c, hamming_radius=d + 1)
+        inside.query(ix(u, k))
+        assert inside.max_radius == d
+        assert inside.log[0][0] == ix(u, k)
+
+    @given(center_and_query())
+    def test_index_round_trips(self, case):
+        k, _, u = case
+        assert input_at(ix(u, k), u.n, k) == u
+        assert 0 <= ix(u, k) < k**u.n
+
+    def test_index_outside_range_is_rejected(self):
+        alg = gen_all_ones(3, ValueLadder.of(1, 2, 3))
+        bb = InstrumentedBlackBox(alg)
+        for u in (-1, 27, 1000):
+            with pytest.raises(ParameterError):
+                bb.query(u)
+        bb.query(26)
+        assert bb.query_count == 1
+
+    def test_center_outside_range_or_of_wrong_length_is_rejected(self):
+        alg = gen_all_ones(3)
+        with pytest.raises(ParameterError):
+            InstrumentedBlackBox(alg, hamming_center=8)
+        with pytest.raises(ParameterError):
+            InstrumentedBlackBox(alg, hamming_center=-1, hamming_radius=1)
+        for center in (vec(1, 0), vec(1, 0, 0, 1)):
+            with pytest.raises(DimensionError):
+                InstrumentedBlackBox(alg, hamming_center=center)
+
+    def test_transformed_rule_rejects_input_of_wrong_length(self):
+        rule = TransformedRule("two", gen_all_ones(3))
+        with pytest.raises(DimensionError):
+            rule(vec(1, 0))
+
+    @pytest.mark.parametrize(
+        "kind, ladder", [("two", (1, 9)), ("two-plus", (1, 9)), ("multi", (1, 4, 16))]
+    )
+    @pytest.mark.parametrize("shared_state", [True, False])
+    def test_rule_runs_once_per_distinct_input(self, kind, ladder, shared_state):
+        env = gen_random_environment(4, ValueLadder.of(*ladder), 8100)
+        alg = gen_random_algorithm(env, 8200)
+        calls = Counter()
+
+        def counted(v):
+            calls[v.levels] += 1
+            return alg.rule(v)
+
+        counting = Algorithm(env, counted, alg.name)
+        for _ in range(2):
+            rule = TransformedRule(kind, counting, shared_state=shared_state)
+            for v in list(env.inputs()) * 2:
+                rule(v)
+            assert set(calls.values()) == {1}
+            calls.clear()
+
+
+class TestThm1Fakes:
     def test_fake_allocation_is_feasible(self):
         # fakes (m/2 - 1 ones in the first 2m positions, ones on the last m)
         # are members of the generated feasibility set
         inst = gen_thm1(2, seed=9)
-        oracle = FeasibilityOracle(inst.feasibility)
         for fake in inst.fakes:
-            assert oracle.query(fake) is True
-        assert oracle.counter == len(inst.fakes)
+            assert is_feasible(fake, inst.feasibility) is True
 
 
 class TestTabulate:

@@ -425,6 +425,14 @@ class TestCli:
         assert main(["verify", "--config", path]) == 1
         assert "monotone.violations 1" in capsys.readouterr().out
 
+    def test_infeasible_default_exit_two(self, tmp_path, capsys):
+        # an "original" above the optimum would otherwise be verified
+        doc = tmp_path / "over.txt"
+        doc.write_text("dcbox-adversary 1\nname over\nn 2\nladder 1 2\nmaximal 10\ndefault 11\n")
+        path = self.write_config(tmp_path, "transformation identity", f"algorithm {doc}")
+        assert main(["verify", "--config", path]) == 2
+        assert f"{doc}:6: infeasible allocation 11" in capsys.readouterr().err
+
     def test_payments_refusal_exit_one(self, tmp_path, capsys):
         doc = tmp_path / "anti.txt"
         doc.write_text(

@@ -12,6 +12,7 @@ from dcbox import (
     gen_hamming_adversary,
     gen_thm1,
 )
+from dcbox.model import input_index
 from dcbox.serialize import (
     adversary_document_for,
     dump_adversary,
@@ -139,17 +140,56 @@ class TestAdversaryDocuments:
             load_adversary(text)
 
 
+ADVERSARY_PREFIX = "dcbox-adversary 1\nname x\nn 2\nladder 1 2\nmaximal 10\n"
+
+
+class TestAdversaryLoaderRejects:
+    def test_duplicate_case_input(self):
+        text = ADVERSARY_PREFIX + "default 10\ncase 01 00\n# repeat\ncase 01 10\n"
+        with pytest.raises(ParseError, match=r"^doc:9: duplicate case input '01', first at line 7"):
+            load_adversary(text, source="doc")
+
+    def test_duplicate_case_input_in_letters(self):
+        text = ADVERSARY_PREFIX + "default 10\ncase hl 00\ncase 10 00\n"
+        with pytest.raises(ParseError, match=r"^doc:8: duplicate case input"):
+            load_adversary(text, source="doc")
+
+    def test_infeasible_default(self):
+        # 11 is not below the only maximal allocation 10
+        text = ADVERSARY_PREFIX + "default 11\n"
+        with pytest.raises(ParseError, match=r"^doc:6: infeasible allocation 11"):
+            load_adversary(text, source="doc")
+
+    def test_infeasible_case(self):
+        text = ADVERSARY_PREFIX + "default 10\ncase 00 01\n"
+        with pytest.raises(ParseError, match=r"^doc:7: infeasible allocation 01"):
+            load_adversary(text, source="doc")
+
+    def test_feasible_cases_load(self):
+        text = ADVERSARY_PREFIX + "maximal 01\ndefault 00\ncase 00 10\ncase 11 01\n"
+        doc = load_adversary(text, source="doc")
+        assert len(doc.table.cases) == 2
+
+
 class TestQueryLogExport:
     def test_one_record_per_query(self):
         from dcbox import InstrumentedBlackBox, gen_all_ones
 
         alg = gen_all_ones(3, ValueLadder.of(1, 2))
         bb = InstrumentedBlackBox(alg)
-        bb.query(ValuationVector((1, 0, 1)))
-        bb.query(ValuationVector((0, 0, 0)))
-        text = dump_query_log(bb.log)
+        bb.query(input_index((1, 0, 1), 2))
+        bb.query(input_index((0, 0, 0), 2))
+        text = dump_query_log(bb)
         lines = text.splitlines()
         assert lines[0] == "dcbox-query-log 1"
         assert lines[1] == "query 0 101 111"
         assert lines[2] == "query 1 000 111"
         assert len(lines) == 3
+
+    def test_inputs_render_as_level_digits_on_three_values(self):
+        from dcbox import InstrumentedBlackBox, gen_all_ones
+
+        bb = InstrumentedBlackBox(gen_all_ones(3, ValueLadder.of(1, 2, 3)))
+        for levels in ((2, 0, 1), (0, 1, 2)):
+            bb.query(input_index(levels, 3))
+        assert dump_query_log(bb).splitlines()[1:] == ["query 0 201 111", "query 1 012 111"]
