@@ -5,8 +5,8 @@ environment. Transformations never call it directly: they go through an
 `InstrumentedBlackBox`, which takes each query as an input index (see
 `model.input_index`), logs it, enforces an optional query budget, measures
 its Hamming distance from an optional center and optionally restricts it to
-a strict radius. Below the box, an `AnswerTable` maps each index to the
-algorithm's answer, calling the algorithm once per distinct input.
+a strict radius. Below the box, an `AnswerTable`, the only memo of the
+algorithm's answers, calls the algorithm once per distinct input.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from .errors import (
     ParameterError,
     QueryBudgetExceeded,
 )
-from .model import (
-    Allocation,
-    Environment,
-    ValuationVector,
-    input_at,
-    input_index,
-    is_feasible,
-)
+from .model import Allocation, Environment, ValuationVector, input_at, is_feasible
 
 
 @dataclass(frozen=True)
@@ -59,8 +52,8 @@ class CaseTable:
 class Algorithm:
     """A total deterministic allocation rule over its environment's inputs.
 
-    Generators guarantee that every output is feasible; wrap the algorithm
-    in an InstrumentedBlackBox with check_feasible=True to assert this in
+    Generators guarantee that every output is feasible; give its black box
+    `answers=AnswerTable(algorithm, check_feasible=True)` to assert this in
     debug verification runs. `table` is the optional persistable case-table
     form used by the harness.
     """
@@ -76,12 +69,14 @@ class Algorithm:
 
 class AnswerTable(dict):
     """An algorithm's answers by input index. A miss decodes the index,
-    calls the rule once and checks the answer's length; later queries of
-    that index are dict hits."""
+    calls the rule once and checks the answer's length and, if asked, its
+    feasibility; only answers that pass are stored, so entries are safe to
+    reuse unchecked."""
 
-    def __init__(self, algorithm: Algorithm):
+    def __init__(self, algorithm: Algorithm, check_feasible: bool = False):
         super().__init__()
         self.algorithm = algorithm
+        self.check_feasible = check_feasible
         self.n = algorithm.env.n
         self.k = algorithm.env.ladder.k
         self.size = algorithm.env.input_count()
@@ -90,6 +85,10 @@ class AnswerTable(dict):
         x = self.algorithm.rule(input_at(u, self.n, self.k))
         if x.n != self.n:
             raise DimensionError(f"allocation of length {x.n} vs input of length {self.n}")
+        if self.check_feasible and not is_feasible(x, self.algorithm.env.feasibility):
+            raise InfeasibleOutputError(
+                f"algorithm {self.algorithm.name!r} returned infeasible {x.to_string()}"
+            )
         self[u] = x
         return x
 
@@ -107,13 +106,17 @@ def _digit_distance(u: int, c: int, k: int) -> int:
 class InstrumentedBlackBox:
     """Query wrapper taking input indices in [0, k**n) (`input_index`) and
     recording (index, allocation) pairs; answers come from `answers`, a
-    fresh AnswerTable unless one is given.
+    fresh AnswerTable unless one is given (which may check feasibility).
 
     The budget counts successful queries. `max_radius` is the largest
-    Hamming distance of a successful query from the center (an index or a
-    ValuationVector), if one is set, measured by the box itself. With a
-    radius f set too, only inputs at distance < f are allowed. Budget
-    exhaustion and radius violations raise distinct exception types.
+    Hamming distance of a successful query from the center index, if one
+    is set, measured by the box itself. With a radius f set too, only
+    inputs at distance < f are allowed. Budget exhaustion and radius
+    violations raise distinct exception types.
+
+    Kernels reuse answers as `known.get(u) or bb.query(u)`. `known` holds
+    this box's answers, or with reuse_answers the whole table, whose
+    answers from earlier boxes would then bypass a budget or radius.
     Single-owner mutable state: do not share one instance between workers.
     """
 
@@ -122,10 +125,10 @@ class InstrumentedBlackBox:
         algorithm: Algorithm,
         *,
         budget: int | None = None,
-        hamming_center: ValuationVector | int | None = None,
+        hamming_center: int | None = None,
         hamming_radius: int | None = None,
-        check_feasible: bool = False,
         answers: AnswerTable | None = None,
+        reuse_answers: bool = False,
     ):
         if hamming_radius is not None and hamming_center is None:
             raise ParameterError("hamming_radius needs a hamming_center")
@@ -133,20 +136,20 @@ class InstrumentedBlackBox:
             raise ParameterError("hamming_radius must be nonnegative")
         if budget is not None and budget < 0:
             raise ParameterError("budget must be nonnegative")
+        if reuse_answers and (budget is not None or hamming_radius is not None):
+            raise ParameterError("reused answers would bypass the query budget and radius")
+        if answers is None:
+            answers = AnswerTable(algorithm)
+        if hamming_center is not None and not 0 <= hamming_center < answers.size:
+            raise ParameterError(f"center index {hamming_center} outside [0, {answers.size})")
         self.algorithm = algorithm
-        self.answers = answers = AnswerTable(algorithm) if answers is None else answers
+        self.answers = answers
         self.k = answers.k
         self.size = answers.size
-        if isinstance(hamming_center, ValuationVector):
-            if hamming_center.n != answers.n:
-                raise DimensionError(f"center of length {hamming_center.n} vs n={answers.n}")
-            hamming_center = input_index(hamming_center.levels, answers.k)
-        elif hamming_center is not None and not 0 <= hamming_center < answers.size:
-            raise ParameterError(f"center index {hamming_center} outside [0, {answers.size})")
         self.budget = budget
         self.hamming_center = hamming_center
         self.hamming_radius = hamming_radius
-        self.check_feasible = check_feasible
+        self.known: dict[int, Allocation] = answers if reuse_answers else {}
         self.log: list[tuple[int, Allocation]] = []
         self.max_radius = 0
 
@@ -167,11 +170,7 @@ class InstrumentedBlackBox:
                 raise HammingRestrictionViolation(
                     f"query at distance {d} from the center; allowed distance is < {self.hamming_radius}"
                 )
-        x = self.answers[u]
-        if self.check_feasible and not is_feasible(x, self.algorithm.env.feasibility):
-            raise InfeasibleOutputError(
-                f"algorithm {self.algorithm.name!r} returned infeasible {x.to_string()}"
-            )
+        x = self.known[u] = self.answers[u]
         self.log.append((u, x))
         if d > self.max_radius:
             self.max_radius = d

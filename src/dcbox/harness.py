@@ -130,7 +130,7 @@ class ExperimentConfig:
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     config = ExperimentConfig()
     params: list[tuple[str, str]] = []
-    for number, fields in _check_header(text, CONFIG_HEADER, source):
+    for number, fields in _check_header(text, CONFIG_HEADER, source, frozenset({"param"})):
         key, args = fields[0], fields[1:]
 
         def need(count: int, what: str) -> None:

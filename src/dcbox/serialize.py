@@ -96,16 +96,27 @@ def _content_lines(text: str):
         yield number, stripped.split()
 
 
-def _check_header(text: str, expected: str, source: str) -> list[tuple[int, list[str]]]:
-    lines = list(_content_lines(text))
-    if not lines:
+def _check_header(text: str, expected: str, source: str, repeatable: frozenset[str]):
+    """Yield the records after the header, each checked as it is handed on:
+    a key outside `repeatable` may appear once."""
+    lines = _content_lines(text)
+    header = next(lines, None)
+    if header is None:
         raise ParseError("empty document", source=source)
-    number, fields = lines[0]
+    number, fields = header
     if " ".join(fields) != expected:
         raise ParseError(
             f"expected header {expected!r}, got {' '.join(fields)!r}", source=source, line=number
         )
-    return lines[1:]
+    first_line: dict[str, int] = {}
+    for number, fields in lines:
+        key = fields[0]
+        if key in first_line:
+            message = f"repeated key {key!r}, first at line {first_line[key]}"
+            raise ParseError(message, source=source, line=number)
+        if key not in repeatable:
+            first_line[key] = number
+        yield number, fields
 
 
 def _env_lines(env: Environment) -> list[str]:
@@ -168,7 +179,7 @@ class _EnvParser:
 
 def load_environment(text: str, source: str = "<env>") -> Environment:
     parser = _EnvParser(source)
-    for number, fields in _check_header(text, ENV_HEADER, source):
+    for number, fields in _check_header(text, ENV_HEADER, source, frozenset({"maximal"})):
         if not parser.feed(number, fields):
             raise ParseError(f"unknown key {fields[0]!r}", source=source, line=number)
     return parser.finish()
@@ -213,7 +224,8 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     default: Allocation | None = None
     default_line = 0
     raw_cases: list[tuple[int, str, str]] = []
-    for number, fields in _check_header(text, ADVERSARY_HEADER, source):
+    repeatable = frozenset({"maximal", "case", "param"})
+    for number, fields in _check_header(text, ADVERSARY_HEADER, source, repeatable):
         key = fields[0]
         if parser.feed(number, fields):
             continue

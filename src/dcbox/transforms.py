@@ -26,9 +26,9 @@ Available transformations, by registry id:
 The scans run on integers: an allocation is a bitmask with bit i for agent
 i, and an input is its index, the sum of level_i * k**i (`input_index`),
 which on a two-value ladder is the bitmask of its high positions. The
-kernels query the black box with indices and build no ValuationVector; the
-memos map an index to its (Allocation, bitmask) answer. The black box sees
-the same queries in the same order as a scan over vectors.
+kernels query the black box with indices, reuse answers through its `known`
+mapping (index to Allocation) and read each answer's bitmask once. The black
+box sees the same queries in the same order as a scan over vectors.
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
 
 
 class ProvisionalState:
-    """Memo of intermediate allocations for the provisional transformation.
+    """Memo of the provisional transformation's derived allocations, each an
+    (Allocation, bitmask) pair by input index.
 
     All entries are pure functions of the underlying algorithm, so the memo
     may be reused across evaluations of one rule instance within a single
@@ -123,7 +124,6 @@ class ProvisionalState:
     """
 
     def __init__(self) -> None:
-        self.raw: dict[int, tuple[Allocation, int]] = {}
         self.first_pass: dict[int, tuple[Allocation, int]] = {}
         self.provisional: dict[int, tuple[Allocation, int]] = {}
 
@@ -155,34 +155,30 @@ def t_two_plus(
     n = v.n
     adjacent = _flips(n, 1)
     near = adjacent + _flips(n, 2)
-
-    def raw(u: int) -> tuple[Allocation, int]:
-        entry = state.raw.get(u)
-        if entry is None:
-            x = bb.query(u)
-            entry = state.raw[u] = (x, x.mask)
-        return entry
+    known = bb.known
 
     def first_pass(u: int) -> tuple[Allocation, int]:
         entry = state.first_pass.get(u)
         if entry is not None:
             return entry
-        entry = raw(u)
-        hc = (entry[1] & u).bit_count()
+        x = known.get(u) or bb.query(u)
+        mask = x.mask
+        hc = (mask & u).bit_count()
         if hc:
             for flip in adjacent:
-                candidate = raw(u ^ flip)
-                if (candidate[1] & u).bit_count() > hc:
-                    entry = candidate
+                w = u ^ flip
+                candidate = known.get(w) or bb.query(w)
+                if (candidate.mask & u).bit_count() > hc:
+                    x, mask = candidate, candidate.mask
                     break
-        state.first_pass[u] = entry
+        entry = state.first_pass[u] = (x, mask)
         return entry
 
     def provisional(u: int) -> tuple[Allocation, int]:
         entry = state.provisional.get(u)
         if entry is not None:
             return entry
-        original = raw(u)[1]
+        original = (known.get(u) or bb.query(u)).mask
         entry = first_pass(u)
         if not entry[1] & u:
             # Distance 1, then distance 2: the first with a 1 on a high position.
@@ -237,7 +233,7 @@ def _scan_steps(k: int) -> tuple[_ScanStep, ...]:
     return tuple(steps)
 
 
-def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = None) -> Allocation:
+def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     """Multi-value ladder transformation (k >= 3).
 
     Runs the staged upgrade scans for the environment's ladder size, each
@@ -248,15 +244,13 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
 
     An input is its index (agent i has weight k**i); the distance-d
     neighbours are v's index plus one level delta per changed position, in
-    the order of `inputs_at_distance`. `cache` maps an index to its
-    (Allocation, bitmask) answer and may be shared across evaluations of
-    one algorithm.
+    the order of `inputs_at_distance`. Answers are reused through the
+    box's `known` mapping: with a shared answer table only its misses are queried.
     """
     k = bb.algorithm.env.ladder.k
     if k < 3:
         raise ParameterError("t_multi requires at least three ladder values; use t_two for two")
-    if cache is None:
-        cache = {}
+    known = bb.known
     levels = v.levels
     n = len(levels)
     weights = input_weights(n, k)
@@ -270,18 +264,13 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
         above[c] = above[c + 1] | lm[c + 1]
     top_down = lm[::-1]
 
-    def answer(u: int) -> tuple[Allocation, int]:
-        x = bb.query(u)
-        entry = cache[u] = (x, x.mask)
-        return entry
-
-    def scan(distance: int) -> Iterator[tuple[Allocation, int]]:
-        # Answers at the distance-`distance` neighbours, canonical order.
-        # Cache entries are non-empty tuples, so `or` queries only on a miss.
+    def scan(distance: int) -> Iterator[Allocation]:
+        # Answers at the distance-`distance` neighbours, canonical order. An
+        # Allocation is never falsy, so `or` queries only on a miss.
         for combo in itertools.combinations(deltas, distance):
             for offset in map(sum, itertools.product(*combo)):
                 u = index + offset
-                yield cache.get(u) or answer(u)
+                yield known.get(u) or bb.query(u)
 
     def top_class(mask: int) -> int:
         # The empty allocation counts as the lowest class: it is neither a
@@ -291,15 +280,16 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
                 return c
         return 0
 
-    current = cache.get(index) or answer(index)
+    x = known.get(index) or bb.query(index)
+    mask = x.mask
     for step in _scan_steps(k):
-        mask = current[1]
         cls = top_class(mask)
         if step.kind == "lex-up":
             counts = [(mask & m).bit_count() for m in top_down]
             for candidate in scan(step.distance):
-                if [(candidate[1] & m).bit_count() for m in top_down] > counts:
-                    current = candidate
+                cmask = candidate.mask
+                if [(cmask & m).bit_count() for m in top_down] > counts:
+                    x, mask = candidate, cmask
                     break
             continue
         # Adopt the first candidate with a 1 in `want` and none in `reject`.
@@ -312,10 +302,10 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector, cache: dict | None = N
         if not want:
             continue
         for candidate in scan(step.distance):
-            if candidate[1] & want and not candidate[1] & reject:
-                current = candidate
+            cmask = candidate.mask
+            if cmask & want and not cmask & reject:
+                x, mask = candidate, cmask
                 break
-    x, mask = current
     cls = top_class(mask)
     return _restrict(x, mask, lm[cls] | above[cls])
 
@@ -330,12 +320,12 @@ class TransformedRule:
     centered at the evaluated input's index (applying the per-evaluation
     query budget and optional Hamming-radius restriction) and updates query
     statistics from it. Below the boxes, one AnswerTable per rule runs the
-    algorithm once per distinct input. Stateful transformations keep their
-    memo across evaluations only when shared_state is set and neither a
-    query budget nor a Hamming radius is: the shared memo answers inputs
-    without querying, so a limit would be checked against memo misses
-    only. Outputs are identical either way. Not thread-safe: one instance
-    per worker.
+    algorithm once per distinct input. Kernels reuse the whole table (and
+    `two-plus` its derived memo) across evaluations only when shared_state
+    is set and neither a query budget nor a Hamming radius is: a limit
+    would see table misses only. Otherwise each evaluation reuses only its
+    own answers. Outputs are identical either way. Not thread-safe: one
+    instance per worker.
     """
 
     def __init__(
@@ -356,17 +346,11 @@ class TransformedRule:
         self.algorithm = algorithm
         self.query_budget = query_budget
         self.hamming_radius = hamming_radius
-        self.check_feasible = check_feasible
-        self._answers = AnswerTable(algorithm)
+        self._answers = AnswerTable(algorithm, check_feasible)
         self._shared = shared_state and query_budget is None and hamming_radius is None
-        self._state = self._new_state() if self._shared else None
+        self._state = ProvisionalState() if self._shared and kind == "two-plus" else None
         self.max_queries = 0
         self.max_radius = 0
-
-    def _new_state(self):
-        if self.kind == "two-plus":
-            return ProvisionalState()
-        return {} if self.kind == "multi" else None
 
     def __call__(self, v: ValuationVector) -> Allocation:
         answers = self._answers
@@ -378,10 +362,9 @@ class TransformedRule:
             budget=self.query_budget,
             hamming_center=center,
             hamming_radius=self.hamming_radius,
-            check_feasible=self.check_feasible,
             answers=answers,
+            reuse_answers=self._shared,
         )
-        state = self._state if self._shared else self._new_state()
         if self.kind == "identity":
             out = bb.query(center)
         elif self.kind == "const":
@@ -389,9 +372,9 @@ class TransformedRule:
         elif self.kind == "two":
             out = t_two(bb, v)
         elif self.kind == "two-plus":
-            out = t_two_plus(bb, v, state)
+            out = t_two_plus(bb, v, self._state)
         else:
-            out = t_multi(bb, v, cache=state)
+            out = t_multi(bb, v)
         self.max_queries = max(self.max_queries, len(bb.log))
         self.max_radius = max(self.max_radius, bb.max_radius)
         return out

@@ -35,7 +35,7 @@ from dcbox import (
 )
 from dcbox.adversaries import stable_rng
 from dcbox.harness import standard_panel
-from dcbox.model import Environment, FeasibilitySet
+from dcbox.model import Environment, FeasibilitySet, input_index
 from oracles import hamming_distance
 
 PANEL_SEED = 20260809
@@ -319,7 +319,7 @@ def test_c10_oracle_equivalences():
         algorithm = gen_random_algorithm(env, 4300 + seed)
         for v in env.inputs():
             bb = InstrumentedBlackBox(
-                algorithm, hamming_center=v, hamming_radius=3
+                algorithm, hamming_center=input_index(v.levels, 2), hamming_radius=3
             )
             t_two(bb, v)
             assert bb.max_radius <= 2

@@ -23,7 +23,7 @@ from dcbox import (
     is_feasible,
     tabulate,
 )
-from dcbox.blackbox import Algorithm
+from dcbox.blackbox import Algorithm, AnswerTable
 from dcbox.model import Environment, FeasibilitySet, ValueLadder, input_at, input_index
 from oracles import hamming_distance
 
@@ -80,7 +80,7 @@ class TestInstrumentedBlackBox:
     def test_strict_hamming_radius(self):
         # center (h^6, l^6), radius 3: distance 3 is not < 3
         center = vec(*([1] * 6 + [0] * 6))
-        bb = InstrumentedBlackBox(gen_all_ones(12), hamming_center=center, hamming_radius=3)
+        bb = InstrumentedBlackBox(gen_all_ones(12), hamming_center=ix(center), hamming_radius=3)
         probe = center.with_level(0, 0).with_level(1, 0).with_level(2, 0)
         assert hamming_distance(center, probe) == 3
         with pytest.raises(HammingRestrictionViolation):
@@ -91,7 +91,7 @@ class TestInstrumentedBlackBox:
 
     def test_center_without_radius_tracks_but_rejects_nothing(self):
         center = vec(1, 1, 0, 0)
-        bb = InstrumentedBlackBox(gen_all_ones(4), hamming_center=center)
+        bb = InstrumentedBlackBox(gen_all_ones(4), hamming_center=ix(center))
         assert bb.max_radius == 0
         bb.query(ix(vec(1, 0, 0, 0)))
         bb.query(ix(vec(0, 0, 1, 1)))  # the farthest input is allowed
@@ -106,11 +106,11 @@ class TestInstrumentedBlackBox:
     def test_refused_queries_do_not_count_toward_max_radius(self):
         center = vec(0, 0, 0)
         far = vec(1, 1, 1)
-        budget = InstrumentedBlackBox(gen_all_ones(3), budget=1, hamming_center=center)
+        budget = InstrumentedBlackBox(gen_all_ones(3), budget=1, hamming_center=ix(center))
         budget.query(ix(vec(1, 0, 0)))
         with pytest.raises(QueryBudgetExceeded):
             budget.query(ix(far))
-        radius = InstrumentedBlackBox(gen_all_ones(3), hamming_center=center, hamming_radius=2)
+        radius = InstrumentedBlackBox(gen_all_ones(3), hamming_center=ix(center), hamming_radius=2)
         radius.query(ix(vec(0, 1, 0)))
         with pytest.raises(HammingRestrictionViolation):
             radius.query(ix(far))
@@ -120,8 +120,9 @@ class TestInstrumentedBlackBox:
         def rule(v):
             return Allocation((1, 1, 1)) if v == far else Allocation((1, 0, 0))
 
+        alg = Algorithm(env, rule)
         checked = InstrumentedBlackBox(
-            Algorithm(env, rule), hamming_center=center, check_feasible=True
+            alg, hamming_center=ix(center), answers=AnswerTable(alg, check_feasible=True)
         )
         checked.query(ix(vec(0, 0, 1)))
         with pytest.raises(InfeasibleOutputError):
@@ -148,7 +149,7 @@ class TestInstrumentedBlackBox:
         feas = FeasibilitySet(2, frozenset({Allocation((1, 0))}))
         env = Environment(2, ValueLadder.of(1, 2), feas)
         broken = Algorithm(env, lambda v: Allocation((1, 1)), name="broken")
-        bb = InstrumentedBlackBox(broken, check_feasible=True)
+        bb = InstrumentedBlackBox(broken, answers=AnswerTable(broken, check_feasible=True))
         with pytest.raises(InfeasibleOutputError):
             bb.query(ix(vec(0, 0)))
 
@@ -163,12 +164,12 @@ def center_and_query(draw):
 
 
 class TestIndexQueries:
-    @given(center_and_query(), st.booleans())
-    def test_distance_matches_oracle_at_the_radius_boundary(self, case, center_as_index):
+    @given(center_and_query())
+    def test_distance_matches_oracle_at_the_radius_boundary(self, case):
         k, center, u = case
         alg = gen_all_ones(center.n, ValueLadder.of(*range(1, k + 1)))
         d = hamming_distance(u, center)
-        c = ix(center, k) if center_as_index else center
+        c = ix(center, k)
         at_boundary = InstrumentedBlackBox(alg, hamming_center=c, hamming_radius=d)
         with pytest.raises(HammingRestrictionViolation):
             at_boundary.query(ix(u, k))
@@ -192,15 +193,12 @@ class TestIndexQueries:
         bb.query(26)
         assert bb.query_count == 1
 
-    def test_center_outside_range_or_of_wrong_length_is_rejected(self):
+    def test_center_outside_range_is_rejected(self):
         alg = gen_all_ones(3)
         with pytest.raises(ParameterError):
             InstrumentedBlackBox(alg, hamming_center=8)
         with pytest.raises(ParameterError):
             InstrumentedBlackBox(alg, hamming_center=-1, hamming_radius=1)
-        for center in (vec(1, 0), vec(1, 0, 0, 1)):
-            with pytest.raises(DimensionError):
-                InstrumentedBlackBox(alg, hamming_center=center)
 
     def test_transformed_rule_rejects_input_of_wrong_length(self):
         rule = TransformedRule("two", gen_all_ones(3))
@@ -227,6 +225,54 @@ class TestIndexQueries:
                 rule(v)
             assert set(calls.values()) == {1}
             calls.clear()
+
+
+class TestAnswerReuse:
+    def infeasible_at_zero(self):
+        # 111 at input 00 is infeasible under the only maximal allocation 100
+        feas = FeasibilitySet(3, frozenset({Allocation((1, 0, 0))}))
+        env = Environment(3, ValueLadder.of(1, 2), feas)
+
+        def rule(v):
+            return Allocation((1, 1, 1)) if v.levels == (0, 0, 0) else Allocation((0, 0, 0))
+
+        return Algorithm(env, rule, name="over")
+
+    def test_table_stores_only_checked_answers(self):
+        table = AnswerTable(self.infeasible_at_zero(), check_feasible=True)
+        for _ in range(2):
+            with pytest.raises(InfeasibleOutputError):
+                table[0]
+        assert table[1] == Allocation((0, 0, 0))
+        assert dict(table) == {1: Allocation((0, 0, 0))}
+
+    def test_reused_table_is_known_to_later_boxes(self):
+        alg = self.infeasible_at_zero()
+        table = AnswerTable(alg, check_feasible=True)
+        first = InstrumentedBlackBox(alg, answers=table, reuse_answers=True)
+        first.query(5)
+        with pytest.raises(InfeasibleOutputError):
+            first.query(0)
+        second = InstrumentedBlackBox(alg, answers=table, reuse_answers=True)
+        assert second.known is table
+        assert set(second.known) == {5}
+        assert second.query_count == 0
+
+    def test_unshared_box_knows_only_its_own_answers(self):
+        alg = gen_all_ones(3)
+        table = AnswerTable(alg)
+        InstrumentedBlackBox(alg, answers=table).query(5)
+        bb = InstrumentedBlackBox(alg, answers=table)
+        assert bb.known == {}
+        bb.query(3)
+        assert bb.known == {3: Allocation((1, 1, 1))}
+
+    def test_reuse_excludes_budget_and_radius(self):
+        alg = gen_all_ones(3)
+        with pytest.raises(ParameterError):
+            InstrumentedBlackBox(alg, budget=4, reuse_answers=True)
+        with pytest.raises(ParameterError):
+            InstrumentedBlackBox(alg, hamming_center=0, hamming_radius=2, reuse_answers=True)
 
 
 class TestThm1Fakes:

@@ -433,6 +433,13 @@ class TestCli:
         assert main(["verify", "--config", path]) == 2
         assert f"{doc}:6: infeasible allocation 11" in capsys.readouterr().err
 
+    def test_repeated_config_key_exit_two(self, tmp_path, capsys):
+        lines = ("transformation two", "generator all-ones", "param n 3", "transformation multi")
+        path = self.write_config(tmp_path, *lines)
+        assert main(["verify", "--config", path]) == 2
+        message = f"{path}:5: repeated key 'transformation', first at line 2"
+        assert message in capsys.readouterr().err
+
     def test_payments_refusal_exit_one(self, tmp_path, capsys):
         doc = tmp_path / "anti.txt"
         doc.write_text(

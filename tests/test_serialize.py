@@ -12,6 +12,7 @@ from dcbox import (
     gen_hamming_adversary,
     gen_thm1,
 )
+from dcbox.harness import parse_config
 from dcbox.model import input_index
 from dcbox.serialize import (
     adversary_document_for,
@@ -169,6 +170,101 @@ class TestAdversaryLoaderRejects:
         text = ADVERSARY_PREFIX + "maximal 01\ndefault 00\ncase 00 10\ncase 11 01\n"
         doc = load_adversary(text, source="doc")
         assert len(doc.table.cases) == 2
+
+
+# One valid document of each kind, a line per key.
+DOCUMENTS = {
+    "env": (load_environment, ["dcbox-env 1", "n 2", "ladder 1 2", "maximal 10"]),
+    "adversary": (
+        load_adversary,
+        [
+            "dcbox-adversary 1",
+            "name x",
+            "generator g",
+            "seed 1",
+            "param m 2",
+            "n 2",
+            "ladder 1 2",
+            "maximal 10",
+            "default 10",
+            "case 01 00",
+        ],
+    ),
+    "config": (
+        parse_config,
+        [
+            "dcbox-config 1",
+            "transformation two",
+            "generator all-ones",
+            "param n 2",
+            "algorithm a.txt",
+            "environment e.txt",
+            "ladder 1 2",
+            "seed 3",
+            "enum-bound 10",
+            "query-budget 1 2",
+            "hamming-radius 2",
+            "sweep-n 3",
+            "sweep-ratio 2",
+            "panel-random 1",
+            "threshold 1/2",
+            "input 10",
+            "workers 1",
+            "output out.txt",
+        ],
+    ),
+}
+SINGLETON_KEYS = [
+    (kind, line.split()[0])
+    for kind, (_, lines) in DOCUMENTS.items()
+    for line in lines[1:]
+    if line.split()[0] not in ("maximal", "case", "param")
+]
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("kind, key", SINGLETON_KEYS)
+    def test_repeated_singleton_key_names_the_first_line(self, kind, key):
+        load, lines = DOCUMENTS[kind]
+        first = next(i for i, line in enumerate(lines, start=1) if line.split()[0] == key)
+        text = "\n".join([*lines, "# again", lines[first - 1]]) + "\n"
+        message = rf"^doc:{len(lines) + 2}: repeated key '{key}', first at line {first}$"
+        with pytest.raises(ParseError, match=message):
+            load(text, source="doc")
+
+    @pytest.mark.parametrize(
+        "kind, line",
+        [("env", "ladder 1 5"), ("adversary", "default 01"), ("config", "transformation multi")],
+    )
+    def test_a_later_value_does_not_win(self, kind, line):
+        load, lines = DOCUMENTS[kind]
+        with pytest.raises(ParseError, match="repeated key"):
+            load("\n".join([*lines, line]) + "\n", source="doc")
+
+    @pytest.mark.parametrize("kind, key", [("env", "n"), ("adversary", "n"), ("config", "seed")])
+    def test_the_first_bad_line_wins(self, kind, key):
+        load, lines = DOCUMENTS[kind]
+        # line 2 is malformed; the valid line for its key repeats it later
+        text = "\n".join([lines[0], f"{key} x", *lines[1:]]) + "\n"
+        with pytest.raises(ParseError) as caught:
+            load(text, source="doc")
+        assert str(caught.value).startswith("doc:2: ")
+        assert "repeated key" not in str(caught.value)
+
+    def test_repeated_unknown_key_is_reported_as_unknown(self):
+        text = "\n".join([*DOCUMENTS["env"][1], "foo 1", "foo 2"]) + "\n"
+        with pytest.raises(ParseError, match=r"^doc:5: unknown key 'foo'$"):
+            load_environment(text, source="doc")
+
+    def test_repeatable_keys_accumulate(self):
+        env = load_environment("\n".join([*DOCUMENTS["env"][1], "maximal 01"]) + "\n")
+        assert len(env.feasibility.maximal) == 2
+        extra = ["maximal 01", "case 11 01", "param f 1"]
+        doc = load_adversary("\n".join([*DOCUMENTS["adversary"][1], *extra]) + "\n")
+        assert len(doc.table.cases) == 2
+        assert doc.params == (("m", "2"), ("f", "1"))
+        config = parse_config("\n".join([*DOCUMENTS["config"][1], "param m 4"]) + "\n")
+        assert config.params == (("n", "2"), ("m", "4"))
 
 
 class TestQueryLogExport:

@@ -6,10 +6,12 @@ import pytest
 
 from dcbox import (
     Allocation,
+    CachedRule,
     DimensionError,
     Environment,
     FeasibilitySet,
     HammingRestrictionViolation,
+    InfeasibleOutputError,
     InstrumentedBlackBox,
     ParameterError,
     ProvisionalState,
@@ -17,6 +19,7 @@ from dcbox import (
     TransformedRule,
     ValueLadder,
     ValuationVector,
+    check_monotone,
     gen_all_ones,
     gen_random_algorithm,
     gen_random_environment,
@@ -28,7 +31,7 @@ from dcbox import (
     t_two_plus,
 )
 from dcbox.blackbox import Algorithm
-from dcbox.model import input_at
+from dcbox.model import input_at, input_index
 from oracles import hamming_distance
 
 LAD2 = ValueLadder.of(1, 100)
@@ -164,7 +167,7 @@ class TestTTwo:
             env = gen_random_environment(5, LAD2, seed)
             alg = gen_random_algorithm(env, seed + 30)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg, hamming_center=v)
+                bb = InstrumentedBlackBox(alg, hamming_center=input_index(v.levels, env.k))
                 t_two(bb, v)
                 assert bb.max_radius <= 2
 
@@ -224,7 +227,7 @@ class TestTTwoPlus:
             env = gen_random_environment(4, LAD2, seed + 20)
             alg = gen_random_algorithm(env, seed + 40)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg, hamming_center=v)
+                bb = InstrumentedBlackBox(alg, hamming_center=input_index(v.levels, env.k))
                 t_two_plus(bb, v)
                 assert bb.max_radius <= 5
 
@@ -269,7 +272,7 @@ class TestTMulti:
             env = gen_random_environment(4, LAD3, seed + 60)
             alg = gen_random_algorithm(env, seed + 90)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg, hamming_center=v)
+                bb = InstrumentedBlackBox(alg, hamming_center=input_index(v.levels, env.k))
                 t_multi(bb, v)
                 assert bb.max_radius <= 5
 
@@ -503,7 +506,8 @@ def _check_budget_and_radius_one_too_small(alg, transform):
             transform(tight, v)
         assert tight.query_count == len(log) - 1
         radius = max(hamming_distance(u, v) for u in log)
-        near = InstrumentedBlackBox(alg, hamming_center=v, hamming_radius=radius)
+        center = input_index(v.levels, alg.env.k)
+        near = InstrumentedBlackBox(alg, hamming_center=center, hamming_radius=radius)
         with pytest.raises(HammingRestrictionViolation):
             transform(near, v)
         first_far = next(i for i, u in enumerate(log) if hamming_distance(u, v) == radius)
@@ -618,6 +622,55 @@ class TestFeasibilityInvariant:
             rule = TransformedRule("multi", alg, check_feasible=True)
             for v in env.inputs():
                 assert is_feasible(rule(v), env.feasibility)
+
+
+class TestSharedAnswerTable:
+    @pytest.mark.parametrize(
+        "kind, ladder, raised", [("multi", (1, 5, 25), 23), ("two-plus", (1, 9), 7)]
+    )
+    @pytest.mark.parametrize("shared_state", [True, False])
+    def test_infeasible_answer_raises_in_every_evaluation_that_reads_it(
+        self, kind, ladder, raised, shared_state
+    ):
+        # 111 at input 000 is infeasible; the table must never hold it, or
+        # later evaluations would reuse it unchecked and raise less often.
+        feas = FeasibilitySet(3, frozenset({bits("100")}))
+
+        def rule(v):
+            return bits("111") if v.levels == (0, 0, 0) else bits("000")
+
+        alg = Algorithm(Environment(3, ValueLadder.of(*ladder), feas), rule)
+        transformed = TransformedRule(kind, alg, check_feasible=True, shared_state=shared_state)
+        count = 0
+        for v in alg.env.inputs():
+            try:
+                transformed(v)
+            except InfeasibleOutputError:
+                count += 1
+        assert count == raised
+
+    # (max_queries, max_radius) after an exhaustive monotonicity check, as
+    # (shared state, fresh state). The shared multi count is low: a shared
+    # table answers unqueried what earlier evaluations asked, so it counts
+    # misses only. It should change only when rules report exact per-input
+    # footprints (ROADMAP item 1).
+    @pytest.mark.parametrize(
+        "kind, n, ladder, expected",
+        [
+            ("multi", 5, (1, 5, 25), [(71, 5), (171, 5)]),
+            ("two-plus", 8, (1, 9), [(92, 3), (92, 3)]),
+            ("two", 8, (1, 9), [(37, 2), (37, 2)]),
+        ],
+    )
+    def test_query_accounting_is_pinned(self, kind, n, ladder, expected):
+        env = gen_random_environment(n, ValueLadder.of(*ladder), 2)
+        alg = gen_random_algorithm(env, 3)
+        got = []
+        for shared_state in (True, False):
+            rule = TransformedRule(kind, alg, shared_state=shared_state)
+            check_monotone(CachedRule(rule), env)
+            got.append((rule.max_queries, rule.max_radius))
+        assert got == expected
 
 
 class TestWrongLengthAllocation:
