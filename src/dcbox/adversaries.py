@@ -374,13 +374,10 @@ def gen_knapsack(
 
     maximal = []
     for mask in range(2**n):
-        members = [i for i in range(n) if mask >> i & 1]
-        total = sum(weights[i] for i in members)
-        if total > capacity:
-            continue
-        if any(mask >> i & 1 == 0 and total + weights[i] <= capacity for i in range(n)):
-            continue
-        maximal.append(Allocation(tuple(mask >> i & 1 for i in range(n))))
+        total = sum(w for i, w in enumerate(weights) if mask >> i & 1)
+        room = capacity - total
+        if room >= 0 and all(w > room for i, w in enumerate(weights) if not mask >> i & 1):
+            maximal.append(Allocation.from_mask(n, mask))
     feasibility = FeasibilitySet(n, frozenset(maximal))
     environment = Environment(n, ladder, feasibility)
 
@@ -392,21 +389,20 @@ def gen_knapsack(
             # A stable sort of the agents by rank: ties stay in agent order.
             order = sorted(range(n), key=lambda i: rank[i][levels[i]])
             remaining = capacity
-            bits = [0] * n
+            mask = 0
             for i in order:
                 if weights[i] <= remaining:
-                    bits[i] = 1
+                    mask |= 1 << i
                     remaining -= weights[i]
-            return Allocation(tuple(bits))
+            return Allocation.from_mask(n, mask)
 
         name = "knapsack-greedy"
     else:
         # Never empty: the empty subset fits any capacity >= 0.
         scaled = ScaledWelfare(ladder, maximal)
-        by_mask = {a.mask: a for a in maximal}
 
         def rule(v: ValuationVector) -> Allocation:
-            return by_mask[scaled.optimum(v.levels)[1]]
+            return Allocation.from_mask(n, scaled.optimum(v.levels)[1])
 
         name = "knapsack-optimal"
     return Algorithm(environment, rule, name=name)
@@ -426,9 +422,14 @@ def gen_random_algorithm(env: Environment, seed: int) -> Algorithm:
         if not maximal:
             return Allocation.zeros(n)
         rng = stable_rng("random-alg", seed, v.levels)
-        base = maximal[rng.randrange(len(maximal))]
-        bits = tuple(1 if b and rng.random() < 0.75 else 0 for b in base.bits)
-        return Allocation(bits)
+        rest = maximal[rng.randrange(len(maximal))].mask
+        mask = 0
+        while rest:  # one draw per 1 of the base, in agent order
+            low = rest & -rest
+            rest ^= low
+            if rng.random() < 0.75:
+                mask |= low
+        return Allocation.from_mask(n, mask)
 
     return Algorithm(env, rule, name=f"random-{seed}")
 

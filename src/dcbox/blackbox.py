@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     QueryBudgetExceeded,
 )
-from .model import Allocation, Environment, ValuationVector, input_at, is_feasible
+from .model import Allocation, Environment, ValuationVector, input_at, input_index, is_feasible
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ class AnswerTable(dict):
     """An algorithm's answers by input index. A miss decodes the index,
     calls the rule once and checks the answer's length and, if asked, its
     feasibility; only answers that pass are stored, so entries are safe to
-    reuse unchecked."""
+    reuse unchecked. Called with an input, the table answers like the
+    algorithm, through the same entries."""
 
     def __init__(self, algorithm: Algorithm, check_feasible: bool = False):
         super().__init__()
@@ -91,6 +92,9 @@ class AnswerTable(dict):
             )
         self[u] = x
         return x
+
+    def __call__(self, v: ValuationVector) -> Allocation:
+        return self[input_index(v.levels, self.k)]
 
 
 def _digit_distance(u: int, c: int, k: int) -> int:

@@ -423,27 +423,29 @@ class ResultRecord:
         return "\n".join(lines) + "\n"
 
 
-def _budget_for(config: ExperimentConfig, n: int) -> int | None:
-    if config.query_budget is None:
-        return None
-    c, d = config.query_budget
-    return c * n**d
+def _transformed(
+    config: ExperimentConfig, algorithm: Algorithm, transformation: str
+) -> TransformedRule:
+    """`algorithm` transformed under the configured budget (c * n^d) and radius."""
+    budget = None
+    if config.query_budget is not None:
+        c, d = config.query_budget
+        budget = c * algorithm.env.n**d
+    return TransformedRule(
+        transformation, algorithm, query_budget=budget, hamming_radius=config.hamming_radius
+    )
 
 
 def _verify_entry(
     config: ExperimentConfig, algorithm: Algorithm, transformation: str
 ) -> VerifyEntry:
     env = algorithm.env
-    rule = TransformedRule(
-        transformation,
-        algorithm,
-        query_budget=_budget_for(config, env.n),
-        hamming_radius=config.hamming_radius,
-    )
+    rule = _transformed(config, algorithm, transformation)
     cached = CachedRule(rule)
     seed = config.seed if config.seed is not None else 0
     monotone = check_monotone(cached, env, enum_bound=config.enum_bound, seed=seed)
-    welfare = welfare_report(cached, algorithm, env, enum_bound=config.enum_bound, seed=seed)
+    # The original reads the rule's answer table: one algorithm call per input.
+    welfare = welfare_report(cached, rule.answers, env, enum_bound=config.enum_bound, seed=seed)
     return VerifyEntry(
         algorithm=algorithm.name,
         n=env.n,
@@ -553,9 +555,7 @@ def cmd_payments(config: ExperimentConfig) -> str:
     if v.n != env.n:
         raise ParameterError(f"input has {v.n} agents, environment has {env.n}")
     validate_levels(v, env.ladder)
-    rule = CachedRule(
-        TransformedRule(transformation, algorithm, query_budget=_budget_for(config, env.n))
-    )
+    rule = CachedRule(_transformed(config, algorithm, transformation))
     seed = config.seed if config.seed is not None else 0
     monotone = check_monotone(rule, env, enum_bound=config.enum_bound, seed=seed)
     if not monotone.is_monotone:

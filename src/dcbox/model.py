@@ -12,7 +12,7 @@ import functools
 import itertools
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
@@ -95,65 +95,63 @@ class ValuationVector:
         return tuple(ladder.values[lv] for lv in self.levels)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Allocation:
-    """A binary allocation: bit i says whether agent i receives its unit."""
+    """A binary allocation over n agents, stored as its bitmask: bit i of `mask`
+    says whether agent i receives its unit. Build one from 0/1 bits or `from_mask`."""
 
-    bits: tuple[int, ...]
-    # `mask`'s cache: a slot left unset by __init__, filled on first read.
-    _mask: int = field(init=False, repr=False, compare=False)
+    n: int
+    mask: int
 
-    def __post_init__(self) -> None:
-        bits = self.bits if isinstance(self.bits, tuple) else tuple(self.bits)
+    def __init__(self, bits: Iterable[int]) -> None:
+        bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
             raise ParameterError("allocation bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n", len(bits))
+        object.__setattr__(self, "mask", sum(b << i for i, b in enumerate(bits)))
+
+    @classmethod
+    def from_mask(cls, n: int, mask: int) -> "Allocation":
+        if mask < 0 or mask >> n:
+            raise ParameterError(f"mask {mask} outside [0, 2**{n})")
+        x = object.__new__(cls)
+        object.__setattr__(x, "n", n)
+        object.__setattr__(x, "mask", mask)
+        return x
 
     @classmethod
     def zeros(cls, n: int) -> "Allocation":
-        return cls((0,) * n)
+        return cls.from_mask(n, 0)
 
     @classmethod
     def full(cls, n: int) -> "Allocation":
-        return cls((1,) * n)
+        return cls.from_mask(n, (1 << n) - 1)
 
     @classmethod
     def from_string(cls, text: str) -> "Allocation":
         if any(c not in "01" for c in text):
             raise ParameterError(f"allocation string must be over 0/1, got {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return cls(int(c) for c in text)
 
     @property
-    def n(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        return tuple([self.mask >> i & 1 for i in range(self.n)])
+
+    def to_string(self) -> str:
+        return "".join(map(str, self.bits))
 
     @property
     def count(self) -> int:
-        return sum(self.bits)
+        return self.mask.bit_count()
 
-    @property
-    def mask(self) -> int:
-        """The bits as an integer bitmask, bit i for agent i (cached)."""
-        try:
-            return self._mask
-        except AttributeError:
-            object.__setattr__(self, "_mask", sum(b << i for i, b in enumerate(self.bits)))
-            return self._mask
-
-    def __reduce__(self):
-        # Pickle and copy by the bits alone, whether or not the cache is set.
-        return (Allocation, (self.bits,))
+    def __repr__(self) -> str:
+        return f"Allocation(bits={self.bits!r})"
 
     def dominated_by(self, other: "Allocation") -> bool:
         """Coordinatewise self <= other."""
-        if len(self.bits) != len(other.bits):
-            raise DimensionError(
-                f"cannot compare allocations of lengths {len(self.bits)} and {len(other.bits)}"
-            )
-        return all(a <= b for a, b in zip(self.bits, other.bits))
+        if self.n != other.n:
+            raise DimensionError(f"cannot compare allocations of lengths {self.n} and {other.n}")
+        return not self.mask & ~other.mask
 
 
 @dataclass(frozen=True)
@@ -325,9 +323,9 @@ class ScaledWelfare:
         self._masks = tuple(x.mask for x in ordered)
         self._bases = tuple(w[0] * m.bit_count() for m in self._masks)
 
-    def of(self, levels: tuple[int, ...], bits: tuple[int, ...]) -> int:
+    def of(self, levels: tuple[int, ...], mask: int) -> int:
         w = self.weights
-        return sum(w[lvl] for lvl, bit in zip(levels, bits) if bit)
+        return sum([w[lvl] for i, lvl in enumerate(levels) if mask >> i & 1])
 
     def optimum(self, levels: tuple[int, ...]) -> tuple[int, int | None]:
         """The largest scaled welfare at `levels` over the candidates and the

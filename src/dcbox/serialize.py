@@ -22,6 +22,7 @@ from .model import (
     ValueLadder,
     ValuationVector,
     input_at,
+    is_feasible,
 )
 
 ENV_HEADER = "dcbox-env 1"
@@ -225,36 +226,42 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     default_line = 0
     raw_cases: list[tuple[int, str, str]] = []
     repeatable = frozenset({"maximal", "case", "param"})
+    # Per key: the fewest and the most fields on its line, and what it takes.
+    arity = {
+        "name": (2, None, "a name"),
+        "generator": (2, 2, "one generator name"),
+        "seed": (2, 2, "one integer"),
+        "param": (3, None, "a key and a value"),
+        "default": (2, 2, "one allocation"),
+        "case": (3, 3, "an input and an allocation"),
+    }
     for number, fields in _check_header(text, ADVERSARY_HEADER, source, repeatable):
         key = fields[0]
         if parser.feed(number, fields):
             continue
+        if key not in arity:
+            raise ParseError(f"unknown key {key!r}", source=source, line=number)
+        least, most, what = arity[key]
+        if len(fields) < least or most is not None and len(fields) > most:
+            raise ParseError(f"{key} takes {what}", source=source, line=number)
         if key == "name":
-            name = " ".join(fields[1:]) or name
+            name = " ".join(fields[1:])
         elif key == "generator":
-            generator = fields[1] if len(fields) > 1 else None
+            generator = fields[1]
         elif key == "seed":
-            if len(fields) != 2:
-                raise ParseError("seed takes one integer", source=source, line=number)
             try:
                 seed = int(fields[1])
             except ValueError as exc:
                 raise ParseError(f"bad seed {fields[1]!r}", source=source, line=number) from exc
         elif key == "param":
-            if len(fields) < 3:
-                raise ParseError("param takes a key and a value", source=source, line=number)
             params.append((fields[1], " ".join(fields[2:])))
         elif key == "default":
             if parser.n is None:
                 raise ParseError("default before n", source=source, line=number)
             default = parse_allocation(fields[1], parser.n, source=source, line=number)
             default_line = number
-        elif key == "case":
-            if len(fields) != 3:
-                raise ParseError("case takes an input and an allocation", source=source, line=number)
+        else:  # case
             raw_cases.append((number, fields[1], fields[2]))
-        else:
-            raise ParseError(f"unknown key {key!r}", source=source, line=number)
     environment = parser.finish()
     if default is None:
         raise ParseError("missing default allocation", source=source)
@@ -276,10 +283,8 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
         x = parse_allocation(alloc_text, environment.n, source=source, line=number)
         cases.append((v, x))
         checked.append((number, x))
-    tops = [m.mask for m in environment.feasibility.maximal]
     for number, x in checked:
-        # Feasible iff some maximal allocation's mask covers every 1.
-        if all(x.mask & ~top for top in tops):
+        if not is_feasible(x, environment.feasibility):
             raise ParseError(f"infeasible allocation {x.to_string()}", source=source, line=number)
     table = CaseTable(environment.n, tuple(cases), default)
     return AdversaryDocument(

@@ -23,12 +23,13 @@ Available transformations, by registry id:
 - "identity": pass-through (query once, return the answer); a harness
               convenience for verifying raw algorithms.
 
-The scans run on integers: an allocation is a bitmask with bit i for agent
-i, and an input is its index, the sum of level_i * k**i (`input_index`),
-which on a two-value ladder is the bitmask of its high positions. The
-kernels query the black box with indices, reuse answers through its `known`
-mapping (index to Allocation) and read each answer's bitmask once. The black
-box sees the same queries in the same order as a scan over vectors.
+The scans run on integers: an Allocation is stored as its bitmask (bit i
+for agent i), and an input is its index, the sum of level_i * k**i
+(`input_index`), which on a two-value ladder is the bitmask of its high
+positions. The kernels query the black box with indices, reuse answers
+through its `known` mapping (index to Allocation) and build each result with
+`Allocation.from_mask`. The black box sees the same queries in the same
+order as a scan over vectors.
 """
 
 from __future__ import annotations
@@ -81,12 +82,9 @@ def _flips(n: int, distance: int) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in c) for c in itertools.combinations(range(n), distance))
 
 
-def _restrict(x: Allocation, mask: int, keep: int) -> Allocation:
+def _restrict(x: Allocation, keep: int) -> Allocation:
     """x with its 1s outside `keep` cleared; x itself if it has none."""
-    if not mask & ~keep:
-        return x
-    kept = mask & keep
-    return Allocation(tuple([kept >> i & 1 for i in range(x.n)]))
+    return Allocation.from_mask(x.n, x.mask & keep) if x.mask & ~keep else x
 
 
 def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
@@ -103,20 +101,19 @@ def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     n = v.n
     high = input_index(v.levels, 2)
     x = bb.query(high)
-    mask = x.mask
     # Without a high position no candidate can qualify: the scans are skipped.
-    if high and not mask & high:
+    if high and not x.mask & high:
         for flip in itertools.chain(_flips(n, 1), _flips(n, 2)):
             candidate = bb.query(high ^ flip)
             if candidate.mask & high:
-                x, mask = candidate, candidate.mask
+                x = candidate
                 break
-    return _restrict(x, mask, high) if mask & high else x
+    return _restrict(x, high) if x.mask & high else x
 
 
 class ProvisionalState:
-    """Memo of the provisional transformation's derived allocations, each an
-    (Allocation, bitmask) pair by input index.
+    """Memo of the provisional transformation's derived allocations by input
+    index.
 
     All entries are pure functions of the underlying algorithm, so the memo
     may be reused across evaluations of one rule instance within a single
@@ -124,8 +121,8 @@ class ProvisionalState:
     """
 
     def __init__(self) -> None:
-        self.first_pass: dict[int, tuple[Allocation, int]] = {}
-        self.provisional: dict[int, tuple[Allocation, int]] = {}
+        self.first_pass: dict[int, Allocation] = {}
+        self.provisional: dict[int, Allocation] = {}
 
 
 def t_two_plus(
@@ -157,49 +154,47 @@ def t_two_plus(
     near = adjacent + _flips(n, 2)
     known = bb.known
 
-    def first_pass(u: int) -> tuple[Allocation, int]:
-        entry = state.first_pass.get(u)
-        if entry is not None:
-            return entry
+    def first_pass(u: int) -> Allocation:
+        x = state.first_pass.get(u)
+        if x is not None:
+            return x
         x = known.get(u) or bb.query(u)
-        mask = x.mask
-        hc = (mask & u).bit_count()
+        hc = (x.mask & u).bit_count()
         if hc:
             for flip in adjacent:
                 w = u ^ flip
                 candidate = known.get(w) or bb.query(w)
                 if (candidate.mask & u).bit_count() > hc:
-                    x, mask = candidate, candidate.mask
+                    x = candidate
                     break
-        entry = state.first_pass[u] = (x, mask)
-        return entry
+        state.first_pass[u] = x
+        return x
 
-    def provisional(u: int) -> tuple[Allocation, int]:
-        entry = state.provisional.get(u)
-        if entry is not None:
-            return entry
+    def provisional(u: int) -> Allocation:
+        x = state.provisional.get(u)
+        if x is not None:
+            return x
         original = (known.get(u) or bb.query(u)).mask
-        entry = first_pass(u)
-        if not entry[1] & u:
+        x = first_pass(u)
+        if not x.mask & u:
             # Distance 1, then distance 2: the first with a 1 on a high position.
             for flip in near:
                 candidate = first_pass(u ^ flip)
-                if candidate[1] & u:
-                    entry = candidate
+                if candidate.mask & u:
+                    x = candidate
                     break
-        x, mask = entry
-        if (mask & u).bit_count() > (original & u).bit_count():
-            entry = (_restrict(x, mask, u), mask & u)
-        state.provisional[u] = entry
-        return entry
+        if (x.mask & u).bit_count() > (original & u).bit_count():
+            x = _restrict(x, u)
+        state.provisional[u] = x
+        return x
 
     high = input_index(v.levels, 2)
-    x, mask = provisional(high)
-    kept = mask
+    x = provisional(high)
+    kept = x.mask
     for bit in adjacent:
-        if bit & mask & ~high and not provisional(high | bit)[1] & bit:
+        if bit & x.mask & ~high and not provisional(high | bit).mask & bit:
             kept ^= bit
-    return _restrict(x, mask, kept)
+    return _restrict(x, kept)
 
 
 @dataclass(frozen=True)
@@ -281,15 +276,14 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
         return 0
 
     x = known.get(index) or bb.query(index)
-    mask = x.mask
     for step in _scan_steps(k):
-        cls = top_class(mask)
+        cls = top_class(x.mask)
         if step.kind == "lex-up":
-            counts = [(mask & m).bit_count() for m in top_down]
+            counts = [(x.mask & m).bit_count() for m in top_down]
             for candidate in scan(step.distance):
                 cmask = candidate.mask
                 if [(cmask & m).bit_count() for m in top_down] > counts:
-                    x, mask = candidate, cmask
+                    x = candidate
                     break
             continue
         # Adopt the first candidate with a 1 in `want` and none in `reject`.
@@ -304,10 +298,10 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
         for candidate in scan(step.distance):
             cmask = candidate.mask
             if cmask & want and not cmask & reject:
-                x, mask = candidate, cmask
+                x = candidate
                 break
-    cls = top_class(mask)
-    return _restrict(x, mask, lm[cls] | above[cls])
+    cls = top_class(x.mask)
+    return _restrict(x, lm[cls] | above[cls])
 
 
 TRANSFORMATION_IDS = ("const", "two", "two-plus", "multi", "identity")
@@ -319,8 +313,8 @@ class TransformedRule:
     Every evaluation wraps the algorithm in a fresh InstrumentedBlackBox
     centered at the evaluated input's index (applying the per-evaluation
     query budget and optional Hamming-radius restriction) and updates query
-    statistics from it. Below the boxes, one AnswerTable per rule runs the
-    algorithm once per distinct input. Kernels reuse the whole table (and
+    statistics from it. Below the boxes, one AnswerTable per rule, `answers`,
+    runs the algorithm once per distinct input. Kernels reuse the whole table (and
     `two-plus` its derived memo) across evaluations only when shared_state
     is set and neither a query budget nor a Hamming radius is: a limit
     would see table misses only. Otherwise each evaluation reuses only its
@@ -346,14 +340,14 @@ class TransformedRule:
         self.algorithm = algorithm
         self.query_budget = query_budget
         self.hamming_radius = hamming_radius
-        self._answers = AnswerTable(algorithm, check_feasible)
+        self.answers = AnswerTable(algorithm, check_feasible)
         self._shared = shared_state and query_budget is None and hamming_radius is None
         self._state = ProvisionalState() if self._shared and kind == "two-plus" else None
         self.max_queries = 0
         self.max_radius = 0
 
     def __call__(self, v: ValuationVector) -> Allocation:
-        answers = self._answers
+        answers = self.answers
         if v.n != answers.n:
             raise DimensionError(f"input of length {v.n} vs n={answers.n}")
         center = input_index(v.levels, answers.k)

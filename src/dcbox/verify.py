@@ -95,23 +95,20 @@ def check_monotone(
     total = k**n
     violations: list[MonotonicityViolation] = []
     if total <= enum_bound:
-        table: dict[tuple[int, ...], Allocation] = {}
-        for v in all_inputs(n, k):
-            table[v.levels] = rule(v)
+        table = {v.levels: rule(v) for v in all_inputs(n, k)}
         checked = 0
         for levels, x in table.items():
+            mask = x.mask
             for i, lvl in enumerate(levels):
-                if lvl == k - 1:
+                checked += k - 1 - lvl
+                if not mask >> i & 1:
                     continue
-                bit_low = x.bits[i]
                 for hi in range(lvl + 1, k):
-                    checked += 1
-                    if bit_low == 1:
-                        raised = table[levels[:i] + (hi,) + levels[i + 1 :]]
-                        if raised.bits[i] == 0:
-                            violations.append(
-                                MonotonicityViolation(ValuationVector(levels), i, lvl, hi)
-                            )
+                    raised = table[levels[:i] + (hi,) + levels[i + 1 :]]
+                    if not raised.mask >> i & 1:
+                        violations.append(
+                            MonotonicityViolation(ValuationVector(levels), i, lvl, hi)
+                        )
         violations.sort(key=MonotonicityViolation.sort_key)
         return MonotonicityReport(violations, checked, total)
     rng = random.Random(seed)
@@ -127,7 +124,7 @@ def check_monotone(
         x = rule(ValuationVector(base))
         y = rule(ValuationVector(raised))
         evaluations += 2
-        if x.bits[i] == 1 and y.bits[i] == 0:
+        if x.mask >> i & 1 and not y.mask >> i & 1:
             violations.append(MonotonicityViolation(ValuationVector(base), i, lo, hi))
     violations.sort(key=MonotonicityViolation.sort_key)
     return MonotonicityReport(violations, pairs, evaluations, sampled=True, seed=seed)
@@ -208,8 +205,8 @@ def welfare_report(
     min_ratio_original = _MinRatio()
     for v in inputs:
         levels = v.levels
-        w_rule = scaled.of(levels, rule(v).bits)
-        w_orig = scaled.of(levels, original(v).bits)
+        w_rule = scaled.of(levels, rule(v).mask)
+        w_orig = scaled.of(levels, original(v).mask)
         sum_rule += w_rule
         sum_original += w_orig
         if w_rule >= w_orig:
@@ -250,15 +247,15 @@ def myerson_payments(
     always wins), but prices from a non-monotone rule carry no truthfulness
     guarantee; callers wanting a guarantee must check monotonicity first.
     """
-    x = rule(v)
+    mask = rule(v).mask
     payments: list[Fraction] = []
-    for agent, bit in enumerate(x.bits):
-        if not bit:
+    for agent, own in enumerate(v.levels):
+        if not mask >> agent & 1:
             payments.append(Fraction(0))
             continue
-        critical = v.levels[agent]
-        for level in range(v.levels[agent]):
-            if rule(v.with_level(agent, level)).bits[agent] == 1:
+        critical = own
+        for level in range(own):
+            if rule(v.with_level(agent, level)).mask >> agent & 1:
                 critical = level
                 break
         payments.append(ladder.value(critical))

@@ -1,14 +1,26 @@
 """Harness: config parsing, verify/sweep/payments/adversary/opt commands, CLI."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from dcbox import NonMonotoneRuleError, ParameterError, ParseError
+from dcbox import (
+    Algorithm,
+    CachedRule,
+    NonMonotoneRuleError,
+    ParameterError,
+    ParseError,
+    TransformedRule,
+    gen_random_algorithm,
+    gen_random_environment,
+    welfare_report,
+)
 from dcbox.cli import main
 from dcbox.harness import (
     ExperimentConfig,
+    _verify_entry,
     build_algorithm,
     cmd_adversary,
     cmd_opt,
@@ -402,6 +414,27 @@ class TestCmdOpt:
             cmd_opt(config)
 
 
+class TestVerifyEntry:
+    @pytest.mark.parametrize(
+        "kind, ladder",
+        [("const", (1, 5)), ("two", (1, 5)), ("two-plus", (1, 5)), ("multi", (1, 4, 16))],
+    )
+    def test_algorithm_runs_once_per_input(self, kind, ladder):
+        # The welfare report's original reads the rule's answer table.
+        env = gen_random_environment(4, ValueLadder.of(*ladder), 8100)
+        alg = gen_random_algorithm(env, 8200)
+        calls = Counter()
+
+        def counted(v):
+            calls[v.levels] += 1
+            return alg.rule(v)
+
+        entry = _verify_entry(ExperimentConfig(), Algorithm(env, counted, alg.name), kind)
+        assert sum(calls.values()) == len(ladder) ** 4
+        assert set(calls.values()) == {1}
+        assert entry.welfare == welfare_report(CachedRule(TransformedRule(kind, alg)), alg, env)
+
+
 class TestCli:
     def write_config(self, tmp_path, *lines):
         path = tmp_path / "config.txt"
@@ -451,6 +484,22 @@ class TestCli:
         )
         assert main(["payments", "--config", path]) == 1
         assert "refused" in capsys.readouterr().err
+
+    def test_payments_applies_the_hamming_radius(self, tmp_path, capsys):
+        lines = ("generator random", "param n 6", "ladder 1 7", "seed 3", "hamming-radius 1")
+        path = self.write_config(tmp_path, "transformation two", *lines, "input 000000")
+        assert main(["verify", "--config", path]) == 2
+        assert main(["payments", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: query at distance 1 from the center") == 2
+
+    def test_bare_adversary_default_exit_two(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("dcbox-adversary 1\nn 2\nladder 1 2\nmaximal 10\ndefault\n")
+        path = self.write_config(tmp_path, "transformation identity", f"algorithm {doc}")
+        assert main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {doc}:5: default takes one allocation\n"
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, "transformation two", "generator nonsense")

@@ -52,30 +52,48 @@ def brute_force_opt(v, feasibility, ladder):
 
 
 class TestAllocationMask:
-    @pytest.mark.parametrize("text", ["", "0", "1", "0110", "1011001"])
-    def test_mask_before_and_after_first_read(self, text):
-        expected = sum(int(b) << i for i, b in enumerate(text))
-        x = bits(text)
-        assert x.mask == expected  # first read fills the cache
-        assert x.mask == expected
-
-    @pytest.mark.parametrize("read", [False, True])
-    def test_pickle_and_copy_round_trip(self, read):
-        x = bits("1011")
-        if read:
-            x.mask
+    @pytest.mark.parametrize("from_mask", [False, True])
+    def test_pickle_and_copy_round_trip(self, from_mask):
+        x = Allocation.from_mask(4, 0b1101) if from_mask else bits("1011")
         for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert clone == x
             assert clone.bits == (1, 0, 1, 1)
             assert clone.mask == 0b1101
 
     def test_equality_hash_and_repr_ignore_the_cache(self):
-        read, unread = bits("0110"), bits("0110")
-        read.mask
-        assert read == unread
-        assert hash(read) == hash(unread) == hash(((0, 1, 1, 0),))
-        assert repr(read) == repr(unread) == "Allocation(bits=(0, 1, 1, 0))"
-        assert len({read, unread}) == 1
+        first, second = bits("0110"), Allocation.from_mask(4, 0b0110)
+        assert first == second
+        assert hash(first) == hash(second)  # equal allocations hash equal
+        assert repr(first) == repr(second) == "Allocation(bits=(0, 1, 1, 0))"
+        assert len({first, second}) == 1
+        assert first != bits("0111") and first != bits("01100")
+
+    def test_stores_only_n_and_mask(self):
+        x = bits("0110")
+        assert Allocation.__slots__ == ("n", "mask")
+        assert (x.n, x.mask) == (4, 0b0110)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+    def test_from_mask_agrees_with_bits(self, n_mask):
+        n, mask = n_mask
+        oracle = tuple(mask >> i & 1 for i in range(n))
+        x, y = Allocation.from_mask(n, mask), Allocation(oracle)
+        assert x == y and hash(x) == hash(y)
+        assert x.bits == y.bits == oracle
+        assert x.to_string() == "".join(map(str, oracle))
+        assert x.count == sum(oracle)
+        for other in range(2**n):
+            z = Allocation.from_mask(n, other)
+            covered = all(a <= b for a, b in zip(oracle, z.bits))
+            assert x.dominated_by(z) == y.dominated_by(z) == covered
+        for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert clone == y and clone.mask == mask and clone.n == n
+
+    @pytest.mark.parametrize("n, mask", [(0, -1), (0, 1), (3, -1), (3, 8), (3, 2**10)])
+    def test_from_mask_rejects_out_of_range(self, n, mask):
+        with pytest.raises(ParameterError):
+            Allocation.from_mask(n, mask)
 
 
 class TestValueLadder:

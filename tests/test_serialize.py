@@ -166,6 +166,29 @@ class TestAdversaryLoaderRejects:
         with pytest.raises(ParseError, match=r"^doc:7: infeasible allocation 01"):
             load_adversary(text, source="doc")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("default", "default takes one allocation"),
+            ("default 10 00", "default takes one allocation"),
+            ("name", "name takes a name"),
+            ("generator", "generator takes one generator name"),
+            ("generator g h", "generator takes one generator name"),
+            ("seed", "seed takes one integer"),
+            ("param m", "param takes a key and a value"),
+            ("case 01", "case takes an input and an allocation"),
+        ],
+    )
+    def test_argument_count_is_checked_at_its_line(self, line, message):
+        default = "" if line.startswith("default") else "default 10\n"
+        text = ADVERSARY_PREFIX.replace("name x\n", "") + line + "\n" + default
+        with pytest.raises(ParseError, match=rf"^doc:5: {message}$"):
+            load_adversary(text, source="doc")
+
+    def test_name_may_take_several_tokens(self):
+        text = ADVERSARY_PREFIX.replace("name x", "name two words") + "default 10\n"
+        assert load_adversary(text).name == "two words"
+
     def test_feasible_cases_load(self):
         text = ADVERSARY_PREFIX + "maximal 01\ndefault 00\ncase 00 10\ncase 11 01\n"
         doc = load_adversary(text, source="doc")
