@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from fractions import Fraction
 
 from .errors import DcboxError, NonMonotoneRuleError, ParameterError
 from .harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     cmd_adversary,
     cmd_opt,
@@ -21,30 +21,38 @@ from .harness import (
     cmd_regime_sweep,
     cmd_verify,
     load_config,
-    parse_param,
 )
-from .model import ValueLadder
+
+# How a flag's text splits into its config key's arguments; other flags give one.
+_SPLIT = {"ladder": str.split, "param": lambda item: item.split("=", 1)}
 
 
 def _common_flags(parser: argparse.ArgumentParser, *, config_required: bool = True) -> None:
     parser.add_argument("--config", required=config_required, help="config document path")
     parser.add_argument("--output", help="write the result document here")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--workers", type=int, help="parallel workers for sweep cells")
-    parser.add_argument("--enum-bound", type=int, help="override the enumeration bound")
+    parser.add_argument("--seed", help="override the config seed")
+    parser.add_argument("--workers", help="parallel workers for sweep cells")
+    parser.add_argument("--enum-bound", help="override the enumeration bound")
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "output", None):
-        config.output = args.output
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-    if getattr(args, "enum_bound", None) is not None:
-        config.enum_bound = args.enum_bound
-    if getattr(args, "input", None):
-        config.input_text = args.input
+def _configure(args: argparse.Namespace) -> ExperimentConfig:
+    """The config document, if any, with each flag named after a config key
+    applied through that key's row: a flag and its config line share one
+    parser and one domain check."""
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    for key, row in CONFIG_KEYS.items():
+        given = getattr(args, key.replace("-", "_"), None)
+        if given is None:
+            continue
+        flag = f"--{key}"
+        for text in given if row.repeats else [given]:
+            tokens = _SPLIT.get(key, lambda text: [text])(text)
+            if not row.fits(tokens):
+                raise ParameterError(f"{flag} takes {row.takes}")
+            try:
+                config.set(key, tokens)
+            except ParameterError as exc:
+                raise ParameterError(f"{flag}: {exc}") from exc
     return config
 
 
@@ -74,11 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     adversary.add_argument(
         "--param",
         action="append",
-        default=[],
         metavar="KEY=VALUE",
         help="generator parameter, repeatable",
     )
-    adversary.add_argument("--seed", type=int, help="generator seed")
+    adversary.add_argument("--seed", help="generator seed")
     adversary.add_argument("--ladder", help="ladder values, space separated")
     adversary.add_argument("--output", help="write the document here")
 
@@ -90,47 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _adversary_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig()
-    if args.generator:
-        config.generator = args.generator
-    params = list(config.params)
-    for item in args.param:
-        if "=" not in item:
-            raise ParameterError(f"--param takes KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        params.append((key, value))
-    config.params = tuple(params)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.ladder:
-        config.ladder = ValueLadder(
-            tuple(parse_param("--ladder", token, Fraction) for token in args.ladder.split())
-        )
-    if args.output:
-        config.output = args.output
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        config = _configure(args)
         if args.command == "verify":
-            config = _apply_overrides(load_config(args.config), args)
             record = cmd_verify(config)
             sys.stdout.write(record.to_document())
             return 0 if record.total_violations == 0 else 1
         if args.command == "sweep":
-            config = _apply_overrides(load_config(args.config), args)
             records, document = cmd_regime_sweep(config)
             sys.stdout.write(document)
             return 0 if all(r.total_violations == 0 for r in records) else 1
         if args.command == "payments":
-            config = _apply_overrides(load_config(args.config), args)
             try:
                 document = cmd_payments(config)
             except NonMonotoneRuleError as exc:
@@ -144,17 +124,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(document)
             return 0
         if args.command == "adversary":
-            config = _adversary_config(args)
             sys.stdout.write(cmd_adversary(config))
             return 0
         # opt
-        if args.config:
-            config = load_config(args.config)
-        else:
-            config = ExperimentConfig()
-        if args.environment:
-            config.environment_path = args.environment
-        config.input_text = args.input
         # Degenerate environments warn rather than fail; report each warning
         # as a diagnostic line, not as a Python warning naming source lines.
         with warnings.catch_warnings(record=True) as caught:

@@ -33,13 +33,14 @@ from .adversaries import (
 )
 from .blackbox import Algorithm, tabulate
 from .errors import NonMonotoneRuleError, ParameterError, ParseError
-from .model import ValueLadder, opt_welfare, validate_levels
+from .model import Environment, ValuationVector, ValueLadder, opt_welfare
 from .serialize import (
     CONFIG_HEADER,
     PAYMENTS_HEADER,
     RESULT_HEADER,
+    LEVEL_CHARACTERS,
     SWEEP_HEADER,
-    _check_header,
+    Key,
     adversary_document_for,
     dump_adversary,
     format_input,
@@ -47,7 +48,9 @@ from .serialize import (
     load_adversary,
     load_environment,
     parse_input,
+    parse_integer,
     parse_rational,
+    read_records,
 )
 from .transforms import TRANSFORMATION_IDS, TransformedRule
 from .verify import (
@@ -93,126 +96,140 @@ class ExperimentConfig:
                 return v
         return None
 
+    def set(self, key: str, args: list[str]) -> None:
+        """Set config key `key`'s field from the key's arguments, parsed by
+        its row; a repeating key appends. A bad value raises ParameterError."""
+        row = CONFIG_KEYS[key]
+        value = row.parse(args)
+        if row.repeats:
+            value = (*getattr(self, row.field), value)
+        setattr(self, row.field, value)
+
     def echo_lines(self) -> list[str]:
-        """Config echo for result documents; sufficient to reproduce the run."""
+        """Config echo for result documents; sufficient to reproduce the run.
+
+        Keys echo in table order, each set one as `config.<key> <value>` and
+        each param as `config.param.<key> <value>`; panel-random and
+        threshold echo only for sweeps."""
+        sweep = bool(self.sweep_n or self.sweep_ratios)
         lines = []
-        if self.transformation is not None:
-            lines.append(f"config.transformation {self.transformation}")
-        if self.generator is not None:
-            lines.append(f"config.generator {self.generator}")
-        for key, value in self.params:
-            lines.append(f"config.param.{key} {value}")
-        if self.algorithm_path is not None:
-            lines.append(f"config.algorithm {self.algorithm_path}")
-        if self.environment_path is not None:
-            lines.append(f"config.environment {self.environment_path}")
-        if self.ladder is not None:
-            lines.append("config.ladder " + " ".join(format_rational(v) for v in self.ladder.values))
-        if self.seed is not None:
-            lines.append(f"config.seed {self.seed}")
-        lines.append(f"config.enum-bound {self.enum_bound}")
-        if self.query_budget is not None:
-            lines.append(f"config.query-budget {self.query_budget[0]} {self.query_budget[1]}")
-        if self.hamming_radius is not None:
-            lines.append(f"config.hamming-radius {self.hamming_radius}")
-        if self.sweep_n:
-            lines.append("config.sweep-n " + " ".join(str(n) for n in self.sweep_n))
-        if self.sweep_ratios:
-            lines.append("config.sweep-ratio " + " ".join(self.sweep_ratios))
-        if self.sweep_n or self.sweep_ratios:
-            lines.append(f"config.panel-random {self.panel_random}")
-            lines.append(f"config.threshold {format_rational(self.threshold)}")
-        if self.input_text is not None:
-            lines.append(f"config.input {self.input_text}")
+        for key, row in CONFIG_KEYS.items():
+            value = getattr(self, row.field)
+            if row.render is None or value in (None, ()) or key in _SWEEP_KEYS and not sweep:
+                continue
+            if row.repeats:
+                lines.extend(f"config.{key}.{name} {text}" for name, text in value)
+            else:
+                lines.append(f"config.{key} {row.render(value)}")
         return lines
+
+
+@dataclass(frozen=True, kw_only=True)
+class ConfigKey(Key):
+    """A config key: its record shape, the ExperimentConfig field it sets,
+    the parser from its arguments to the field's value, and the renderer of
+    the value for the config echo (None: not echoed)."""
+
+    field: str
+    parse: Callable[[list[str]], object]
+    render: Callable[[object], str] | None = str
+
+
+def _one(parse: Callable[[str], T]) -> Callable[[list[str]], T]:
+    return lambda args: parse(args[0])
+
+
+def _integer(least: int | None = None) -> Callable[[list[str]], int]:
+    return _one(lambda token: parse_integer(token, least))
+
+
+def _integers(least: int) -> Callable[[list[str]], tuple[int, ...]]:
+    return lambda args: tuple(parse_integer(a, least) for a in args)
+
+
+def _joined(values: tuple) -> str:
+    return " ".join(map(str, values))
+
+
+def _input_text(args: list[str]) -> str:
+    """An input string of level characters; its levels meet the ladder later."""
+    text = args[0]
+    for c in text:
+        if c not in LEVEL_CHARACTERS:
+            raise ParameterError(f"bad level character {c!r} in input {text!r}")
+    return text
+
+
+# One row per key, in echo order. Integer domains: seed any integer;
+# enum-bound, hamming-radius, panel-random and query-budget's c and d at
+# least 0; workers and each sweep-n value at least 1.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "transformation": ConfigKey(1, 1, "one identifier", field="transformation", parse=_one(str)),
+    "generator": ConfigKey(1, 1, "one generator name", field="generator", parse=_one(str)),
+    "param": ConfigKey(
+        2,
+        None,
+        "a key and a value",
+        repeats=True,
+        field="params",
+        parse=lambda args: (args[0], " ".join(args[1:])),
+    ),
+    "algorithm": ConfigKey(1, 1, "one path", field="algorithm_path", parse=_one(str)),
+    "environment": ConfigKey(1, 1, "one path", field="environment_path", parse=_one(str)),
+    "ladder": ConfigKey(
+        0,
+        None,
+        "rational values",
+        field="ladder",
+        parse=lambda args: ValueLadder(tuple(parse_rational(t) for t in args)),
+        render=lambda ladder: " ".join(format_rational(v) for v in ladder.values),
+    ),
+    "seed": ConfigKey(1, 1, "one integer", field="seed", parse=_integer()),
+    "enum-bound": ConfigKey(1, 1, "one integer", field="enum_bound", parse=_integer(0)),
+    "query-budget": ConfigKey(
+        2,
+        2,
+        "two integers c and d (budget c * n^d)",
+        field="query_budget",
+        parse=_integers(0),
+        render=_joined,
+    ),
+    "hamming-radius": ConfigKey(1, 1, "one integer", field="hamming_radius", parse=_integer(0)),
+    "sweep-n": ConfigKey(
+        1, None, "one or more integers", field="sweep_n", parse=_integers(1), render=_joined
+    ),
+    "sweep-ratio": ConfigKey(
+        1, None, "one or more tokens", field="sweep_ratios", parse=tuple, render=_joined
+    ),
+    "panel-random": ConfigKey(1, 1, "one integer", field="panel_random", parse=_integer(0)),
+    "threshold": ConfigKey(
+        1, 1, "one rational", field="threshold", parse=_one(parse_rational), render=format_rational
+    ),
+    "input": ConfigKey(1, 1, "one input string", field="input_text", parse=_input_text),
+    "workers": ConfigKey(1, 1, "one integer", field="workers", parse=_integer(1), render=None),
+    "output": ConfigKey(1, 1, "one path", field="output", parse=_one(str), render=None),
+}
+_SWEEP_KEYS = ("panel-random", "threshold")
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     config = ExperimentConfig()
-    params: list[tuple[str, str]] = []
-    for number, fields in _check_header(text, CONFIG_HEADER, source, frozenset({"param"})):
-        key, args = fields[0], fields[1:]
-
-        def need(count: int, what: str) -> None:
-            if len(args) != count:
-                raise ParseError(f"{key} takes {what}", source=source, line=number)
-
-        if key == "transformation":
-            need(1, "one identifier")
-            config.transformation = args[0]
-        elif key == "generator":
-            need(1, "one generator name")
-            config.generator = args[0]
-        elif key == "param":
-            if len(args) < 2:
-                raise ParseError("param takes a key and a value", source=source, line=number)
-            params.append((args[0], " ".join(args[1:])))
-        elif key == "algorithm":
-            need(1, "one path")
-            config.algorithm_path = args[0]
-        elif key == "environment":
-            need(1, "one path")
-            config.environment_path = args[0]
-        elif key == "ladder":
-            values = [parse_rational(t, source=source, line=number) for t in args]
-            try:
-                config.ladder = ValueLadder(tuple(values))
-            except ParameterError as exc:
-                raise ParseError(f"ladder: {exc}", source=source, line=number) from exc
-        elif key == "seed":
-            need(1, "one integer")
-            config.seed = _parse_int(args[0], key, source, number)
-        elif key == "enum-bound":
-            need(1, "one integer")
-            config.enum_bound = _parse_int(args[0], key, source, number)
-        elif key == "query-budget":
-            need(2, "two integers c and d (budget c * n^d)")
-            config.query_budget = (
-                _parse_int(args[0], key, source, number),
-                _parse_int(args[1], key, source, number),
-            )
-        elif key == "hamming-radius":
-            need(1, "one integer")
-            config.hamming_radius = _parse_int(args[0], key, source, number)
-        elif key == "sweep-n":
-            if not args:
-                raise ParseError("sweep-n needs at least one value", source=source, line=number)
-            config.sweep_n = tuple(_parse_int(a, key, source, number) for a in args)
-        elif key == "sweep-ratio":
-            if not args:
-                raise ParseError("sweep-ratio needs at least one token", source=source, line=number)
-            config.sweep_ratios = tuple(args)
-        elif key == "panel-random":
-            need(1, "one integer")
-            config.panel_random = _parse_int(args[0], key, source, number)
-        elif key == "threshold":
-            need(1, "one rational")
-            config.threshold = parse_rational(args[0], source=source, line=number)
-        elif key == "input":
-            need(1, "one input string")
-            config.input_text = args[0]
-        elif key == "workers":
-            need(1, "one integer")
-            config.workers = _parse_int(args[0], key, source, number)
-        elif key == "output":
-            need(1, "one path")
-            config.output = args[0]
-        else:
-            raise ParseError(f"unknown key {key!r}", source=source, line=number)
-    config.params = tuple(params)
+    read_records(
+        text, CONFIG_HEADER, CONFIG_KEYS, source, lambda line, key, args: config.set(key, args)
+    )
     return config
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), source=str(path))
-
-
-def _parse_int(token: str, key: str, source: str, line: int) -> int:
+def _read_document(path: str | Path) -> str:
+    """The text of the document at `path`; bytes that are not UTF-8 name the path."""
     try:
-        return int(token)
-    except ValueError as exc:
-        raise ParseError(f"{key}: not an integer: {token!r}", source=source, line=line) from exc
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", source=str(path)) from exc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(_read_document(path), source=str(path))
 
 
 _RATIO_PATTERN = re.compile(r"^(\d*)n(?:\^(\d+))?(?:\+(\d+))?$")
@@ -243,19 +260,16 @@ def ladder_for_ratio(token: str, n: int) -> ValueLadder:
     return ValueLadder.of(1, ratio)
 
 
-def parse_param(key: str, text: str, parse: Callable[[str], T] = int) -> T:
-    """`parse(text)`; a malformed value raises ParameterError naming `key`."""
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"{key}: cannot parse {text!r}") from exc
-
-
 def _param(config: ExperimentConfig, key: str, parse: Callable[[str], T] = int) -> T:
+    """Generator param `key` parsed by `parse`; a missing or malformed value
+    raises ParameterError naming the key."""
     text = config.param(key)
     if text is None:
         raise ParameterError(f"generator {config.generator!r} needs param {key!r}")
-    return parse_param(f"param {key}", text, parse)
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"param {key}: cannot parse {text!r}") from exc
 
 
 def _comma_list(parse: Callable[[str], T]) -> Callable[[str], list[T]]:
@@ -269,9 +283,7 @@ def build_algorithm(config: ExperimentConfig) -> Algorithm:
     if config.algorithm_path is not None:
         if config.ladder is not None:
             raise ParameterError("ladder comes from the algorithm document; drop the ladder key")
-        doc = load_adversary(
-            Path(config.algorithm_path).read_text(encoding="utf-8"), source=config.algorithm_path
-        )
+        doc = load_adversary(_read_document(config.algorithm_path), source=config.algorithm_path)
         return doc.build_algorithm()
     name = config.generator
     if name not in adversaries.GENERATOR_NAMES:
@@ -540,6 +552,14 @@ def cmd_regime_sweep(config: ExperimentConfig) -> tuple[list[ResultRecord], str]
     return records, document
 
 
+def _configured_input(config: ExperimentConfig, env: Environment) -> ValuationVector:
+    """The config's input on env's ladder; a malformed one names the input key."""
+    v = parse_input(config.input_text, env.k, source="input")
+    if v.n != env.n:
+        raise ParameterError(f"input has {v.n} agents, environment has {env.n}")
+    return v
+
+
 def cmd_payments(config: ExperimentConfig) -> str:
     """Allocation and critical-value payments at one input.
 
@@ -551,10 +571,7 @@ def cmd_payments(config: ExperimentConfig) -> str:
         raise ParameterError("payments needs an input")
     algorithm = build_algorithm(config)
     env = algorithm.env
-    v = parse_input(config.input_text, env.k)
-    if v.n != env.n:
-        raise ParameterError(f"input has {v.n} agents, environment has {env.n}")
-    validate_levels(v, env.ladder)
+    v = _configured_input(config, env)
     rule = CachedRule(_transformed(config, algorithm, transformation))
     seed = config.seed if config.seed is not None else 0
     monotone = check_monotone(rule, env, enum_bound=config.enum_bound, seed=seed)
@@ -601,15 +618,9 @@ def cmd_opt(config: ExperimentConfig) -> Fraction:
     generated algorithm's environment."""
     if config.input_text is None:
         raise ParameterError("opt needs an input")
-    if config.environment_path is not None:
-        env = load_environment(
-            Path(config.environment_path).read_text(encoding="utf-8"),
-            source=config.environment_path,
-        )
+    path = config.environment_path
+    if path is not None:
+        env = load_environment(_read_document(path), source=path)
     else:
         env = build_algorithm(config).env
-    v = parse_input(config.input_text, env.k)
-    if v.n != env.n:
-        raise ParameterError(f"input has {v.n} agents, environment has {env.n}")
-    validate_levels(v, env.ladder)
-    return opt_welfare(v, env.feasibility, env.ladder)
+    return opt_welfare(_configured_input(config, env), env.feasibility, env.ladder)

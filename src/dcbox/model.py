@@ -72,8 +72,8 @@ class ValueLadder:
 class ValuationVector:
     """One input to an allocation rule: per-agent level indices into a ladder.
 
-    Levels are trusted to be in range for the ladder in use; parsers and
-    harness entry points validate untrusted data with `validate_levels`.
+    Levels are trusted to be in range for the ladder in use; `parse_input`
+    checks untrusted input strings against the ladder.
     """
 
     levels: tuple[int, ...]
@@ -288,13 +288,6 @@ def input_index(levels: tuple[int, ...], k: int) -> int:
 def input_at(index: int, n: int, k: int) -> ValuationVector:
     """The input of n agents with this index; the inverse of `input_index`."""
     return ValuationVector(tuple([index // w % k for w in input_weights(n, k)]))
-
-
-def validate_levels(v: ValuationVector, ladder: ValueLadder) -> None:
-    """Reject level indices outside [0, k); used at parse/CLI boundaries."""
-    for lvl in v.levels:
-        if not 0 <= lvl < ladder.k:
-            raise ParameterError(f"level {lvl} outside ladder of {ladder.k} values")
 
 
 class ScaledWelfare:

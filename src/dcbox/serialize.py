@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Mapping
 
 from .blackbox import Algorithm, CaseTable, InstrumentedBlackBox
 from .errors import DcboxError, ParameterError, ParseError
@@ -40,11 +41,25 @@ def format_rational(x) -> str:
     return str(Fraction(x))
 
 
-def parse_rational(token: str, *, source: str = "<string>", line: int | None = None) -> Fraction:
+def parse_rational(token: str) -> Fraction:
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not an exact rational: {token!r}", source=source, line=line) from exc
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"not an exact rational: {token!r}") from None
+
+
+def parse_integer(token: str, least: int | None = None) -> int:
+    """`token` as an integer, no smaller than `least` when that is given."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParameterError(f"not an integer: {token!r}") from None
+    if least is not None and value < least:
+        raise ParameterError(f"must be at least {least}, got {value}")
+    return value
+
+
+LEVEL_CHARACTERS = "0123456789lmh"  # the characters parse_input accepts
 
 
 def format_input(v: ValuationVector) -> str:
@@ -60,7 +75,7 @@ def parse_input(
     three-value ladders."""
     levels = []
     for c in text:
-        if c.isdigit():
+        if "0" <= c <= "9":
             lvl = int(c)
         elif c == "l":
             lvl = 0
@@ -88,36 +103,79 @@ def parse_allocation(
     return Allocation(tuple(int(c) for c in text))
 
 
-def _content_lines(text: str):
-    """Yield (line_number, fields) for nonblank non-comment lines."""
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield number, stripped.split()
+@dataclass(frozen=True)
+class Key:
+    """How a record key is written: the fewest and the most arguments it
+    takes (`most` None: no limit), what it takes, for messages, and whether
+    it may repeat."""
+
+    least: int
+    most: int | None
+    takes: str
+    repeats: bool = False
+
+    def fits(self, args: list[str]) -> bool:
+        return len(args) >= self.least and (self.most is None or len(args) <= self.most)
 
 
-def _check_header(text: str, expected: str, source: str, repeatable: frozenset[str]):
-    """Yield the records after the header, each checked as it is handed on:
-    a key outside `repeatable` may appear once."""
-    lines = _content_lines(text)
-    header = next(lines, None)
-    if header is None:
+def read_records(
+    text: str,
+    header: str,
+    keys: Mapping[str, Key],
+    source: str,
+    record: Callable[[int, str, list[str]], None],
+) -> None:
+    """Check the header, then hand each "key args..." record to
+    `record(line, key, args)`, skipping blank and #-comment lines.
+
+    An unknown key, a repeat of a key that may not repeat, and a wrong
+    argument count raise ParseError at the record's line, and so does a
+    ParameterError that `record` raises, prefixed with the key."""
+    lines = (
+        (number, raw.split())
+        for number, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip() and not raw.lstrip().startswith("#")
+    )
+    number, fields = next(lines, (None, None))
+    if fields is None:
         raise ParseError("empty document", source=source)
-    number, fields = header
-    if " ".join(fields) != expected:
-        raise ParseError(
-            f"expected header {expected!r}, got {' '.join(fields)!r}", source=source, line=number
-        )
+    if " ".join(fields) != header:
+        message = f"expected header {header!r}, got {' '.join(fields)!r}"
+        raise ParseError(message, source=source, line=number)
     first_line: dict[str, int] = {}
-    for number, fields in lines:
-        key = fields[0]
-        if key in first_line:
+    for number, (key, *args) in lines:
+        shape = keys.get(key)
+        if shape is None:
+            message = f"unknown key {key!r}"
+        elif key in first_line:
             message = f"repeated key {key!r}, first at line {first_line[key]}"
-            raise ParseError(message, source=source, line=number)
-        if key not in repeatable:
-            first_line[key] = number
-        yield number, fields
+        elif not shape.fits(args):
+            message = f"{key} takes {shape.takes}"
+        else:
+            if not shape.repeats:
+                first_line[key] = number
+            try:
+                record(number, key, args)
+            except ParameterError as exc:
+                raise ParseError(f"{key}: {exc}", source=source, line=number) from exc
+            continue
+        raise ParseError(message, source=source, line=number)
+
+
+ENV_KEYS = {
+    "n": Key(1, 1, "one integer"),
+    "ladder": Key(0, None, "rational values"),
+    "maximal": Key(1, 1, "one bit string", repeats=True),
+}
+ADVERSARY_KEYS = {
+    **ENV_KEYS,
+    "name": Key(1, None, "a name"),
+    "generator": Key(1, 1, "one generator name"),
+    "seed": Key(1, 1, "one integer"),
+    "param": Key(2, None, "a key and a value", repeats=True),
+    "default": Key(1, 1, "one allocation"),
+    "case": Key(2, 2, "an input and an allocation", repeats=True),
+}
 
 
 def _env_lines(env: Environment) -> list[str]:
@@ -134,39 +192,46 @@ def dump_environment(env: Environment) -> str:
     return "\n".join([ENV_HEADER, *_env_lines(env)]) + "\n"
 
 
-class _EnvParser:
-    """Accumulates n / ladder / maximal lines shared by several documents."""
+class _Records:
+    """The records of an environment or adversary document, as read."""
 
     def __init__(self, source: str):
         self.source = source
         self.n: int | None = None
         self.ladder: ValueLadder | None = None
         self.maximal: list[Allocation] = []
+        self.name = "algorithm"
+        self.generator: str | None = None
+        self.seed: int | None = None
+        self.params: list[tuple[str, str]] = []
+        self.default: tuple[int, Allocation] | None = None  # (line, allocation)
+        self.cases: list[tuple[int, str, str]] = []  # (line, input, allocation), parsed at the end
 
-    def feed(self, number: int, fields: list[str]) -> bool:
-        key = fields[0]
+    def feed(self, number: int, key: str, args: list[str]) -> None:
         if key == "n":
-            if len(fields) != 2 or not fields[1].isdigit():
-                raise ParseError("n takes one integer", source=self.source, line=number)
-            self.n = int(fields[1])
-            return True
-        if key == "ladder":
-            values = [parse_rational(t, source=self.source, line=number) for t in fields[1:]]
-            try:
-                self.ladder = ValueLadder(tuple(values))
-            except ParameterError as exc:
-                raise ParseError(f"ladder: {exc}", source=self.source, line=number) from exc
-            return True
-        if key == "maximal":
+            self.n = parse_integer(args[0], 0)
+        elif key == "ladder":
+            self.ladder = ValueLadder(tuple(parse_rational(t) for t in args))
+        elif key == "name":
+            self.name = " ".join(args)
+        elif key == "generator":
+            self.generator = args[0]
+        elif key == "seed":
+            self.seed = parse_integer(args[0])
+        elif key == "param":
+            self.params.append((args[0], " ".join(args[1:])))
+        elif key == "case":
+            self.cases.append((number, args[0], args[1]))
+        else:  # maximal or default: an allocation over n agents
             if self.n is None:
-                raise ParseError("maximal before n", source=self.source, line=number)
-            if len(fields) != 2:
-                raise ParseError("maximal takes one bit string", source=self.source, line=number)
-            self.maximal.append(parse_allocation(fields[1], self.n, source=self.source, line=number))
-            return True
-        return False
+                raise ParseError(f"{key} before n", source=self.source, line=number)
+            x = parse_allocation(args[0], self.n, source=self.source, line=number)
+            if key == "maximal":
+                self.maximal.append(x)
+            else:
+                self.default = (number, x)
 
-    def finish(self) -> Environment:
+    def environment(self) -> Environment:
         if self.n is None:
             raise ParseError("missing n", source=self.source)
         if self.ladder is None:
@@ -179,11 +244,9 @@ class _EnvParser:
 
 
 def load_environment(text: str, source: str = "<env>") -> Environment:
-    parser = _EnvParser(source)
-    for number, fields in _check_header(text, ENV_HEADER, source, frozenset({"maximal"})):
-        if not parser.feed(number, fields):
-            raise ParseError(f"unknown key {fields[0]!r}", source=source, line=number)
-    return parser.finish()
+    records = _Records(source)
+    read_records(text, ENV_HEADER, ENV_KEYS, source, records.feed)
+    return records.environment()
 
 
 @dataclass(frozen=True)
@@ -217,58 +280,15 @@ def dump_adversary(doc: AdversaryDocument) -> str:
 
 
 def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
-    parser = _EnvParser(source)
-    name = "algorithm"
-    generator: str | None = None
-    seed: int | None = None
-    params: list[tuple[str, str]] = []
-    default: Allocation | None = None
-    default_line = 0
-    raw_cases: list[tuple[int, str, str]] = []
-    repeatable = frozenset({"maximal", "case", "param"})
-    # Per key: the fewest and the most fields on its line, and what it takes.
-    arity = {
-        "name": (2, None, "a name"),
-        "generator": (2, 2, "one generator name"),
-        "seed": (2, 2, "one integer"),
-        "param": (3, None, "a key and a value"),
-        "default": (2, 2, "one allocation"),
-        "case": (3, 3, "an input and an allocation"),
-    }
-    for number, fields in _check_header(text, ADVERSARY_HEADER, source, repeatable):
-        key = fields[0]
-        if parser.feed(number, fields):
-            continue
-        if key not in arity:
-            raise ParseError(f"unknown key {key!r}", source=source, line=number)
-        least, most, what = arity[key]
-        if len(fields) < least or most is not None and len(fields) > most:
-            raise ParseError(f"{key} takes {what}", source=source, line=number)
-        if key == "name":
-            name = " ".join(fields[1:])
-        elif key == "generator":
-            generator = fields[1]
-        elif key == "seed":
-            try:
-                seed = int(fields[1])
-            except ValueError as exc:
-                raise ParseError(f"bad seed {fields[1]!r}", source=source, line=number) from exc
-        elif key == "param":
-            params.append((fields[1], " ".join(fields[2:])))
-        elif key == "default":
-            if parser.n is None:
-                raise ParseError("default before n", source=source, line=number)
-            default = parse_allocation(fields[1], parser.n, source=source, line=number)
-            default_line = number
-        else:  # case
-            raw_cases.append((number, fields[1], fields[2]))
-    environment = parser.finish()
-    if default is None:
+    records = _Records(source)
+    read_records(text, ADVERSARY_HEADER, ADVERSARY_KEYS, source, records.feed)
+    environment = records.environment()
+    if records.default is None:
         raise ParseError("missing default allocation", source=source)
     cases = []
-    checked = [(default_line, default)]
+    checked = [records.default]
     first_line: dict[tuple[int, ...], int] = {}
-    for number, input_text, alloc_text in raw_cases:
+    for number, input_text, alloc_text in records.cases:
         v = parse_input(input_text, environment.k, source=source, line=number)
         if v.n != environment.n:
             raise ParseError(
@@ -286,14 +306,14 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     for number, x in checked:
         if not is_feasible(x, environment.feasibility):
             raise ParseError(f"infeasible allocation {x.to_string()}", source=source, line=number)
-    table = CaseTable(environment.n, tuple(cases), default)
+    table = CaseTable(environment.n, tuple(cases), records.default[1])
     return AdversaryDocument(
         environment=environment,
         table=table,
-        name=name,
-        generator=generator,
-        seed=seed,
-        params=tuple(params),
+        name=records.name,
+        generator=records.generator,
+        seed=records.seed,
+        params=tuple(records.params),
     )
 
 

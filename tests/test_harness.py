@@ -435,6 +435,16 @@ class TestVerifyEntry:
         assert entry.welfare == welfare_report(CachedRule(TransformedRule(kind, alg)), alg, env)
 
 
+# A valid payments config; its input line comes last.
+PAYMENTS_LINES = (
+    "transformation two",
+    "generator all-ones",
+    "param n 3",
+    "ladder 1 100",
+    "input hll",
+)
+
+
 class TestCli:
     def write_config(self, tmp_path, *lines):
         path = tmp_path / "config.txt"
@@ -505,6 +515,57 @@ class TestCli:
         path = self.write_config(tmp_path, "transformation two", "generator nonsense")
         assert main(["verify", "--config", path]) == 2
         assert "error" in capsys.readouterr().err
+        # a malformed input names its config line, or the flag
+        path = self.write_config(tmp_path, *PAYMENTS_LINES[:-1], "input 0a1")
+        assert main(["payments", "--config", path]) == 2
+        message = f"error: {path}:6: input: bad level character 'a' in input '0a1'\n"
+        assert capsys.readouterr().err == message
+        path = self.write_config(tmp_path, *PAYMENTS_LINES)
+        assert main(["payments", "--config", path, "--input", "0a1"]) == 2
+        message = "error: --input: bad level character 'a' in input '0a1'\n"
+        assert capsys.readouterr().err == message
+        # one whose levels miss the ladder names the input key
+        assert main(["payments", "--config", path, "--input", "020"]) == 2
+        message = "error: input: level 2 outside ladder of 2 values in input '020'\n"
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
+        "line, flags, message",
+        [
+            ("query-budget 1 -2", [], "{path}:7: query-budget: must be at least 0, got -2"),
+            ("query-budget -1 2", [], "{path}:7: query-budget: must be at least 0, got -1"),
+            ("hamming-radius -1", [], "{path}:7: hamming-radius: must be at least 0, got -1"),
+            ("enum-bound -5", [], "{path}:7: enum-bound: must be at least 0, got -5"),
+            ("panel-random -3", [], "{path}:7: panel-random: must be at least 0, got -3"),
+            ("workers 0", [], "{path}:7: workers: must be at least 1, got 0"),
+            ("sweep-n 3 0", [], "{path}:7: sweep-n: must be at least 1, got 0"),
+            (None, ["--workers", "-2"], "--workers: must be at least 1, got -2"),
+            (None, ["--enum-bound", "-3"], "--enum-bound: must be at least 0, got -3"),
+            (None, ["--seed", "x"], "--seed: not an integer: 'x'"),
+        ],
+    )
+    def test_integer_outside_its_domain_exit_two(self, tmp_path, capsys, line, flags, message):
+        path = self.write_config(tmp_path, *PAYMENTS_LINES, *([line] if line else []))
+        for command in ("verify", "payments"):
+            assert main([command, "--config", path, *flags]) == 2
+            assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize("kind", ["config", "adversary", "environment"])
+    def test_document_not_utf8_exit_two(self, tmp_path, capsys, kind):
+        doc = tmp_path / "doc.txt"
+        if kind == "config":
+            doc.write_bytes(b"\xff\xfedcbox-config 1\n")
+            argv, offset = ["verify", "--config", str(doc)], 0
+        elif kind == "adversary":
+            doc.write_bytes(b"dcbox-adversary 1\nname \xff\nn 1\nladder 1 2\nmaximal 1\ndefault 1\n")
+            config = self.write_config(tmp_path, "transformation two", f"algorithm {doc}")
+            argv, offset = ["verify", "--config", config], 23
+        else:
+            doc.write_bytes(b"dcbox-env 1\nn 1\nladder 1 2\n# \xff\n")
+            argv, offset = ["opt", "--environment", str(doc), "--input", "1"], 29
+        assert main(argv) == 2
+        message = f"error: {doc}: not UTF-8: invalid start byte at byte {offset}\n"
+        assert capsys.readouterr().err == message
 
     def test_malformed_ladder_exit_two(self, tmp_path):
         path = self.write_config(

@@ -6,6 +6,7 @@ from dcbox import (
     Allocation,
     Environment,
     FeasibilitySet,
+    ParameterError,
     ParseError,
     ValueLadder,
     ValuationVector,
@@ -38,8 +39,9 @@ class TestRationals:
             assert format_rational(parse_rational(text)) == text
 
     def test_bad_token(self):
-        with pytest.raises(ParseError):
-            parse_rational("1.5.2", source="x", line=3)
+        # The value parsers carry no location; the record reader adds it.
+        with pytest.raises(ParameterError, match=r"^not an exact rational: '1.5.2'$"):
+            parse_rational("1.5.2")
 
 
 class TestInputs:
