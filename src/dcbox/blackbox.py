@@ -6,13 +6,16 @@ environment. Transformations never call it directly: they go through an
 `model.input_index`), logs it, enforces an optional query budget, measures
 its Hamming distance from an optional center and optionally restricts it to
 a strict radius. Below the box, an `AnswerTable`, the only memo of the
-algorithm's answers, calls the algorithm once per distinct input.
+algorithm's answers, calls the algorithm once per distinct input. The
+algorithm itself keeps a weak reference to its newest table and answers a
+direct call from it on a hit, without ever writing to it.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
@@ -56,14 +59,35 @@ class Algorithm:
     `answers=AnswerTable(algorithm, check_feasible=True)` to assert this in
     debug verification runs. `table` is the optional persistable case-table
     form used by the harness.
+
+    Called directly, the algorithm answers from its newest AnswerTable while
+    that table lives (`live_answers`, a weak reference set by the table), so
+    an input some rule already asked is not computed again. A miss, or an
+    input of another length or with a level off the ladder, calls `rule`
+    and stores nothing: direct calls never change what a rule's black
+    boxes see or count.
     """
 
     env: Environment
     rule: Callable[[ValuationVector], Allocation]
     name: str = "algorithm"
     table: Optional[CaseTable] = None
+    live_answers: Optional[weakref.ref] = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, v: ValuationVector) -> Allocation:
+        answers = None if self.live_answers is None else self.live_answers()
+        levels = v.levels
+        # Only an input of the table's shape has an index that names it.
+        if (
+            answers is not None
+            and len(levels) == answers.n
+            and levels
+            and min(levels) >= 0
+            and max(levels) < answers.k
+        ):
+            x = answers.get(input_index(levels, answers.k))
+            if x is not None:
+                return x
         return self.rule(v)
 
 
@@ -71,8 +95,8 @@ class AnswerTable(dict):
     """An algorithm's answers by input index. A miss decodes the index,
     calls the rule once and checks the answer's length and, if asked, its
     feasibility; only answers that pass are stored, so entries are safe to
-    reuse unchecked. Called with an input, the table answers like the
-    algorithm, through the same entries."""
+    reuse unchecked. The newest table of an algorithm is the one its direct
+    calls read (`Algorithm.live_answers`); it dies with its owner."""
 
     def __init__(self, algorithm: Algorithm, check_feasible: bool = False):
         super().__init__()
@@ -81,6 +105,7 @@ class AnswerTable(dict):
         self.n = algorithm.env.n
         self.k = algorithm.env.ladder.k
         self.size = algorithm.env.input_count()
+        object.__setattr__(algorithm, "live_answers", weakref.ref(self))
 
     def __missing__(self, u: int) -> Allocation:
         x = self.algorithm.rule(input_at(u, self.n, self.k))
@@ -92,9 +117,6 @@ class AnswerTable(dict):
             )
         self[u] = x
         return x
-
-    def __call__(self, v: ValuationVector) -> Allocation:
-        return self[input_index(v.levels, self.k)]
 
 
 def _digit_distance(u: int, c: int, k: int) -> int:

@@ -151,6 +151,25 @@ def _joined(values: tuple) -> str:
     return " ".join(map(str, values))
 
 
+def _member(names: tuple[str, ...], what: str) -> Callable[[list[str]], str]:
+    """A parser of one name from `names`; another names the known ones."""
+
+    def parse(args: list[str]) -> str:
+        if args[0] not in names:
+            raise ParameterError(f"unknown {what} {args[0]!r}; known: {', '.join(names)}")
+        return args[0]
+
+    return parse
+
+
+def _ratio_tokens(args: list[str]) -> tuple[str, ...]:
+    """Ratio tokens that evaluate (`ratio_value`); whether one exceeds 1
+    depends on n, so that is checked per sweep cell."""
+    for token in args:
+        ratio_value(token, 1)
+    return tuple(args)
+
+
 def _input_text(args: list[str]) -> str:
     """An input string of level characters; its levels meet the ladder later."""
     text = args[0]
@@ -162,10 +181,24 @@ def _input_text(args: list[str]) -> str:
 
 # One row per key, in echo order. Integer domains: seed any integer;
 # enum-bound, hamming-radius, panel-random and query-budget's c and d at
-# least 0; workers and each sweep-n value at least 1.
+# least 0; workers and each sweep-n value at least 1. Name domains:
+# transformation in TRANSFORMATION_IDS, generator in GENERATOR_NAMES, each
+# sweep-ratio token a rational or a formula in n.
 CONFIG_KEYS: dict[str, ConfigKey] = {
-    "transformation": ConfigKey(1, 1, "one identifier", field="transformation", parse=_one(str)),
-    "generator": ConfigKey(1, 1, "one generator name", field="generator", parse=_one(str)),
+    "transformation": ConfigKey(
+        1,
+        1,
+        "one identifier",
+        field="transformation",
+        parse=_member(TRANSFORMATION_IDS, "transformation"),
+    ),
+    "generator": ConfigKey(
+        1,
+        1,
+        "one generator name",
+        field="generator",
+        parse=_member(adversaries.GENERATOR_NAMES, "generator"),
+    ),
     "param": ConfigKey(
         2,
         None,
@@ -199,7 +232,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         1, None, "one or more integers", field="sweep_n", parse=_integers(1), render=_joined
     ),
     "sweep-ratio": ConfigKey(
-        1, None, "one or more tokens", field="sweep_ratios", parse=tuple, render=_joined
+        1, None, "one or more tokens", field="sweep_ratios", parse=_ratio_tokens, render=_joined
     ),
     "panel-random": ConfigKey(1, 1, "one integer", field="panel_random", parse=_integer(0)),
     "threshold": ConfigKey(
@@ -285,11 +318,7 @@ def build_algorithm(config: ExperimentConfig) -> Algorithm:
             raise ParameterError("ladder comes from the algorithm document; drop the ladder key")
         doc = load_adversary(_read_document(config.algorithm_path), source=config.algorithm_path)
         return doc.build_algorithm()
-    name = config.generator
-    if name not in adversaries.GENERATOR_NAMES:
-        raise ParameterError(
-            f"unknown generator {name!r}; known: {', '.join(adversaries.GENERATOR_NAMES)}"
-        )
+    name = _member(adversaries.GENERATOR_NAMES, "generator")([config.generator])
     if name in _RANDOMIZED_GENERATORS and config.seed is None:
         raise ParameterError(f"generator {name!r} is randomized and needs a seed")
     ladder = config.ladder if config.ladder is not None else adversaries.DEFAULT_LADDER
@@ -456,8 +485,8 @@ def _verify_entry(
     cached = CachedRule(rule)
     seed = config.seed if config.seed is not None else 0
     monotone = check_monotone(cached, env, enum_bound=config.enum_bound, seed=seed)
-    # The original reads the rule's answer table: one algorithm call per input.
-    welfare = welfare_report(cached, rule.answers, env, enum_bound=config.enum_bound, seed=seed)
+    # The algorithm answers from the rule's live answer table: one call per input.
+    welfare = welfare_report(cached, algorithm, env, enum_bound=config.enum_bound, seed=seed)
     return VerifyEntry(
         algorithm=algorithm.name,
         n=env.n,
@@ -472,11 +501,7 @@ def _verify_entry(
 def _validate_transformation(config: ExperimentConfig) -> str:
     if config.transformation is None:
         raise ParameterError("config needs a transformation")
-    if config.transformation not in TRANSFORMATION_IDS:
-        raise ParameterError(
-            f"unknown transformation {config.transformation!r}; known: {', '.join(TRANSFORMATION_IDS)}"
-        )
-    return config.transformation
+    return _member(TRANSFORMATION_IDS, "transformation")([config.transformation])
 
 
 def cmd_verify(config: ExperimentConfig) -> ResultRecord:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, ParameterError
 
@@ -290,6 +290,21 @@ def input_at(index: int, n: int, k: int) -> ValuationVector:
     return ValuationVector(tuple([index // w % k for w in input_weights(n, k)]))
 
 
+def above_masks(n: int, k: int) -> list[list[int]]:
+    """Every input's positions above each level, by input index: bit i of
+    `above_masks(n, k)[c][u]` is set when agent i's level in input u exceeds
+    c, for c < k - 1. On two values the one list is the indices themselves."""
+    lists: list[list[int]] = [[0] for _ in range(k - 1)]
+    for i in range(n):
+        bit = 1 << i
+        # Agent i's level d is the digit of weight k**i: inputs with d = 0 come first.
+        lists = [
+            [a | bit if d > c else a for d in range(k) for a in above]
+            for c, above in enumerate(lists)
+        ]
+    return lists
+
+
 class ScaledWelfare:
     """Integer-scaled welfare evaluation for enumeration-heavy loops.
 
@@ -297,13 +312,15 @@ class ScaledWelfare:
     sums are plain integers; ratios of scaled welfares equal ratios of the
     exact values because the scale cancels.
 
-    The optimum kernel scans `candidates` (an environment's maximal
-    allocations), encoded once as bitmasks with bit i for agent i, each
-    with its base weight w_0 * popcount. The scaled welfare of mask m at an
-    input is then that base plus, for each level c >= 1,
-    (w_c - w_{c-1}) * popcount(m & above[c]), where above[c] holds the
-    input's positions at level >= c: one popcount per level above the
-    lowest, so a single one on a two-value ladder.
+    The scaled welfare of mask m (bit i for agent i) at an input is
+    w_0 * popcount(m) plus, for each level c >= 1,
+    (w_c - w_{c-1}) * popcount(m & above[c - 1]), where above[c - 1] holds
+    the input's positions at level >= c (`above_masks`): one popcount per
+    level above the lowest, so a single one on a two-value ladder. `scores`
+    applies this to one mask per input, for a whole mask table at once;
+    `optima` (every input) and `optimum` (one input) maximise it over
+    `candidates`, an environment's maximal allocations, encoded once as
+    bitmasks with their base weights w_0 * popcount.
     """
 
     def __init__(self, ladder: ValueLadder, candidates: Iterable[Allocation]):
@@ -319,6 +336,26 @@ class ScaledWelfare:
     def of(self, levels: tuple[int, ...], mask: int) -> int:
         w = self.weights
         return sum([w[lvl] for i, lvl in enumerate(levels) if mask >> i & 1])
+
+    def scores(self, masks: Sequence[int], above: Sequence[Sequence[int]]) -> list[int]:
+        """The scaled welfare of each masks[j] at the input whose positions
+        above level c are above[c][j]."""
+        out = [self.weights[0] * m.bit_count() for m in masks]
+        for step, above_c in zip(self._steps, above):
+            out = [s + step * (m & a).bit_count() for s, m, a in zip(out, masks, above_c)]
+        return out
+
+    def optima(self, above: Sequence[Sequence[int]]) -> list[int]:
+        """The largest scaled welfare over the candidates at each input j,
+        given as its positions above each level c, above[c][j]; 0 without
+        candidates."""
+        best = [0] * len(above[0])
+        for m, base in zip(self._masks, self._bases):
+            scores: Iterable[int] = itertools.repeat(base)
+            for step, above_c in zip(self._steps, above):
+                scores = [s + step * (m & a).bit_count() for s, a in zip(scores, above_c)]
+            best = list(map(max, best, scores))
+        return best
 
     def optimum(self, levels: tuple[int, ...]) -> tuple[int, int | None]:
         """The largest scaled welfare at `levels` over the candidates and the

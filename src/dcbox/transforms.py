@@ -17,9 +17,10 @@ Available transformations, by registry id:
               high positions, and zero a low position only after an upgrade
               or on a per-position conflict with the provisional allocation
               at the raised neighbor. Preserves full welfare on more inputs.
-- "multi":    ladders with k >= 3; staged upgrade scans at growing Hamming
-              distances, then zero out everything below the allocation's
-              top attained value class.
+- "multi":    three-value ladders (k = 3); staged upgrade scans at growing
+              Hamming distances, then zero out everything below the
+              allocation's top attained value class. Larger ladders are
+              refused: the scan table extrapolated to k >= 4 is not monotone.
 - "identity": pass-through (query once, return the answer); a harness
               convenience for verifying raw algorithms.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .blackbox import Algorithm, AnswerTable, InstrumentedBlackBox
@@ -197,45 +197,38 @@ def t_two_plus(
     return _restrict(x, kept)
 
 
-@dataclass(frozen=True)
-class _ScanStep:
-    distance: int
-    kind: str  # "class-up" | "lex-up" | "targeted"
-    sources: frozenset[int] | None = None
-    target: int | None = None
+# (distance, source classes, target class): step j scans distance j. The
+# first step (no sources) adopts any allocation of a strictly higher class;
+# each later one upgrades an allocation of a source class to the target
+# class. The sources for the high target come in the order any-below, mid, low.
+_SCAN_STEPS = (
+    (1, None, None),
+    (2, frozenset({0}), 1),
+    (3, frozenset({0, 1}), 2),
+    (4, frozenset({1}), 2),
+    (5, frozenset({0}), 2),
+)
 
 
-@functools.cache
-def _scan_steps(k: int) -> tuple[_ScanStep, ...]:
-    # Step j scans distance j. The leading step adopts a higher allocation:
-    # for k = 3 any allocation of a strictly higher class, for larger
-    # ladders any lexicographically higher one (per-class counts). Each
-    # later step upgrades from a source class ("any class below the target"
-    # for the ?-steps) to an exact target class. The source order for the
-    # third value is (mid, low), as listed; later targets ascend.
-    steps: list[_ScanStep] = [
-        _ScanStep(1, "class-up" if k == 3 else "lex-up"),
-        _ScanStep(2, "targeted", frozenset({0}), 1),
-    ]
-    distance = 3
-    for target in range(2, k):
-        steps.append(_ScanStep(distance, "targeted", frozenset(range(target)), target))
-        distance += 1
-        source_order = (1, 0) if target == 2 else tuple(range(target))
-        for source in source_order:
-            steps.append(_ScanStep(distance, "targeted", frozenset({source}), target))
-            distance += 1
-    return tuple(steps)
+def _require_three_values(k: int) -> None:
+    if k < 3:
+        raise ParameterError("t_multi requires three ladder values; use t_two for two")
+    if k > 3:
+        # The scan table extrapolated to k >= 4 is not monotone (k=4, n=2 has a witness).
+        raise ParameterError(
+            f"t_multi requires three ladder values, got {k}: "
+            "no monotone scan table is known for more"
+        )
 
 
 def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
-    """Multi-value ladder transformation (k >= 3).
+    """Three-value ladder transformation (k = 3).
 
-    Runs the staged upgrade scans for the environment's ladder size, each
-    step one Hamming distance further out, then zeroes out every position
-    whose level is strictly below the allocation's top attained class.
-    Scans whose target class does not appear in v are skipped: no candidate
-    could qualify. For k = 3 queries stay within Hamming distance 5 of v.
+    Runs five staged upgrade scans, each one Hamming distance further out,
+    then zeroes out every position whose level is strictly below the
+    allocation's top attained class. Scans whose target class does not
+    appear in v are skipped: no candidate could qualify. Queries stay within
+    Hamming distance 5 of v.
 
     An input is its index (agent i has weight k**i); the distance-d
     neighbours are v's index plus one level delta per changed position, in
@@ -243,8 +236,7 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     box's `known` mapping: with a shared answer table only its misses are queried.
     """
     k = bb.algorithm.env.ladder.k
-    if k < 3:
-        raise ParameterError("t_multi requires at least three ladder values; use t_two for two")
+    _require_three_values(k)
     known = bb.known
     levels = v.levels
     n = len(levels)
@@ -257,7 +249,6 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     above = [0] * k  # above[c]: positions of v above level c
     for c in range(k - 2, -1, -1):
         above[c] = above[c + 1] | lm[c + 1]
-    top_down = lm[::-1]
 
     def scan(distance: int) -> Iterator[Allocation]:
         # Answers at the distance-`distance` neighbours, canonical order. An
@@ -276,26 +267,18 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
         return 0
 
     x = known.get(index) or bb.query(index)
-    for step in _scan_steps(k):
+    for distance, sources, target in _SCAN_STEPS:
         cls = top_class(x.mask)
-        if step.kind == "lex-up":
-            counts = [(x.mask & m).bit_count() for m in top_down]
-            for candidate in scan(step.distance):
-                cmask = candidate.mask
-                if [(cmask & m).bit_count() for m in top_down] > counts:
-                    x = candidate
-                    break
-            continue
         # Adopt the first candidate with a 1 in `want` and none in `reject`.
-        if step.kind == "class-up":
+        if sources is None:
             want, reject = above[cls], 0
-        elif cls in step.sources:
-            want, reject = lm[step.target], above[step.target]
+        elif cls in sources:
+            want, reject = lm[target], above[target]
         else:
             continue
         if not want:
             continue
-        for candidate in scan(step.distance):
+        for candidate in scan(distance):
             cmask = candidate.mask
             if cmask & want and not cmask & reject:
                 x = candidate
@@ -318,8 +301,9 @@ class TransformedRule:
     `two-plus` its derived memo) across evaluations only when shared_state
     is set and neither a query budget nor a Hamming radius is: a limit
     would see table misses only. Otherwise each evaluation reuses only its
-    own answers. Outputs are identical either way. Not thread-safe: one
-    instance per worker.
+    own answers. Outputs are identical either way. The newest rule's table
+    also answers direct calls of the algorithm, which never write to it
+    (`Algorithm.live_answers`). Not thread-safe: one instance per worker.
     """
 
     def __init__(
@@ -336,6 +320,8 @@ class TransformedRule:
             raise ParameterError(
                 f"unknown transformation {kind!r}; known: {', '.join(TRANSFORMATION_IDS)}"
             )
+        if kind == "multi":
+            _require_three_values(algorithm.env.k)
         self.kind = kind
         self.algorithm = algorithm
         self.query_budget = query_budget

@@ -5,22 +5,34 @@ All metrics are exact; enumeration is exhaustive up to a configurable bound
 on rule evaluations, and falls back to seeded sampling above it (counts are
 reported as observed, with no statistical extrapolation). Reports merge
 deterministically: violations are sorted canonically before emission.
+
+The exhaustive path works on mask tables: a rule's allocation masks listed
+by input index (`model.input_index`), from one evaluation per input in
+`all_inputs` order. A `CachedRule` keeps its table, so `check_monotone` and
+`welfare_report` share it. A raise of agent i from level lo to hi is the
+entry k**i * (hi - lo) further on, and welfare is scored from the inputs'
+above-level masks (`model.above_masks`) with one popcount per level.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+from .errors import DimensionError
 from .model import (
     Allocation,
     Environment,
     ScaledWelfare,
     ValueLadder,
     ValuationVector,
+    above_masks,
     all_inputs,
+    input_at,
+    input_weights,
 )
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -28,12 +40,30 @@ DEFAULT_ENUM_BOUND = 2_000_000
 AllocationRule = Callable[[ValuationVector], Allocation]
 
 
+def _evaluate(rule: AllocationRule, n: int, k: int) -> list[int]:
+    """The rule's mask table: its allocation's mask at every input, by input
+    index, from one evaluation per input in `all_inputs` order."""
+    masks = [0] * k**n
+    # The indices in all_inputs order: agent 0's level varies slowest.
+    offsets = [[lvl * w for lvl in range(k)] for w in input_weights(n, k)]
+    for v, u in zip(all_inputs(n, k), map(sum, itertools.product(*offsets))):
+        x = rule(v)
+        if x.n != n:
+            raise DimensionError(f"allocation of length {x.n} vs input of length {n}")
+        masks[u] = x.mask
+    return masks
+
+
 class CachedRule:
-    """Memoizes a deterministic allocation rule; single-worker use."""
+    """Memoizes a deterministic allocation rule; single-worker use.
+
+    A call answers from `cache`. The exhaustive verifiers read `masks`
+    instead, the rule's mask table, evaluated once and kept."""
 
     def __init__(self, rule: AllocationRule):
         self.rule = rule
         self.cache: dict[tuple[int, ...], Allocation] = {}
+        self._tables: dict[tuple[int, int], list[int]] = {}
 
     def __call__(self, v: ValuationVector) -> Allocation:
         x = self.cache.get(v.levels)
@@ -41,6 +71,17 @@ class CachedRule:
             x = self.rule(v)
             self.cache[v.levels] = x
         return x
+
+    def masks(self, n: int, k: int) -> list[int]:
+        """The rule's mask table over n agents and k levels."""
+        table = self._tables.get((n, k))
+        if table is None:
+            table = self._tables[n, k] = _evaluate(self.rule, n, k)
+        return table
+
+
+def _masks(rule: AllocationRule, n: int, k: int) -> list[int]:
+    return rule.masks(n, k) if isinstance(rule, CachedRule) else _evaluate(rule, n, k)
 
 
 def _sampled_inputs(n: int, k: int, count: int, rng: random.Random) -> Iterator[ValuationVector]:
@@ -87,7 +128,8 @@ def check_monotone(
     """Check every single-agent level raise j -> j' with j < j' (all pairs,
     not only adjacent levels).
 
-    Exhaustive while k^n stays within the enumeration bound; above it,
+    Exhaustive while k^n stays within the enumeration bound, on the rule's
+    mask table (a CachedRule's is kept for welfare_report); above it,
     seeded sampling of random raise pairs with the report flagged as
     sampled.
     """
@@ -95,22 +137,20 @@ def check_monotone(
     total = k**n
     violations: list[MonotonicityViolation] = []
     if total <= enum_bound:
-        table = {v.levels: rule(v) for v in all_inputs(n, k)}
-        checked = 0
-        for levels, x in table.items():
-            mask = x.mask
-            for i, lvl in enumerate(levels):
-                checked += k - 1 - lvl
-                if not mask >> i & 1:
-                    continue
-                for hi in range(lvl + 1, k):
-                    raised = table[levels[:i] + (hi,) + levels[i + 1 :]]
-                    if not raised.mask >> i & 1:
-                        violations.append(
-                            MonotonicityViolation(ValuationVector(levels), i, lvl, hi)
-                        )
+        masks = _masks(rule, n, k)
+        weights = input_weights(n, k)
+        for u, mask in enumerate(masks):
+            while mask:  # each agent i holding a 1 at u, as its bit
+                bit = mask & -mask
+                mask ^= bit
+                i = bit.bit_length() - 1
+                lo = u // weights[i] % k
+                for hi in range(lo + 1, k):
+                    if not masks[u + (hi - lo) * weights[i]] & bit:
+                        violations.append(MonotonicityViolation(input_at(u, n, k), i, lo, hi))
         violations.sort(key=MonotonicityViolation.sort_key)
-        return MonotonicityReport(violations, checked, total)
+        # An agent has k(k-1)/2 raises per setting of the others: n * k**(n-1) * k(k-1)/2.
+        return MonotonicityReport(violations, n * total * (k - 1) // 2, total)
     rng = random.Random(seed)
     pairs = max(1, enum_bound // 2)
     evaluations = 0
@@ -183,17 +223,31 @@ def welfare_report(
     seed: int = 0,
 ) -> WelfareReport:
     """Enumerate all inputs (or a seeded sample above the bound) and compare
-    rule welfare against original welfare and against the optimum."""
+    rule welfare against original welfare and against the optimum.
+
+    Exhaustively, the rule and the original are each evaluated once per
+    input into mask tables (the rule's is shared through CachedRule), then
+    scored in index order."""
     k, n = env.ladder.k, env.n
     scaled = ScaledWelfare(env.ladder, env.feasibility.maximal)
     total = k**n
     sampled = total > enum_bound
+    rows: Iterable[tuple[int, int, int]]  # (rule, original, optimum) scaled welfare per input
     if sampled:
         count = max(1, enum_bound // 2)
-        inputs: Iterable[ValuationVector] = _sampled_inputs(n, k, count, random.Random(seed))
+        rows = (
+            (
+                scaled.of(v.levels, rule(v).mask),
+                scaled.of(v.levels, original(v).mask),
+                scaled.optimum(v.levels)[0],
+            )
+            for v in _sampled_inputs(n, k, count, random.Random(seed))
+        )
     else:
         count = total
-        inputs = all_inputs(n, k)
+        above = above_masks(n, k)
+        rule_scores = scaled.scores(_masks(rule, n, k), above)
+        rows = zip(rule_scores, scaled.scores(_masks(original, n, k), above), scaled.optima(above))
 
     full = 0
     zero_original = 0
@@ -203,10 +257,7 @@ def welfare_report(
     min_fraction = _MinRatio()
     min_ratio_rule = _MinRatio()
     min_ratio_original = _MinRatio()
-    for v in inputs:
-        levels = v.levels
-        w_rule = scaled.of(levels, rule(v).mask)
-        w_orig = scaled.of(levels, original(v).mask)
+    for w_rule, w_orig, opt in rows:
         sum_rule += w_rule
         sum_original += w_orig
         if w_rule >= w_orig:
@@ -215,7 +266,6 @@ def welfare_report(
             zero_original += 1
         else:
             min_fraction.offer(w_rule, w_orig)
-        opt, _ = scaled.optimum(levels)
         if opt == 0:
             opt_zero += 1
         else:

@@ -1,5 +1,7 @@
 """Query layer: logging, budgets, Hamming restrictions, the answer table."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -14,14 +16,17 @@ from dcbox import (
     InstrumentedBlackBox,
     ParameterError,
     QueryBudgetExceeded,
+    CachedRule,
     TransformedRule,
     ValuationVector,
+    check_monotone,
     gen_all_ones,
     gen_random_algorithm,
     gen_random_environment,
     gen_thm1,
     is_feasible,
     tabulate,
+    welfare_report,
 )
 from dcbox.blackbox import Algorithm, AnswerTable
 from dcbox.model import Environment, FeasibilitySet, ValueLadder, input_at, input_index
@@ -273,6 +278,85 @@ class TestAnswerReuse:
             InstrumentedBlackBox(alg, budget=4, reuse_answers=True)
         with pytest.raises(ParameterError):
             InstrumentedBlackBox(alg, hamming_center=0, hamming_radius=2, reuse_answers=True)
+
+
+def counting(alg):
+    """alg with its rule's calls counted by input levels."""
+    calls = Counter()
+
+    def rule(v):
+        calls[v.levels] += 1
+        return alg.rule(v)
+
+    return Algorithm(alg.env, rule, alg.name), calls
+
+
+class TestLiveAnswerTable:
+    @pytest.mark.parametrize(
+        "kind, ladder",
+        [
+            ("identity", (1, 9)),
+            ("const", (1, 9)),
+            ("two", (1, 9)),
+            ("two-plus", (1, 9)),
+            ("multi", (1, 4, 16)),
+        ],
+    )
+    def test_welfare_report_calls_the_rule_once_per_input(self, kind, ladder):
+        env = gen_random_environment(4, ValueLadder.of(*ladder), 8300)
+        alg, calls = counting(gen_random_algorithm(env, 8400))
+        welfare_report(CachedRule(TransformedRule(kind, alg)), alg, env)
+        assert len(calls) == env.input_count()
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("kind, ladder", [("multi", (1, 5, 25)), ("two-plus", (1, 9))])
+    def test_direct_calls_leave_query_counts_alone(self, kind, ladder):
+        env = gen_random_environment(4, ValueLadder.of(*ladder), 2)
+        alg = gen_random_algorithm(env, 3)
+        undisturbed = TransformedRule(kind, alg)
+        for v in env.inputs():
+            undisturbed(v)
+        disturbed = TransformedRule(kind, alg)
+        for v in env.inputs():
+            for w in env.inputs():
+                assert alg(w) == alg.rule(w)
+            disturbed(v)
+        assert (disturbed.max_queries, disturbed.max_radius) == (
+            undisturbed.max_queries,
+            undisturbed.max_radius,
+        )
+        assert undisturbed.max_queries > 1  # the shared table has misses to count
+
+    def test_input_of_another_shape_is_never_answered_from_the_table(self):
+        env = gen_all_ones(3).env
+        alg, calls = counting(Algorithm(env, lambda v: Allocation.full(v.n)))
+        rule = TransformedRule("identity", alg)
+        for v in alg.env.inputs():
+            rule(v)
+        calls.clear()
+        # Each has index 1 on two values, which names input 100 in the table.
+        for levels in [(1, 0), (1, 0, 0, 0), (1,)]:
+            assert alg(ValuationVector(levels)).n == len(levels)
+        assert alg(vec(3, 0, 0)) == Allocation((1, 1, 1))  # index 3 would name 110
+        assert sorted(calls) == [(1,), (1, 0), (1, 0, 0, 0), (3, 0, 0)]
+        assert alg(vec(1, 0, 0)) == Allocation((1, 1, 1))
+        assert (1, 0, 0) not in calls
+
+    def test_table_dies_with_the_last_rule(self):
+        alg, calls = counting(gen_all_ones(3))
+        rule = CachedRule(TransformedRule("two", alg))
+        check_monotone(rule, alg.env)
+        table = weakref.ref(rule.rule.answers)
+        assert alg.live_answers() is table()
+        calls.clear()
+        alg(vec(1, 0, 1))
+        assert not calls
+        del rule
+        gc.collect()
+        assert table() is None
+        assert alg.live_answers() is None
+        alg(vec(1, 0, 1))
+        assert calls == {(1, 0, 1): 1}
 
 
 class TestThm1Fakes:

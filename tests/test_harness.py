@@ -89,7 +89,9 @@ class TestConfigParsing:
 
 class TestBuildAlgorithm:
     def test_unknown_generator(self):
-        config = parse_config(config_text("generator nonsense", "param n 3"))
+        # A config document refuses the name at its line; keyword-built
+        # configs are checked here.
+        config = ExperimentConfig(generator="nonsense", params=(("n", "3"),))
         with pytest.raises(ParameterError):
             build_algorithm(config)
 
@@ -394,9 +396,8 @@ class TestCmdAdversary:
             assert rebuilt(v) == inst.algorithm(v)
 
     def test_unknown_generator(self):
-        config = parse_config(config_text("generator nonsense"))
         with pytest.raises(ParameterError):
-            cmd_adversary(config)
+            cmd_adversary(ExperimentConfig(generator="nonsense"))
 
 
 class TestCmdOpt:
@@ -420,7 +421,7 @@ class TestVerifyEntry:
         [("const", (1, 5)), ("two", (1, 5)), ("two-plus", (1, 5)), ("multi", (1, 4, 16))],
     )
     def test_algorithm_runs_once_per_input(self, kind, ladder):
-        # The welfare report's original reads the rule's answer table.
+        # The welfare report's original, the algorithm, answers from the rule's live table.
         env = gen_random_environment(4, ValueLadder.of(*ladder), 8100)
         alg = gen_random_algorithm(env, 8200)
         calls = Counter()
@@ -549,6 +550,59 @@ class TestCli:
         for command in ("verify", "payments"):
             assert main([command, "--config", path, *flags]) == 2
             assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+
+    # A valid config for verify, sweep and adversary, one key per line from line 2.
+    NAMED_LINES = (
+        "transformation two",
+        "generator random",
+        "param n 2",
+        "ladder 1 5",
+        "seed 1",
+        "sweep-n 2",
+        "sweep-ratio n+1",
+    )
+
+    @pytest.mark.parametrize(
+        "command, line, flags, message",
+        [
+            (
+                "verify",
+                "transformation tw0",
+                [],
+                "{path}:2: transformation: unknown transformation 'tw0'; "
+                "known: const, two, two-plus, multi, identity",
+            ),
+            (
+                "verify",
+                "generator bogus",
+                [],
+                "{path}:3: generator: unknown generator 'bogus'; "
+                "known: thm1, block, hamming, all-ones, knapsack, random",
+            ),
+            (
+                "adversary",
+                None,
+                ["--generator", "bogus"],
+                "--generator: unknown generator 'bogus'; "
+                "known: thm1, block, hamming, all-ones, knapsack, random",
+            ),
+            (
+                "sweep",
+                "sweep-ratio n+1 bogus",
+                [],
+                "{path}:8: sweep-ratio: bad ratio token 'bogus'",
+            ),
+        ],
+    )
+    def test_name_outside_its_domain_exit_two(
+        self, tmp_path, capsys, command, line, flags, message
+    ):
+        # The bad value replaces its key's line in a valid config, or comes as a flag.
+        key = line.split()[0] if line else None
+        lines = [line if text.split()[0] == key else text for text in self.NAMED_LINES]
+        path = self.write_config(tmp_path, *lines)
+        assert main([command, "--config", path, *flags]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
 
     @pytest.mark.parametrize("kind", ["config", "adversary", "environment"])
     def test_document_not_utf8_exit_two(self, tmp_path, capsys, kind):

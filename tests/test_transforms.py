@@ -261,12 +261,6 @@ class TestTMulti:
         out = t_multi(InstrumentedBlackBox(alg), vec(2, 0, 0))
         assert out == bits("100")
 
-    def test_four_value_ladder(self):
-        lad4 = ValueLadder.of(1, 10, 100, 1000)
-        alg = gen_all_ones(4, lad4)
-        bb = InstrumentedBlackBox(alg)
-        assert t_multi(bb, vec(3, 2, 1, 0)) == bits("1000")
-
     def test_queries_stay_within_distance_five_for_three_values(self):
         for seed in range(3):
             env = gen_random_environment(4, LAD3, seed + 60)
@@ -280,6 +274,14 @@ class TestTMulti:
         alg = gen_all_ones(2, LAD2)
         with pytest.raises(ParameterError):
             t_multi(InstrumentedBlackBox(alg), vec(0, 0))
+
+    @pytest.mark.parametrize("values", [(1, 10, 100, 1000), (1, 2, 3, 4, 5)])
+    def test_rejects_ladders_above_three_values(self, values):
+        alg = gen_all_ones(2, ValueLadder.of(*values))
+        with pytest.raises(ParameterError, match="three ladder values"):
+            t_multi(InstrumentedBlackBox(alg), vec(0, 0))
+        with pytest.raises(ParameterError, match="three ladder values"):
+            TransformedRule("multi", alg)
 
     def test_rejects_allocation_of_wrong_length(self):
         alg = constant_algorithm(3, bits("10"), [bits("111")], ladder=LAD3)
@@ -377,9 +379,11 @@ def _literal_multi3(alg, v):
 
 
 def _literal_multi(alg, v):
-    """Independent oracle for ladders with k >= 4: the general step table
+    """The step table that `multi` once extrapolated to ladders with k >= 4,
     written out as loops, classing with classify_allocation and comparing
-    with higher_than, no caching, no scan skipping."""
+    with higher_than, no caching, no scan skipping. It is not monotone (see
+    TestRefusedMultiTable), which is why t_multi refuses k >= 4; it stays
+    here as the data of that finding."""
     ladder = alg.env.ladder
     k = ladder.k
     assert k >= 4
@@ -430,23 +434,51 @@ class TestLiteralOracles:
                 assert rule(v) == _literal_multi3(alg, v)
 
 
-    @pytest.mark.parametrize("shared_state", [True, False])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_multi_four_values_matches_unmemoized_oracle(self, n, shared_state):
-        ladder = ValueLadder.of(1, 4, 16, 64)
-        for seed in range(3):
-            env = gen_random_environment(n, ladder, 6200 + seed)
-            alg = gen_random_algorithm(env, 6300 + seed)
-            rule = TransformedRule("multi", alg, shared_state=shared_state)
-            for v in env.inputs():
-                assert rule(v) == _literal_multi(alg, v)
+class TestRefusedMultiTable:
+    # The smallest witness: `random-20262820` of the acceptance panel
+    # (standard_panel seed 20260809, ladder n^0 .. n^3) at k=4, n=2. Its
+    # answers by input, agent 0's level first.
+    WITNESS = (
+        "00:01 10:00 20:00 30:01 01:01 11:10 21:10 31:10 "
+        "02:01 12:01 22:01 32:01 03:10 13:01 23:10 33:01"
+    )
+
+    def witness(self):
+        env = gen_random_environment(2, ValueLadder.of(1, 2, 4, 8), 20261820)
+        return gen_random_algorithm(env, 20262820)
+
+    def test_witness_table(self):
+        alg = self.witness()
+        assert alg.name == "random-20262820"
+        assert alg.env.feasibility.sorted_maximal() == [bits("01"), bits("10")]
+        table = " ".join(
+            f"{a}{b}:{alg(vec(a, b)).to_string()}" for b in range(4) for a in range(4)
+        )
+        assert table == self.WITNESS
+
+    def test_extrapolated_table_is_not_monotone_on_the_witness(self):
+        # At 10 the first scan adopts 01 from 00, the second 10 from 03; at
+        # 20 no agent sits at level 1, so the second scan is skipped.
+        alg = self.witness()
+        assert _literal_multi(alg, vec(1, 0)) == bits("10")
+        assert _literal_multi(alg, vec(2, 0)) == bits("01")
+        report = check_monotone(lambda v: _literal_multi(alg, v), alg.env)
+        assert (vec(1, 0), 0, 1, 2) in [
+            (x.input, x.agent, x.level_low, x.level_high) for x in report.violations
+        ]
+
+    def test_multi_refuses_the_witness(self):
+        alg = self.witness()
+        with pytest.raises(ParameterError):
+            TransformedRule("multi", alg)
+        with pytest.raises(ParameterError):
+            t_multi(InstrumentedBlackBox(alg), vec(1, 0))
 
 # Per-input digests of t_multi's black-box query sequence with fresh state,
 # in all_inputs order, recorded from the scan over ValuationVectors that the
 # integer kernel replaced: (n, ladder, environment seed, algorithm seed).
 QUERY_ORDER_CASES = {
     "k3-n4": (4, (1, 4, 16), 7103, 7203),
-    "k4-n3": (3, (1, 4, 16, 64), 7301, 7401),
 }
 QUERY_ORDER_DIGESTS = {
     "k3-n4": """
@@ -461,16 +493,6 @@ QUERY_ORDER_DIGESTS = {
     6e1adfb8 88e57ccf 081c6a45 86833368 92de1bbe 2547a9dd ef6fd797 9d499e2c
     80126a54 7cf65fd0 93cfcfa5 88b715c3 ab9c8ab3 dfd5cecd 0990721c ac2cb057
     91696c44
-    """,
-    "k4-n3": """
-    dfd0ff4a 8988c640 3a410225 75a20859 223298b7 fa16494b e1b58abc aa0a1368
-    41c668f1 1d3fb423 456053c2 8a741eb0 1312b661 bcd901d9 e05922a5 8460112c
-    1cdd170a 1448f8c2 a352306d af38c375 7e71532f 600707ce d6e64282 4e3772dc
-    426add02 d5e5ebd9 e1749281 6af34b33 6dbcdb38 88140406 62e18062 2696b24c
-    b3d79e99 097740eb 35e42829 01e94ba4 7b1208b9 f8589beb 98cf8196 15356e60
-    8fd0b90b 6ad48071 690d6936 db7b787f f11ae8d5 b45130a1 60315ffb 40bd2a37
-    9de5d09d e4d66572 610f5449 43bd6c3f 14e38af5 a977a8eb 41ab431a 3e7e6876
-    21c03cad 9b8680d9 ffa002e9 8624929d 3f69b355 a4a478bc 43c6af8a f0388e5b
     """,
 }
 

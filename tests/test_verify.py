@@ -1,11 +1,15 @@
 """Verification engine: monotonicity, welfare reports, ratios, payments."""
 
 import itertools
+import random
 from fractions import Fraction
+
+import pytest
 
 from dcbox import (
     Allocation,
     CachedRule,
+    DimensionError,
     Environment,
     FeasibilitySet,
     TransformedRule,
@@ -18,10 +22,13 @@ from dcbox import (
     gen_random_algorithm,
     gen_random_environment,
     myerson_payments,
+    opt_welfare,
+    welfare,
     welfare_report,
 )
-from dcbox.adversaries import POLICY_OPTIMAL, stable_rng
+from dcbox.adversaries import POLICY_GREEDY, POLICY_OPTIMAL, stable_rng
 from dcbox.blackbox import Algorithm
+from dcbox.verify import DEFAULT_ENUM_BOUND, WelfareReport
 
 LAD2 = ValueLadder.of(1, 100)
 
@@ -255,3 +262,116 @@ class TestMyersonPayments:
                         assert rule(raised).bits[i] == 1  # monotone
                         raised_payment = myerson_payments(rule, raised, env.ladder)[i]
                         assert raised_payment <= env.ladder.value(hi)
+
+
+# Oracles for the mask-table verifiers, over levels and exact Fractions
+# (`welfare`, `opt_welfare`); the sampled ones draw the verifiers' documented
+# sample from random.Random(seed).
+def oracle_monotone(rule, env, enum_bound, seed):
+    n, k = env.n, env.k
+    if k**n <= enum_bound:
+        violations = naive_violations(rule, n, k)
+        pairs = sum(k - 1 - lvl for v in env.inputs() for lvl in v.levels)
+        return violations, pairs, k**n, False, None
+    rng = random.Random(seed)
+    pairs = max(1, enum_bound // 2)
+    found = []
+    for _ in range(pairs):
+        levels = [rng.randrange(k) for _ in range(n)]
+        i = rng.randrange(n)
+        lo = rng.randrange(k - 1)
+        hi = rng.randrange(lo + 1, k)
+        levels[i] = lo
+        low = ValuationVector(tuple(levels))
+        if rule(low).bits[i] and not rule(low.with_level(i, hi)).bits[i]:
+            found.append((low.levels, i, lo, hi))
+    return sorted(found), pairs, 2 * pairs, True, seed
+
+
+def oracle_welfare(rule, original, env, enum_bound, seed):
+    n, k, ladder, feasibility = env.n, env.k, env.ladder, env.feasibility
+    sampled = k**n > enum_bound
+    if sampled:
+        rng = random.Random(seed)
+        count = max(1, enum_bound // 2)
+        inputs = [ValuationVector(tuple(rng.randrange(k) for _ in range(n))) for _ in range(count)]
+    else:
+        inputs = list(env.inputs())
+    rows = [
+        (
+            welfare(v, rule(v), ladder),
+            welfare(v, original(v), ladder),
+            opt_welfare(v, feasibility, ladder),
+        )
+        for v in inputs
+    ]
+    return WelfareReport(
+        pointwise_min_fraction=min((r / o for r, o, _ in rows if o), default=None),
+        full_welfare_count=sum(r >= o for r, o, _ in rows),
+        total_inputs=len(rows),
+        zero_original_count=sum(o == 0 for _, o, _ in rows),
+        sum_welfare_rule=sum(r for r, _, _ in rows),
+        sum_welfare_original=sum(o for _, o, _ in rows),
+        approx_ratio_rule=min((r / best for r, _, best in rows if best), default=None),
+        approx_ratio_original=min((o / best for _, o, best in rows if best), default=None),
+        opt_zero_count=sum(best == 0 for _, _, best in rows),
+        sampled=sampled,
+        seed=seed if sampled else None,
+    )
+
+
+def knapsack_panel(n, ladder, seed):
+    """Rules over one knapsack environment: its greedy and optimal policies,
+    a random algorithm over it, and an arbitrary bit table (`table_rule`)."""
+    rng = stable_rng("knapsack-panel", n, ladder.k, seed)
+    weights = [rng.randint(1, 3) for _ in range(n)]
+    greedy = gen_knapsack(weights, max(1, sum(weights) // 2), POLICY_GREEDY, ladder)
+    optimal = gen_knapsack(weights, max(1, sum(weights) // 2), POLICY_OPTIMAL, ladder)
+    env = greedy.env
+    table = Algorithm(env, table_rule(n, ladder.k, seed), "table")
+    return env, [greedy, optimal, gen_random_algorithm(env, seed), table]
+
+
+# (n, ladder, transformations run on that ladder)
+MASK_TABLE_CASES = [
+    (5, (1, 3), ("identity", "const", "two", "two-plus")),
+    (3, (1, 3, 9), ("identity", "const", "multi")),
+    (3, (1, 2, 5, 7), ("identity", "const")),
+]
+
+
+class TestMaskTableOracle:
+    @pytest.mark.parametrize("n, ladder, kinds", MASK_TABLE_CASES, ids=["k2", "k3", "k4"])
+    @pytest.mark.parametrize("path", ["exhaustive", "sampled"])
+    def test_every_field_matches_the_oracle(self, n, ladder, kinds, path):
+        ladder = ValueLadder.of(*ladder)
+        for seed in range(2):
+            env, panel = knapsack_panel(n, ladder, seed)
+            enum_bound = DEFAULT_ENUM_BOUND if path == "exhaustive" else env.k**n - 3
+            for alg in panel:
+                rules = [alg] + [CachedRule(TransformedRule(kind, alg)) for kind in kinds]
+                for rule in rules:
+                    mono = check_monotone(rule, env, enum_bound=enum_bound, seed=seed)
+                    violations = [
+                        (x.input.levels, x.agent, x.level_low, x.level_high)
+                        for x in mono.violations
+                    ]
+                    got = (
+                        violations,
+                        mono.checked_pairs,
+                        mono.evaluations,
+                        mono.sampled,
+                        mono.seed,
+                    )
+                    assert got == oracle_monotone(rule, env, enum_bound, seed)
+                    report = welfare_report(rule, alg, env, enum_bound=enum_bound, seed=seed)
+                    assert report == oracle_welfare(rule, alg, env, enum_bound, seed)
+                    assert report.sampled == (path == "sampled")
+
+    def test_rule_of_the_wrong_length_is_refused(self):
+        env, (alg, *_) = knapsack_panel(3, ValueLadder.of(1, 3), 0)
+        short = lambda v: Allocation.zeros(2)
+        with pytest.raises(DimensionError):
+            check_monotone(short, env)
+        with pytest.raises(DimensionError):
+            welfare_report(alg, short, env)
