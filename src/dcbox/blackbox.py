@@ -179,10 +179,6 @@ class InstrumentedBlackBox:
         self.log: list[tuple[int, Allocation]] = []
         self.max_radius = 0
 
-    @property
-    def query_count(self) -> int:
-        return len(self.log)
-
     def query(self, u: int) -> Allocation:
         if not 0 <= u < self.size:
             raise ParameterError(f"input index {u} outside [0, {self.size})")

@@ -602,6 +602,7 @@ def cmd_payments(config: ExperimentConfig) -> str:
     monotone = check_monotone(rule, env, enum_bound=config.enum_bound, seed=seed)
     if not monotone.is_monotone:
         raise NonMonotoneRuleError(monotone)
+    # After an exhaustive check these calls read the rule's mask table.
     allocation = rule(v)
     payments = myerson_payments(rule, v, env.ladder)
     lines = [

@@ -54,14 +54,6 @@ class ValueLadder:
     def k(self) -> int:
         return len(self.values)
 
-    @property
-    def low(self) -> Fraction:
-        return self.values[0]
-
-    @property
-    def high(self) -> Fraction:
-        return self.values[-1]
-
     def value(self, level: int) -> Fraction:
         if not 0 <= level < len(self.values):
             raise ParameterError(f"level {level} outside ladder of {len(self.values)} values")
@@ -90,9 +82,6 @@ class ValuationVector:
         lv = list(self.levels)
         lv[agent] = level
         return ValuationVector(tuple(lv))
-
-    def values(self, ladder: ValueLadder) -> tuple[Fraction, ...]:
-        return tuple(ladder.values[lv] for lv in self.levels)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -127,22 +116,12 @@ class Allocation:
     def full(cls, n: int) -> "Allocation":
         return cls.from_mask(n, (1 << n) - 1)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Allocation":
-        if any(c not in "01" for c in text):
-            raise ParameterError(f"allocation string must be over 0/1, got {text!r}")
-        return cls(int(c) for c in text)
-
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple([self.mask >> i & 1 for i in range(self.n)])
 
     def to_string(self) -> str:
         return "".join(map(str, self.bits))
-
-    @property
-    def count(self) -> int:
-        return self.mask.bit_count()
 
     def __repr__(self) -> str:
         return f"Allocation(bits={self.bits!r})"
@@ -334,6 +313,8 @@ class ScaledWelfare:
         self._bases = tuple(w[0] * m.bit_count() for m in self._masks)
 
     def of(self, levels: tuple[int, ...], mask: int) -> int:
+        """The scaled welfare of `mask` at `levels`. No verifier calls it; it
+        stays for the bench tracer, which wraps it."""
         w = self.weights
         return sum([w[lvl] for i, lvl in enumerate(levels) if mask >> i & 1])
 

@@ -6,12 +6,14 @@ on rule evaluations, and falls back to seeded sampling above it (counts are
 reported as observed, with no statistical extrapolation). Reports merge
 deterministically: violations are sorted canonically before emission.
 
-The exhaustive path works on mask tables: a rule's allocation masks listed
-by input index (`model.input_index`), from one evaluation per input in
-`all_inputs` order. A `CachedRule` keeps its table, so `check_monotone` and
-`welfare_report` share it. A raise of agent i from level lo to hi is the
-entry k**i * (hi - lo) further on, and welfare is scored from the inputs'
-above-level masks (`model.above_masks`) with one popcount per level.
+The verifiers call a rule only through `_evaluate`, which evaluates inputs
+in order and checks each allocation's length. Exhaustively they work on mask
+tables: a rule's allocation masks listed by input index (`model.input_index`),
+from one evaluation per input in `all_inputs` order. A `CachedRule` keeps its
+table for `check_monotone`, `welfare_report` and later calls. A raise of
+agent i from level lo to hi is the entry k**i * (hi - lo) further on. Welfare
+is scored, exhaustive or sampled, from the inputs' above-level masks
+(`model.above_masks`) with one popcount per level.
 """
 
 from __future__ import annotations
@@ -32,33 +34,33 @@ from .model import (
     above_masks,
     all_inputs,
     input_at,
+    input_index,
     input_weights,
 )
 
 DEFAULT_ENUM_BOUND = 2_000_000
+_BATCH = 4096  # drawn inputs welfare_report evaluates and scores at a time
 
 AllocationRule = Callable[[ValuationVector], Allocation]
 
 
-def _evaluate(rule: AllocationRule, n: int, k: int) -> list[int]:
-    """The rule's mask table: its allocation's mask at every input, by input
-    index, from one evaluation per input in `all_inputs` order."""
-    masks = [0] * k**n
-    # The indices in all_inputs order: agent 0's level varies slowest.
-    offsets = [[lvl * w for lvl in range(k)] for w in input_weights(n, k)]
-    for v, u in zip(all_inputs(n, k), map(sum, itertools.product(*offsets))):
+def _evaluate(rule: AllocationRule, n: int, inputs: Iterable[ValuationVector]) -> Iterator[int]:
+    """The masks of the rule's allocations at `inputs`, each evaluated when
+    it is read, in order: the one place the verifiers call a rule. An
+    allocation over other than n agents raises DimensionError."""
+    for v in inputs:
         x = rule(v)
         if x.n != n:
             raise DimensionError(f"allocation of length {x.n} vs input of length {n}")
-        masks[u] = x.mask
-    return masks
+        yield x.mask
 
 
 class CachedRule:
     """Memoizes a deterministic allocation rule; single-worker use.
 
-    A call answers from `cache`. The exhaustive verifiers read `masks`
-    instead, the rule's mask table, evaluated once and kept."""
+    The exhaustive verifiers read `masks`, the rule's mask table, evaluated
+    once and kept. A call answers from a kept table that covers its input,
+    and from `cache` otherwise."""
 
     def __init__(self, rule: AllocationRule):
         self.rule = rule
@@ -66,27 +68,46 @@ class CachedRule:
         self._tables: dict[tuple[int, int], list[int]] = {}
 
     def __call__(self, v: ValuationVector) -> Allocation:
-        x = self.cache.get(v.levels)
+        levels = v.levels
+        for (n, k), table in self._tables.items():
+            if n == len(levels) and max(levels) < k:
+                return Allocation.from_mask(n, table[input_index(levels, k)])
+        x = self.cache.get(levels)
         if x is None:
             x = self.rule(v)
-            self.cache[v.levels] = x
+            self.cache[levels] = x
         return x
 
     def masks(self, n: int, k: int) -> list[int]:
         """The rule's mask table over n agents and k levels."""
         table = self._tables.get((n, k))
         if table is None:
-            table = self._tables[n, k] = _evaluate(self.rule, n, k)
+            table = self._tables[n, k] = _table(self.rule, n, k)
         return table
 
 
+def _table(rule: AllocationRule, n: int, k: int) -> list[int]:
+    """The rule's mask table: its allocation's mask at every input, by input
+    index, from one evaluation per input in `all_inputs` order."""
+    table = [0] * k**n
+    # The indices in all_inputs order: agent 0's level varies slowest.
+    offsets = [[lvl * w for lvl in range(k)] for w in input_weights(n, k)]
+    order = map(sum, itertools.product(*offsets))
+    for u, mask in zip(order, _evaluate(rule, n, all_inputs(n, k))):
+        table[u] = mask
+    return table
+
+
 def _masks(rule: AllocationRule, n: int, k: int) -> list[int]:
-    return rule.masks(n, k) if isinstance(rule, CachedRule) else _evaluate(rule, n, k)
+    return rule.masks(n, k) if isinstance(rule, CachedRule) else _table(rule, n, k)
 
 
-def _sampled_inputs(n: int, k: int, count: int, rng: random.Random) -> Iterator[ValuationVector]:
-    for _ in range(count):
-        yield ValuationVector(tuple(rng.randrange(k) for _ in range(n)))
+def _above(inputs: list[ValuationVector], k: int) -> list[list[int]]:
+    """The inputs' positions above each level c < k - 1, as in `above_masks`."""
+    return [
+        [sum(1 << i for i, lvl in enumerate(v.levels) if lvl > c) for v in inputs]
+        for c in range(k - 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -98,8 +119,6 @@ class MonotonicityViolation:
     agent: int
     level_low: int
     level_high: int
-    bit_low: int = 1
-    bit_high: int = 0
 
     def sort_key(self):
         return (self.input.levels, self.agent, self.level_low, self.level_high)
@@ -153,21 +172,18 @@ def check_monotone(
         return MonotonicityReport(violations, n * total * (k - 1) // 2, total)
     rng = random.Random(seed)
     pairs = max(1, enum_bound // 2)
-    evaluations = 0
     for _ in range(pairs):
-        levels = tuple(rng.randrange(k) for _ in range(n))
+        levels = [rng.randrange(k) for _ in range(n)]
         i = rng.randrange(n)
         lo = rng.randrange(k - 1)
         hi = rng.randrange(lo + 1, k)
-        base = levels[:i] + (lo,) + levels[i + 1 :]
-        raised = levels[:i] + (hi,) + levels[i + 1 :]
-        x = rule(ValuationVector(base))
-        y = rule(ValuationVector(raised))
-        evaluations += 2
-        if x.mask >> i & 1 and not y.mask >> i & 1:
-            violations.append(MonotonicityViolation(ValuationVector(base), i, lo, hi))
+        levels[i] = lo
+        v = ValuationVector(tuple(levels))
+        x, y = _evaluate(rule, n, (v, v.with_level(i, hi)))
+        if x >> i & 1 and not y >> i & 1:
+            violations.append(MonotonicityViolation(v, i, lo, hi))
     violations.sort(key=MonotonicityViolation.sort_key)
-    return MonotonicityReport(violations, pairs, evaluations, sampled=True, seed=seed)
+    return MonotonicityReport(violations, pairs, 2 * pairs, sampled=True, seed=seed)
 
 
 @dataclass
@@ -225,29 +241,32 @@ def welfare_report(
     """Enumerate all inputs (or a seeded sample above the bound) and compare
     rule welfare against original welfare and against the optimum.
 
-    Exhaustively, the rule and the original are each evaluated once per
-    input into mask tables (the rule's is shared through CachedRule), then
-    scored in index order."""
+    The rule and the original are each evaluated once per input: into mask
+    tables exhaustively (the rule's is shared through CachedRule), in draw
+    order when sampled. Both cases are scored from the inputs' above-level
+    masks by the same kernels."""
     k, n = env.ladder.k, env.n
     scaled = ScaledWelfare(env.ladder, env.feasibility.maximal)
-    total = k**n
-    sampled = total > enum_bound
-    rows: Iterable[tuple[int, int, int]]  # (rule, original, optimum) scaled welfare per input
+    sampled = k**n > enum_bound
+    count = max(1, enum_bound // 2) if sampled else k**n
+    # Per batch of inputs: a reader of a rule's masks there, and the inputs'
+    # above-level masks. Sampled, _BATCH drawn inputs at a time, so a large
+    # sample is never held whole.
     if sampled:
-        count = max(1, enum_bound // 2)
-        rows = (
-            (
-                scaled.of(v.levels, rule(v).mask),
-                scaled.of(v.levels, original(v).mask),
-                scaled.optimum(v.levels)[0],
-            )
-            for v in _sampled_inputs(n, k, count, random.Random(seed))
+        rng = random.Random(seed)
+        draws = (ValuationVector(tuple(rng.randrange(k) for _ in range(n))) for _ in range(count))
+        batches = (
+            (lambda r: list(_evaluate(r, n, drawn)), _above(drawn, k))
+            for drawn in iter(lambda: list(itertools.islice(draws, _BATCH)), [])
         )
     else:
-        count = total
-        above = above_masks(n, k)
-        rule_scores = scaled.scores(_masks(rule, n, k), above)
-        rows = zip(rule_scores, scaled.scores(_masks(original, n, k), above), scaled.optima(above))
+        batches = [(lambda r: _masks(r, n, k), above_masks(n, k))]
+    # (rule, original, optimum) scaled welfare per input; masks go once scored.
+    score = scaled.scores
+    rows = itertools.chain.from_iterable(
+        zip(score(masks(rule), above), score(masks(original), above), scaled.optima(above))
+        for masks, above in batches
+    )
 
     full = 0
     zero_original = 0

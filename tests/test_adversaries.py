@@ -26,7 +26,7 @@ from oracles import hamming_distance
 
 
 def bits(text):
-    return Allocation.from_string(text)
+    return Allocation(map(int, text))
 
 
 def vec(*levels):
@@ -142,8 +142,8 @@ class TestBlockAdversary:
         ladder = ValueLadder.of(1, 2)
         inst = gen_block_adversary(8, 4, 1, 2, seed=3, ladder=ladder)
         b1 = inst.special_input
-        assert welfare(b1, inst.special_allocation, ladder) == 2 * ladder.low
-        assert welfare(b1, inst.default_allocation, ladder) == 1 * ladder.high
+        assert welfare(b1, inst.special_allocation, ladder) == 2 * ladder.values[0]
+        assert welfare(b1, inst.default_allocation, ladder) == 1 * ladder.values[-1]
 
     def test_chain_distances(self):
         inst = gen_block_adversary(16, 8, 1, 6, seed=9)
@@ -318,4 +318,4 @@ class TestRandomEnvironment:
         b = gen_random_environment(5, ladder, 33)
         assert a.feasibility.maximal == b.feasibility.maximal
         assert a.feasibility.maximal
-        assert all(m.count > 0 for m in a.feasibility.maximal)
+        assert all(m.mask.bit_count() > 0 for m in a.feasibility.maximal)

@@ -64,23 +64,23 @@ class TestInstrumentedBlackBox:
         bb = InstrumentedBlackBox(alg)
         out = bb.query(ix(vec(1, 0, 1)))
         assert out == Allocation((1, 1, 1))
-        assert bb.query_count == 1
+        assert len(bb.log) == 1
         bb.query(ix(vec(0, 0, 0)))
-        assert bb.query_count == 2
+        assert len(bb.log) == 2
         assert input_at(bb.log[0][0], 3, 2) == vec(1, 0, 1)
 
     def test_zero_budget(self):
         bb = InstrumentedBlackBox(gen_all_ones(2), budget=0)
         with pytest.raises(QueryBudgetExceeded):
             bb.query(ix(vec(0, 0)))
-        assert bb.query_count == 0
+        assert len(bb.log) == 0
 
     def test_budget_counts_successes_only(self):
         bb = InstrumentedBlackBox(gen_all_ones(2), budget=1)
         bb.query(ix(vec(0, 0)))
         with pytest.raises(QueryBudgetExceeded):
             bb.query(ix(vec(1, 0)))
-        assert bb.query_count == 1
+        assert len(bb.log) == 1
 
     def test_strict_hamming_radius(self):
         # center (h^6, l^6), radius 3: distance 3 is not < 3
@@ -101,7 +101,7 @@ class TestInstrumentedBlackBox:
         bb.query(ix(vec(1, 0, 0, 0)))
         bb.query(ix(vec(0, 0, 1, 1)))  # the farthest input is allowed
         bb.query(ix(center))
-        assert bb.query_count == 3
+        assert len(bb.log) == 3
         assert bb.max_radius == 4
 
     def test_radius_without_center_is_rejected(self):
@@ -133,7 +133,7 @@ class TestInstrumentedBlackBox:
         with pytest.raises(InfeasibleOutputError):
             checked.query(ix(far))
         for bb in (budget, radius, checked):
-            assert bb.query_count == 1
+            assert len(bb.log) == 1
             assert bb.max_radius == 1
 
     def test_budget_and_radius_errors_are_distinct(self):
@@ -196,7 +196,7 @@ class TestIndexQueries:
             with pytest.raises(ParameterError):
                 bb.query(u)
         bb.query(26)
-        assert bb.query_count == 1
+        assert len(bb.log) == 1
 
     def test_center_outside_range_is_rejected(self):
         alg = gen_all_ones(3)
@@ -261,7 +261,7 @@ class TestAnswerReuse:
         second = InstrumentedBlackBox(alg, answers=table, reuse_answers=True)
         assert second.known is table
         assert set(second.known) == {5}
-        assert second.query_count == 0
+        assert len(second.log) == 0
 
     def test_unshared_box_knows_only_its_own_answers(self):
         alg = gen_all_ones(3)

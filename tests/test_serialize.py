@@ -30,7 +30,7 @@ from dcbox.serialize import (
 
 
 def bits(text):
-    return Allocation.from_string(text)
+    return Allocation(map(int, text))
 
 
 class TestRationals:

@@ -34,7 +34,7 @@ LAD2 = ValueLadder.of(1, 100)
 
 
 def bits(text):
-    return Allocation.from_string(text)
+    return Allocation(map(int, text))
 
 
 def vec(*levels):
@@ -370,8 +370,27 @@ class TestMaskTableOracle:
 
     def test_rule_of_the_wrong_length_is_refused(self):
         env, (alg, *_) = knapsack_panel(3, ValueLadder.of(1, 3), 0)
-        short = lambda v: Allocation.zeros(2)
-        with pytest.raises(DimensionError):
-            check_monotone(short, env)
-        with pytest.raises(DimensionError):
-            welfare_report(alg, short, env)
+        # Exhaustive, then sampled (5 < 2**3).
+        for length, enum_bound in itertools.product((2, 4), (DEFAULT_ENUM_BOUND, 5)):
+            wrong = lambda v: Allocation.zeros(length)
+            with pytest.raises(DimensionError):
+                check_monotone(wrong, env, enum_bound=enum_bound)
+            with pytest.raises(DimensionError):
+                welfare_report(wrong, alg, env, enum_bound=enum_bound)
+            with pytest.raises(DimensionError):
+                welfare_report(alg, wrong, env, enum_bound=enum_bound)
+
+    def test_calls_after_the_check_read_the_mask_table(self):
+        alg = gen_all_ones(3, ValueLadder.of(1, 3))
+        calls = []
+
+        def counting(v):
+            calls.append(v.levels)
+            return alg(v)
+
+        rule = CachedRule(counting)
+        v = vec(1, 1, 0)
+        assert check_monotone(rule, alg.env).is_monotone
+        assert rule(v) == Allocation.full(3)
+        assert myerson_payments(rule, v, alg.env.ladder) == [1, 1, 1]  # level 0 pays 1
+        assert len(calls) == 8  # once per input, all in the check
