@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blackbox import Algorithm, CaseTable
+from .blackbox import MAX_TABULATED_INPUTS, Algorithm, CaseTable
 from .errors import ParameterError
 from .model import (
     Allocation,
@@ -272,8 +272,6 @@ class HammingAdversaryInstance:
     m: int
     f: int
     threshold: int
-    low_side_allocation: Allocation  # 1s on the second half
-    high_side_allocation: Allocation  # 1s on the first half
     environment: Environment
     algorithm: Algorithm
 
@@ -304,7 +302,7 @@ def gen_hamming_adversary(
         return second_half if sum(v.levels) <= threshold else first_half
 
     table = None
-    if 2**n <= 65536:
+    if 2**n <= MAX_TABULATED_INPUTS:
         cases = tuple(
             (v, first_half) for v in all_inputs(n, 2) if sum(v.levels) > threshold
         )
@@ -312,15 +310,7 @@ def gen_hamming_adversary(
     feasibility = normalize_antichain([second_half, first_half], n)
     environment = Environment(n, ladder, feasibility)
     algorithm = Algorithm(environment, rule, name=f"hamming(m={m},f={f_value})", table=table)
-    return HammingAdversaryInstance(
-        m=m,
-        f=f_value,
-        threshold=threshold,
-        low_side_allocation=second_half,
-        high_side_allocation=first_half,
-        environment=environment,
-        algorithm=algorithm,
-    )
+    return HammingAdversaryInstance(m, f_value, threshold, environment, algorithm)
 
 
 def gen_all_ones(n: int, ladder: ValueLadder = DEFAULT_LADDER) -> Algorithm:

@@ -199,8 +199,12 @@ class InstrumentedBlackBox:
         return x
 
 
-def tabulate(algorithm: Algorithm, *, max_inputs: int = 65536) -> CaseTable:
-    """Tabulate an algorithm into a case table over the full input space.
+MAX_TABULATED_INPUTS = 65536  # the largest input space a case table is built over
+
+
+def tabulate(algorithm: Algorithm) -> CaseTable:
+    """Tabulate an algorithm into a case table over the full input space,
+    of at most MAX_TABULATED_INPUTS inputs.
 
     The default is the most common output (ties broken toward the
     lexicographically largest bit string); every input with a different
@@ -208,9 +212,10 @@ def tabulate(algorithm: Algorithm, *, max_inputs: int = 65536) -> CaseTable:
     """
     env = algorithm.env
     total = env.input_count()
-    if total > max_inputs:
+    if total > MAX_TABULATED_INPUTS:
         raise ParameterError(
-            f"cannot tabulate {total} inputs (limit {max_inputs}); use a generator with a built-in table"
+            f"cannot tabulate {total} inputs (limit {MAX_TABULATED_INPUTS}); "
+            "use a generator with a built-in table"
         )
     outputs = [(v, algorithm(v)) for v in env.inputs()]
     counts = Counter(x for _, x in outputs)

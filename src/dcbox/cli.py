@@ -21,14 +21,15 @@ from .harness import (
     cmd_regime_sweep,
     cmd_verify,
     load_config,
+    violation_line,
 )
 
 # How a flag's text splits into its config key's arguments; other flags give one.
 _SPLIT = {"ladder": str.split, "param": lambda item: item.split("=", 1)}
 
 
-def _common_flags(parser: argparse.ArgumentParser, *, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="config document path")
+def _common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="config document path")
     parser.add_argument("--output", help="write the result document here")
     parser.add_argument("--seed", help="override the config seed")
     parser.add_argument("--workers", help="parallel workers for sweep cells")
@@ -38,15 +39,21 @@ def _common_flags(parser: argparse.ArgumentParser, *, config_required: bool = Tr
 def _configure(args: argparse.Namespace) -> ExperimentConfig:
     """The config document, if any, with each flag named after a config key
     applied through that key's row: a flag and its config line share one
-    parser and one domain check."""
+    parser and one domain check. A flag replaces its key's value; for a
+    repeating key, the value of each name the flags give."""
     config = load_config(args.config) if args.config else ExperimentConfig()
     for key, row in CONFIG_KEYS.items():
         given = getattr(args, key.replace("-", "_"), None)
         if given is None:
             continue
         flag = f"--{key}"
+        split = _SPLIT.get(key, lambda text: [text])
+        if row.repeats:
+            names = {split(text)[0] for text in given}
+            kept = [pair for pair in getattr(config, row.field) if pair[0] not in names]
+            setattr(config, row.field, tuple(kept))
         for text in given if row.repeats else [given]:
-            tokens = _SPLIT.get(key, lambda text: [text])(text)
+            tokens = split(text)
             if not row.fits(tokens):
                 raise ParameterError(f"{flag} takes {row.takes}")
             try:
@@ -116,10 +123,7 @@ def main(argv: list[str] | None = None) -> int:
             except NonMonotoneRuleError as exc:
                 sys.stderr.write(f"refused: {exc}\n")
                 for violation in exc.report.violations[:20]:
-                    sys.stderr.write(
-                        f"violation input {violation.input.levels} agent {violation.agent} "
-                        f"raise {violation.level_low} {violation.level_high}\n"
-                    )
+                    sys.stderr.write(violation_line(violation) + "\n")
                 return 1
             sys.stdout.write(document)
             return 0

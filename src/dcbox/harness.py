@@ -57,6 +57,7 @@ from .verify import (
     DEFAULT_ENUM_BOUND,
     CachedRule,
     MonotonicityReport,
+    MonotonicityViolation,
     WelfareReport,
     check_monotone,
     myerson_payments,
@@ -98,11 +99,15 @@ class ExperimentConfig:
 
     def set(self, key: str, args: list[str]) -> None:
         """Set config key `key`'s field from the key's arguments, parsed by
-        its row; a repeating key appends. A bad value raises ParameterError."""
+        its row; a repeating key appends a (name, value) pair, and a name it
+        already holds is refused. A bad value raises ParameterError."""
         row = CONFIG_KEYS[key]
         value = row.parse(args)
         if row.repeats:
-            value = (*getattr(self, row.field), value)
+            held = getattr(self, row.field)
+            if value[0] in dict(held):
+                raise ParameterError(f"repeated name {value[0]!r}")
+            value = (*held, value)
         setattr(self, row.field, value)
 
     def echo_lines(self) -> list[str]:
@@ -378,6 +383,14 @@ def standard_panel(
     return panel
 
 
+def violation_line(violation: MonotonicityViolation) -> str:
+    """A monotonicity violation as result documents and the CLI write it."""
+    return (
+        f"violation {format_input(violation.input)} agent {violation.agent} "
+        f"raise {violation.level_low} {violation.level_high}"
+    )
+
+
 @dataclass
 class VerifyEntry:
     """Verification results for one (algorithm, transformation) pair."""
@@ -390,43 +403,34 @@ class VerifyEntry:
     max_queries: int
     max_radius: int
 
-    def lines(self, prefix: str = "") -> list[str]:
+    def lines(self) -> list[str]:
         mono, wf = self.monotone, self.welfare
 
         def rational(x) -> str:
             return "none" if x is None else format_rational(x)
 
-        out = [
-            f"{prefix}algorithm {self.algorithm}",
-            f"{prefix}n {self.n}",
-            f"{prefix}k {self.k}",
-            f"{prefix}monotone.sampled {str(mono.sampled).lower()}",
-            f"{prefix}monotone.checked-pairs {mono.checked_pairs}",
-            f"{prefix}monotone.evaluations {mono.evaluations}",
-            f"{prefix}monotone.violations {len(mono.violations)}",
+        return [
+            f"algorithm {self.algorithm}",
+            f"n {self.n}",
+            f"k {self.k}",
+            f"monotone.sampled {str(mono.sampled).lower()}",
+            f"monotone.checked-pairs {mono.checked_pairs}",
+            f"monotone.evaluations {mono.evaluations}",
+            f"monotone.violations {len(mono.violations)}",
+            *map(violation_line, mono.violations),
+            f"welfare.sampled {str(wf.sampled).lower()}",
+            f"welfare.total-inputs {wf.total_inputs}",
+            f"welfare.full-count {wf.full_welfare_count}",
+            f"welfare.zero-original {wf.zero_original_count}",
+            f"welfare.pointwise-min {rational(wf.pointwise_min_fraction)}",
+            f"welfare.sum-rule {format_rational(wf.sum_welfare_rule)}",
+            f"welfare.sum-original {format_rational(wf.sum_welfare_original)}",
+            f"welfare.opt-zero {wf.opt_zero_count}",
+            f"approx.rule {rational(wf.approx_ratio_rule)}",
+            f"approx.original {rational(wf.approx_ratio_original)}",
+            f"queries.max-per-eval {self.max_queries}",
+            f"queries.max-radius {self.max_radius}",
         ]
-        for violation in mono.violations:
-            out.append(
-                f"{prefix}violation {format_input(violation.input)} agent {violation.agent} "
-                f"raise {violation.level_low} {violation.level_high}"
-            )
-        out.extend(
-            [
-                f"{prefix}welfare.sampled {str(wf.sampled).lower()}",
-                f"{prefix}welfare.total-inputs {wf.total_inputs}",
-                f"{prefix}welfare.full-count {wf.full_welfare_count}",
-                f"{prefix}welfare.zero-original {wf.zero_original_count}",
-                f"{prefix}welfare.pointwise-min {rational(wf.pointwise_min_fraction)}",
-                f"{prefix}welfare.sum-rule {format_rational(wf.sum_welfare_rule)}",
-                f"{prefix}welfare.sum-original {format_rational(wf.sum_welfare_original)}",
-                f"{prefix}welfare.opt-zero {wf.opt_zero_count}",
-                f"{prefix}approx.rule {rational(wf.approx_ratio_rule)}",
-                f"{prefix}approx.original {rational(wf.approx_ratio_original)}",
-                f"{prefix}queries.max-per-eval {self.max_queries}",
-                f"{prefix}queries.max-radius {self.max_radius}",
-            ]
-        )
-        return out
 
 
 @dataclass
@@ -450,13 +454,13 @@ class ResultRecord:
         ]
         return min(fractions) if fractions else None
 
-    def body_lines(self, prefix: str = "") -> list[str]:
+    def body_lines(self) -> list[str]:
         lines: list[str] = []
         if self.cell is not None:
-            lines.append(f"{prefix}cell.n {self.cell[0]}")
-            lines.append(f"{prefix}cell.ratio {self.cell[1]}")
+            lines.append(f"cell.n {self.cell[0]}")
+            lines.append(f"cell.ratio {self.cell[1]}")
         for entry in self.entries:
-            lines.extend(entry.lines(prefix))
+            lines.extend(entry.lines())
         return lines
 
     def to_document(self) -> str:
@@ -536,10 +540,6 @@ def _sweep_cell(config: ExperimentConfig, n: int, ratio_token: str) -> ResultRec
     )
 
 
-def _sweep_cell_job(args: tuple[ExperimentConfig, int, str]) -> ResultRecord:
-    return _sweep_cell(*args)
-
-
 def cmd_regime_sweep(config: ExperimentConfig) -> tuple[list[ResultRecord], str]:
     """Run cmd_verify for every (n, ratio) cell against the standard panel.
 
@@ -552,9 +552,9 @@ def cmd_regime_sweep(config: ExperimentConfig) -> tuple[list[ResultRecord], str]
         raise ParameterError("sweep needs nonempty sweep-n and sweep-ratio ranges")
     cells = [(n, token) for n in config.sweep_n for token in config.sweep_ratios]
     if config.workers > 1:
-        jobs = [(config, n, token) for n, token in cells]
+        ns, tokens = zip(*cells)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_sweep_cell_job, jobs))
+            records = list(pool.map(_sweep_cell, [config] * len(cells), ns, tokens))
     else:
         records = [_sweep_cell(config, n, token) for n, token in cells]
 

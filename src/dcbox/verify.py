@@ -56,34 +56,33 @@ def _evaluate(rule: AllocationRule, n: int, inputs: Iterable[ValuationVector]) -
 
 
 class CachedRule:
-    """Memoizes a deterministic allocation rule; single-worker use.
+    """A deterministic allocation rule with its mask table; single-worker use.
 
-    The exhaustive verifiers read `masks`, the rule's mask table, evaluated
-    once and kept. A call answers from a kept table that covers its input,
-    and from `cache` otherwise."""
+    `masks` evaluates the rule once per input and keeps the table, which
+    both exhaustive verifiers read; a table for another (n, k) replaces it.
+    A call at an input the table covers answers from it; any other call
+    evaluates the rule and keeps nothing. `cache` stays empty: it is kept
+    only because the bench tracer reads it."""
 
     def __init__(self, rule: AllocationRule):
         self.rule = rule
         self.cache: dict[tuple[int, ...], Allocation] = {}
-        self._tables: dict[tuple[int, int], list[int]] = {}
+        self._shape = (0, 0)  # the (n, k) of _table
+        self._table: list[int] = []
 
     def __call__(self, v: ValuationVector) -> Allocation:
         levels = v.levels
-        for (n, k), table in self._tables.items():
-            if n == len(levels) and max(levels) < k:
-                return Allocation.from_mask(n, table[input_index(levels, k)])
-        x = self.cache.get(levels)
-        if x is None:
-            x = self.rule(v)
-            self.cache[levels] = x
-        return x
+        n, k = self._shape
+        if n == len(levels) and max(levels) < k:
+            return Allocation.from_mask(n, self._table[input_index(levels, k)])
+        return self.rule(v)
 
     def masks(self, n: int, k: int) -> list[int]:
         """The rule's mask table over n agents and k levels."""
-        table = self._tables.get((n, k))
-        if table is None:
-            table = self._tables[n, k] = _table(self.rule, n, k)
-        return table
+        if self._shape != (n, k):
+            self._table = _table(self.rule, n, k)
+            self._shape = (n, k)
+        return self._table
 
 
 def _table(rule: AllocationRule, n: int, k: int) -> list[int]:

@@ -383,6 +383,6 @@ class TestTabulate:
         assert len(table.cases) == 1
 
     def test_refuses_oversized_spaces(self):
-        alg = gen_all_ones(3)
-        with pytest.raises(Exception):
-            tabulate(alg, max_inputs=4)
+        # 2**17 inputs, above the limit of 65536
+        with pytest.raises(ParameterError):
+            tabulate(gen_all_ones(17))

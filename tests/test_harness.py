@@ -1,5 +1,6 @@
 """Harness: config parsing, verify/sweep/payments/adversary/opt commands, CLI."""
 
+import itertools
 import re
 from collections import Counter
 from fractions import Fraction
@@ -485,16 +486,25 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     def test_payments_refusal_exit_one(self, tmp_path, capsys):
+        # Each agent wins exactly when low: 4 * 2**3 = 32 violations, the
+        # first 20 listed as result documents write them.
+        inputs = ["".join(bits) for bits in itertools.product("01", repeat=4)]
+        flip = str.maketrans("01", "10")
+        header = ["dcbox-adversary 1", "n 4", "ladder 1 2", "maximal 1111", "default 0000"]
+        cases = [f"case {u} {u.translate(flip)}" for u in inputs if u != "1111"]
         doc = tmp_path / "anti.txt"
-        doc.write_text(
-            "dcbox-adversary 1\nname anti\nn 1\nladder 1 2\nmaximal 1\n"
-            "default 0\ncase 0 1\n"
-        )
+        doc.write_text("\n".join(header + cases) + "\n")
         path = self.write_config(
-            tmp_path, "transformation identity", f"algorithm {doc}", "input h"
+            tmp_path, "transformation identity", f"algorithm {doc}", "input 0000"
         )
         assert main(["payments", "--config", path]) == 1
-        assert "refused" in capsys.readouterr().err
+        violations = [
+            f"violation {u} agent {i} raise 0 1" for u in inputs for i in range(4) if u[i] == "0"
+        ]
+        assert capsys.readouterr().err.splitlines() == [
+            "refused: allocation rule is not monotone (32 violation(s) found)",
+            *violations[:20],
+        ]
 
     def test_payments_applies_the_hamming_radius(self, tmp_path, capsys):
         lines = ("generator random", "param n 6", "ladder 1 7", "seed 3", "hamming-radius 1")
@@ -659,6 +669,28 @@ class TestCli:
         args = ["adversary", "--generator", "hamming", "--param", "m=2", "--param", "f=1"]
         assert main([*args, "--ladder", "1 x"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "lines, flags, message",
+        [
+            (["param n 2", "param n 3"], [], "{path}:4: param: repeated name 'n'"),
+            (["param n 3"], ["--param", "n=4", "--param", "n=5"], "--param: repeated name 'n'"),
+            (["param n 3"], ["--param", "n=5"], None),
+        ],
+        ids=["repeated-in-config", "repeated-in-flags", "flag-replaces-config"],
+    )
+    def test_generator_params(self, tmp_path, capsys, lines, flags, message):
+        path = self.write_config(tmp_path, "generator all-ones", *lines)
+        code = main(["adversary", "--config", path, *flags])
+        captured = capsys.readouterr()
+        if message is not None:
+            assert code == 2
+            assert captured.err == "error: " + message.format(path=path) + "\n"
+        else:
+            assert code == 0
+            document = captured.out.splitlines()
+            assert "n 5" in document
+            assert [line for line in document if line.startswith("param ")] == ["param n 5"]
 
     def test_adversary_flags(self, tmp_path, capsys):
         out = tmp_path / "doc.txt"

@@ -394,3 +394,20 @@ class TestMaskTableOracle:
         assert rule(v) == Allocation.full(3)
         assert myerson_payments(rule, v, alg.env.ladder) == [1, 1, 1]  # level 0 pays 1
         assert len(calls) == 8  # once per input, all in the check
+
+    def test_sampled_evaluations_are_not_memoized(self):
+        alg = gen_all_ones(4, ValueLadder.of(1, 2, 3))
+        calls = []
+
+        def counting(v):
+            calls.append(v.levels)
+            return alg(v)
+
+        rule = CachedRule(counting)
+        enum_bound = 80  # below 3**4: 40 raise pairs, then 40 drawn inputs
+        assert check_monotone(rule, alg.env, enum_bound=enum_bound).sampled
+        assert welfare_report(rule, alg, alg.env, enum_bound=enum_bound).total_inputs == 40
+        # Two calls per pair and one per drawn input, repeated inputs included.
+        assert len(calls) == 2 * 40 + 40
+        assert len(set(calls)) < len(calls)
+        assert rule.cache == {}
