@@ -18,6 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .blackbox import MAX_TABULATED_INPUTS, Algorithm, CaseTable
 from .errors import ParameterError
@@ -34,11 +35,6 @@ from .model import (
 )
 
 DEFAULT_LADDER = ValueLadder.of(1, 2)
-
-GENERATOR_NAMES = ("thm1", "block", "hamming", "all-ones", "knapsack", "random")
-
-POLICY_GREEDY = "greedy-by-value-density"
-POLICY_OPTIMAL = "brute-force-optimal"
 
 
 def stable_rng(*parts) -> random.Random:
@@ -336,7 +332,7 @@ def _density_ranks(weights: tuple[Fraction, ...], ladder: ValueLadder) -> list[l
 def gen_knapsack(
     weights,
     capacity: Rational,
-    policy: str = POLICY_GREEDY,
+    policy: str = "greedy",
     ladder: ValueLadder = DEFAULT_LADDER,
 ) -> Algorithm:
     """Knapsack environment: public sizes, public capacity, private values.
@@ -344,11 +340,11 @@ def gen_knapsack(
     Feasible allocations are the subsets fitting the capacity; the stored
     antichain holds the maximal fitting subsets. Policies:
 
-    - greedy-by-value-density: scan agents by declared value / weight
-      (descending, ties by agent index) and take whatever still fits.
-    - brute-force-optimal: welfare-maximizing allocation, which lies at a
-      maximal subset because values are positive; welfare ties break toward
-      the lexicographically largest bit string (lower agent indices win).
+    - "greedy": scan agents by declared value / weight (descending, ties by
+      agent index) and take whatever still fits.
+    - "optimal": the welfare-maximizing allocation by brute force, which lies
+      at a maximal subset because values are positive; welfare ties break
+      toward the lexicographically largest bit string (lower indices win).
     """
     weights = tuple(Fraction(w) for w in weights)
     if any(w <= 0 for w in weights):
@@ -359,8 +355,8 @@ def gen_knapsack(
     n = len(weights)
     if not 1 <= n <= 16:
         raise ParameterError("knapsack generator supports 1 <= n <= 16 (explicit antichain)")
-    if policy not in (POLICY_GREEDY, POLICY_OPTIMAL):
-        raise ParameterError(f"unknown policy {policy!r}")
+    if policy not in ("greedy", "optimal"):
+        raise ParameterError(f"knapsack policy must be greedy or optimal, got {policy!r}")
 
     maximal = []
     for mask in range(2**n):
@@ -371,7 +367,7 @@ def gen_knapsack(
     feasibility = FeasibilitySet(n, frozenset(maximal))
     environment = Environment(n, ladder, feasibility)
 
-    if policy == POLICY_GREEDY:
+    if policy == "greedy":
         rank = _density_ranks(weights, ladder)
 
         def rule(v: ValuationVector) -> Allocation:
@@ -386,7 +382,6 @@ def gen_knapsack(
                     remaining -= weights[i]
             return Allocation.from_mask(n, mask)
 
-        name = "knapsack-greedy"
     else:
         # Never empty: the empty subset fits any capacity >= 0.
         scaled = ScaledWelfare(ladder, maximal)
@@ -394,8 +389,7 @@ def gen_knapsack(
         def rule(v: ValuationVector) -> Allocation:
             return Allocation.from_mask(n, scaled.optimum(v.levels)[1])
 
-        name = "knapsack-optimal"
-    return Algorithm(environment, rule, name=name)
+    return Algorithm(environment, rule, name=f"knapsack-{policy}")
 
 
 def gen_random_algorithm(env: Environment, seed: int) -> Algorithm:
@@ -437,3 +431,70 @@ def gen_random_environment(n: int, ladder: ValueLadder, seed: int) -> Environmen
         if any(bits):
             picked.append(Allocation(bits))
     return Environment(n, ladder, normalize_antichain(picked, n))
+
+
+@dataclass(frozen=True)
+class Generator:
+    """A generator as configs name it: its params, each with the parser of
+    its text; the params it may omit; whether it needs a seed; and
+    `build(seed, ladder, **params)`, which calls its gen_* function by its
+    module name, so a wrapper installed there is the one called."""
+
+    params: dict[str, Callable[[str], object]]
+    build: Callable[..., Algorithm]
+    optional: tuple[str, ...] = ()
+    seeded: bool = False
+
+    def algorithm(self, name: str, params, seed: int | None, ladder: ValueLadder) -> Algorithm:
+        """The algorithm from a config's (param, text) pairs; a param it does
+        not take, a missing or malformed one, or a missing seed is refused."""
+        if self.seeded and seed is None:
+            raise ParameterError(f"generator {name!r} is randomized and needs a seed")
+        parsed = {}
+        for key, text in params:
+            if key not in self.params:
+                takes = ", ".join(self.params)
+                raise ParameterError(f"generator {name!r} takes no param {key!r}; it takes {takes}")
+            try:
+                parsed[key] = self.params[key](text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParameterError(f"param {key}: cannot parse {text!r}") from exc
+        for key in self.params:
+            if key not in parsed and key not in self.optional:
+                raise ParameterError(f"generator {name!r} needs param {key!r}")
+        return self.build(seed, ladder, **parsed)
+
+
+def _comma_separated(parse: Callable[[str], object]) -> Callable[[str], list]:
+    return lambda text: [parse(item) for item in text.split(",")]
+
+
+# One row per generator a config can name, keyed by the name. An optional
+# param that is not given is not passed, so the gen_* default applies.
+GENERATORS: dict[str, Generator] = {
+    "thm1": Generator(
+        {"m": int}, lambda seed, ladder, m: gen_thm1(m, seed, ladder).algorithm, seeded=True
+    ),
+    "block": Generator(
+        {"L1": int, "L2": int, "L3": int, "ones": int, "positions": _comma_separated(int)},
+        lambda seed, ladder, L1, L2, L3, ones, **optional: gen_block_adversary(
+            L1, L2, L3, ones, seed=seed, ladder=ladder, **optional
+        ).algorithm,
+        optional=("positions",),
+    ),
+    "hamming": Generator(
+        {"m": int, "f": int}, lambda seed, ladder, m, f: gen_hamming_adversary(m, f, ladder).algorithm
+    ),
+    "all-ones": Generator({"n": int}, lambda seed, ladder, n: gen_all_ones(n, ladder)),
+    "knapsack": Generator(
+        {"weights": _comma_separated(Fraction), "capacity": Fraction, "policy": str},
+        lambda seed, ladder, **params: gen_knapsack(ladder=ladder, **params),
+        optional=("policy",),
+    ),
+    "random": Generator(
+        {"n": int},
+        lambda seed, ladder, n: gen_random_algorithm(gen_random_environment(n, ladder, seed), seed + 1),
+        seeded=True,
+    ),
+}
+GENERATOR_NAMES = tuple(GENERATORS)

@@ -20,15 +20,10 @@ from typing import Callable, TypeVar
 
 from . import adversaries
 from .adversaries import (
-    POLICY_GREEDY,
-    POLICY_OPTIMAL,
     gen_all_ones,
-    gen_block_adversary,
-    gen_hamming_adversary,
     gen_knapsack,
     gen_random_algorithm,
     gen_random_environment,
-    gen_thm1,
     stable_rng,
 )
 from .blackbox import Algorithm, tabulate
@@ -49,6 +44,7 @@ from .serialize import (
     load_environment,
     parse_input,
     parse_integer,
+    parse_ladder,
     parse_rational,
     read_records,
 )
@@ -63,8 +59,6 @@ from .verify import (
     myerson_payments,
     welfare_report,
 )
-
-_RANDOMIZED_GENERATORS = frozenset({"thm1", "random"})
 
 T = TypeVar("T")
 
@@ -90,12 +84,6 @@ class ExperimentConfig:
     input_text: str | None = None
     workers: int = 1
     output: str | None = None
-
-    def param(self, key: str) -> str | None:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return None
 
     def set(self, key: str, args: list[str]) -> None:
         """Set config key `key`'s field from the key's arguments, parsed by
@@ -188,7 +176,7 @@ def _input_text(args: list[str]) -> str:
 # enum-bound, hamming-radius, panel-random and query-budget's c and d at
 # least 0; workers and each sweep-n value at least 1. Name domains:
 # transformation in TRANSFORMATION_IDS, generator in GENERATOR_NAMES, each
-# sweep-ratio token a rational or a formula in n.
+# sweep-ratio token a rational or a formula in n; ladder at most 10 values.
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "transformation": ConfigKey(
         1,
@@ -219,7 +207,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         None,
         "rational values",
         field="ladder",
-        parse=lambda args: ValueLadder(tuple(parse_rational(t) for t in args)),
+        parse=parse_ladder,
         render=lambda ladder: " ".join(format_rational(v) for v in ladder.values),
     ),
     "seed": ConfigKey(1, 1, "one integer", field="seed", parse=_integer()),
@@ -298,22 +286,6 @@ def ladder_for_ratio(token: str, n: int) -> ValueLadder:
     return ValueLadder.of(1, ratio)
 
 
-def _param(config: ExperimentConfig, key: str, parse: Callable[[str], T] = int) -> T:
-    """Generator param `key` parsed by `parse`; a missing or malformed value
-    raises ParameterError naming the key."""
-    text = config.param(key)
-    if text is None:
-        raise ParameterError(f"generator {config.generator!r} needs param {key!r}")
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"param {key}: cannot parse {text!r}") from exc
-
-
-def _comma_list(parse: Callable[[str], T]) -> Callable[[str], list[T]]:
-    return lambda text: [parse(item) for item in text.split(",")]
-
-
 def build_algorithm(config: ExperimentConfig) -> Algorithm:
     """Resolve the configured algorithm source: generator or adversary document."""
     if (config.generator is None) == (config.algorithm_path is None):
@@ -324,37 +296,8 @@ def build_algorithm(config: ExperimentConfig) -> Algorithm:
         doc = load_adversary(_read_document(config.algorithm_path), source=config.algorithm_path)
         return doc.build_algorithm()
     name = _member(adversaries.GENERATOR_NAMES, "generator")([config.generator])
-    if name in _RANDOMIZED_GENERATORS and config.seed is None:
-        raise ParameterError(f"generator {name!r} is randomized and needs a seed")
     ladder = config.ladder if config.ladder is not None else adversaries.DEFAULT_LADDER
-    if name == "thm1":
-        return gen_thm1(_param(config, "m"), config.seed, ladder).algorithm
-    if name == "block":
-        L1 = _param(config, "L1")
-        L2 = _param(config, "L2")
-        L3 = _param(config, "L3")
-        ones = _param(config, "ones")
-        positions = None
-        if config.param("positions") is not None:
-            positions = _param(config, "positions", _comma_list(int))
-        return gen_block_adversary(
-            L1, L2, L3, ones, seed=config.seed, positions=positions, ladder=ladder
-        ).algorithm
-    if name == "hamming":
-        return gen_hamming_adversary(_param(config, "m"), _param(config, "f"), ladder).algorithm
-    if name == "all-ones":
-        return gen_all_ones(_param(config, "n"), ladder)
-    if name == "knapsack":
-        weights = _param(config, "weights", _comma_list(Fraction))
-        capacity = _param(config, "capacity", Fraction)
-        policy_key = config.param("policy") or "greedy"
-        policy = {"greedy": POLICY_GREEDY, "optimal": POLICY_OPTIMAL}.get(policy_key)
-        if policy is None:
-            raise ParameterError(f"knapsack policy must be greedy or optimal, got {policy_key!r}")
-        return gen_knapsack(weights, capacity, policy, ladder)
-    # name == "random"
-    env = gen_random_environment(_param(config, "n"), ladder, config.seed)
-    return gen_random_algorithm(env, config.seed + 1)
+    return adversaries.GENERATORS[name].algorithm(name, config.params, config.seed, ladder)
 
 
 def standard_panel(
@@ -373,10 +316,10 @@ def standard_panel(
     capacity = max(1, sum(weights) // 2)
     panel = [
         gen_all_ones(n, ladder),
-        gen_knapsack(weights, capacity, POLICY_GREEDY, ladder),
+        gen_knapsack(weights, capacity, "greedy", ladder),
     ]
     if include_optimal:
-        panel.append(gen_knapsack(weights, capacity, POLICY_OPTIMAL, ladder))
+        panel.append(gen_knapsack(weights, capacity, "optimal", ladder))
     for i in range(random_count):
         env = gen_random_environment(n, ladder, seed + 1000 + i)
         panel.append(gen_random_algorithm(env, seed + 2000 + i))

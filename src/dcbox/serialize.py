@@ -59,6 +59,13 @@ def parse_integer(token: str, least: int | None = None) -> int:
     return value
 
 
+def parse_ladder(tokens: list[str]) -> ValueLadder:
+    """A ladder from its value tokens; documents write a level as one digit."""
+    if len(tokens) > MAX_SERIALIZED_LEVELS:
+        raise ParameterError(f"at most {MAX_SERIALIZED_LEVELS} values, one digit per level")
+    return ValueLadder(tuple(parse_rational(t) for t in tokens))
+
+
 LEVEL_CHARACTERS = "0123456789lmh"  # the characters parse_input accepts
 
 
@@ -211,7 +218,7 @@ class _Records:
         if key == "n":
             self.n = parse_integer(args[0], 0)
         elif key == "ladder":
-            self.ladder = ValueLadder(tuple(parse_rational(t) for t in args))
+            self.ladder = parse_ladder(args)
         elif key == "name":
             self.name = " ".join(args)
         elif key == "generator":

@@ -21,7 +21,7 @@ from dcbox import (
     is_feasible,
     welfare,
 )
-from dcbox.adversaries import POLICY_GREEDY, POLICY_OPTIMAL, _density_ranks, stable_rng
+from dcbox.adversaries import _density_ranks, stable_rng
 from oracles import hamming_distance
 
 
@@ -209,7 +209,7 @@ class TestKnapsack:
         ladder = ValueLadder.of(1, 5)
         weights = [2, 2, 3]
         capacity = 4
-        alg = gen_knapsack(weights, capacity, POLICY_OPTIMAL, ladder)
+        alg = gen_knapsack(weights, capacity, "optimal", ladder)
         v = vec(1, 1, 0)
         best = Fraction(0)
         for subset in itertools.product((0, 1), repeat=3):
@@ -221,14 +221,14 @@ class TestKnapsack:
     def test_optimal_ties_break_to_largest_bits(self):
         # both singletons weigh in equally at hh and at ll; the documented
         # tie-break picks the lexicographically largest bit string
-        alg = gen_knapsack([1, 1], 1, POLICY_OPTIMAL, ValueLadder.of(1, 2))
+        alg = gen_knapsack([1, 1], 1, "optimal", ValueLadder.of(1, 2))
         assert alg(vec(1, 1)) == bits("10")
         assert alg(vec(0, 0)) == bits("10")
         assert alg(vec(0, 1)) == bits("01")
 
     def test_greedy_fills_by_density(self):
         ladder = ValueLadder.of(1, 10)
-        alg = gen_knapsack([1, 1, 2], 2, POLICY_GREEDY, ladder)
+        alg = gen_knapsack([1, 1, 2], 2, "greedy", ladder)
         # densities at (l,h,h): 1, 10, 5 -> picks agent 1 then agent 0
         assert alg(vec(0, 1, 1)) == bits("110")
 
@@ -241,7 +241,7 @@ class TestKnapsack:
         for n in range(1, 7):
             weights = tuple(Fraction(w) for w in (1, 2, 2, 4, 1, 2)[:n])
             rank = _density_ranks(weights, ladder)
-            alg = gen_knapsack(weights, capacity, POLICY_GREEDY, ladder)
+            alg = gen_knapsack(weights, capacity, "greedy", ladder)
             for v in all_inputs(n, ladder.k):
                 lv = v.levels
                 literal = sorted(range(n), key=lambda i: (-(ladder.values[lv[i]] / weights[i]), i))
@@ -256,8 +256,8 @@ class TestKnapsack:
     def test_greedy_equals_optimal_for_equal_weights(self):
         ladder = ValueLadder.of(1, 3)
         for n, cap in ((4, 2), (5, 3), (6, 3)):
-            greedy = gen_knapsack([1] * n, cap, POLICY_GREEDY, ladder)
-            optimal = gen_knapsack([1] * n, cap, POLICY_OPTIMAL, ladder)
+            greedy = gen_knapsack([1] * n, cap, "greedy", ladder)
+            optimal = gen_knapsack([1] * n, cap, "optimal", ladder)
             for v in greedy.env.inputs():
                 assert welfare(v, greedy(v), ladder) == welfare(v, optimal(v), ladder)
 
@@ -271,7 +271,7 @@ class TestKnapsack:
 
     def test_outputs_feasible(self):
         ladder = ValueLadder.of(1, 4)
-        for policy in (POLICY_GREEDY, POLICY_OPTIMAL):
+        for policy in ("greedy", "optimal"):
             alg = gen_knapsack([2, 1, 3, 2], 5, policy, ladder)
             for v in alg.env.inputs():
                 assert is_feasible(alg(v), alg.env.feasibility)

@@ -4,6 +4,7 @@ import itertools
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,17 @@ from dcbox import (
     ParameterError,
     ParseError,
     TransformedRule,
+    all_inputs,
+    gen_all_ones,
+    gen_block_adversary,
+    gen_hamming_adversary,
+    gen_knapsack,
     gen_random_algorithm,
     gen_random_environment,
+    gen_thm1,
     welfare_report,
 )
+from dcbox.adversaries import GENERATORS
 from dcbox.cli import main
 from dcbox.harness import (
     ExperimentConfig,
@@ -59,7 +67,7 @@ class TestConfigParsing:
         )
         assert config.transformation == "two"
         assert config.generator == "all-ones"
-        assert config.param("n") == "3"
+        assert dict(config.params)["n"] == "3"
         assert config.ladder == ValueLadder.of(1, 100)
         assert config.seed == 4
         assert config.enum_bound == 5000
@@ -122,6 +130,84 @@ class TestBuildAlgorithm:
         alg = build_algorithm(config)
         assert alg.name == "knapsack-optimal"
         assert alg.env.n == 3
+
+    # Each generator from README's params (n <= 8), and the direct gen_* call it must equal.
+    @pytest.mark.parametrize(
+        "lines, direct",
+        [
+            (
+                ["generator thm1", "param m 2", "seed 5", "ladder 1 3"],
+                lambda: gen_thm1(2, 5, ValueLadder.of(1, 3)).algorithm,
+            ),
+            (
+                ["generator block", "param L1 6", "param L2 4", "param L3 2", "param ones 3", "seed 4"],
+                lambda: gen_block_adversary(6, 4, 2, 3, seed=4).algorithm,
+            ),
+            (
+                ["generator block", "param L1 6", "param L2 4", "param L3 2", "param ones 3"]
+                + ["param positions 5,2,3", "ladder 1 3"],
+                lambda: gen_block_adversary(
+                    6, 4, 2, 3, positions=[5, 2, 3], ladder=ValueLadder.of(1, 3)
+                ).algorithm,
+            ),
+            (
+                ["generator hamming", "param m 4", "param f 1", "ladder 1 3"],
+                lambda: gen_hamming_adversary(4, 1, ValueLadder.of(1, 3)).algorithm,
+            ),
+            (
+                ["generator all-ones", "param n 5", "ladder 1 2 5"],
+                lambda: gen_all_ones(5, ValueLadder.of(1, 2, 5)),
+            ),
+            (
+                ["generator knapsack", "param weights 2,1,3/2,2", "param capacity 4", "ladder 1 2 5"],
+                lambda: gen_knapsack([2, 1, Fraction(3, 2), 2], 4, "greedy", ValueLadder.of(1, 2, 5)),
+            ),
+            (
+                ["generator knapsack", "param weights 2,1,3/2,2", "param capacity 4"]
+                + ["param policy optimal", "ladder 1 2 5"],
+                lambda: gen_knapsack([2, 1, Fraction(3, 2), 2], 4, "optimal", ValueLadder.of(1, 2, 5)),
+            ),
+            (
+                ["generator random", "param n 5", "seed 3", "ladder 1 2 5"],
+                lambda: gen_random_algorithm(
+                    gen_random_environment(5, ValueLadder.of(1, 2, 5), 3), 4
+                ),
+            ),
+        ],
+        ids=[
+            "thm1",
+            "block-seeded",
+            "block-positions",
+            "hamming",
+            "all-ones",
+            "knapsack-greedy",
+            "knapsack-optimal",
+            "random",
+        ],
+    )
+    def test_table_row_calls_its_generator(self, lines, direct):
+        built = build_algorithm(parse_config(config_text(*lines)))
+        expected = direct()
+        assert (built.name, built.env) == (expected.name, expected.env)
+        for v in all_inputs(expected.env.n, expected.env.k):
+            assert built(v) == expected(v)
+
+    def test_readme_lists_each_generators_params(self):
+        # README's "Generator params" list: one bullet per generator naming
+        # its params in order, the optional ones after "optional", and
+        # "needs a seed" exactly for the randomized ones.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\nGenerator params", 1)[1].split("\n\n", 2)[1]
+        bullets = [" ".join(item.split()) for item in section.split("\n- ")]
+        listed = {}
+        for bullet in bullets:
+            name, *params = re.findall(r"`([^`]+)`", bullet)
+            optional = re.findall(r"optional `([^`]+)`", bullet)
+            listed[name] = (params, optional, "needs a seed" in bullet)
+        assert listed == {
+            name: (list(row.params), list(row.optional), row.seeded)
+            for name, row in GENERATORS.items()
+        }
 
 
 class TestCmdVerify:
@@ -691,6 +777,61 @@ class TestCli:
             document = captured.out.splitlines()
             assert "n 5" in document
             assert [line for line in document if line.startswith("param ")] == ["param n 5"]
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                ["generator all-ones", "param n 2", "param bogus 7"],
+                "generator 'all-ones' takes no param 'bogus'; it takes n",
+            ),
+            (
+                ["generator block", "param L1 6", "param L2 4", "param L3 1", "param ones 2"]
+                + ["param positon 3,4", "seed 1"],
+                "generator 'block' takes no param 'positon'; it takes L1, L2, L3, ones, positions",
+            ),
+            (
+                ["generator knapsack", "param weights 1,2", "param capacity 2", "param polcy optimal"],
+                "generator 'knapsack' takes no param 'polcy'; it takes weights, capacity, policy",
+            ),
+            (["generator hamming", "param m 2"], "generator 'hamming' needs param 'f'"),
+            (["generator hamming", "param m 2", "param f x"], "param f: cannot parse 'x'"),
+            (["generator random", "param n 2"], "generator 'random' is randomized and needs a seed"),
+        ],
+        ids=["unknown-name", "misspelt-optional", "misspelt-policy", "missing", "malformed", "seed"],
+    )
+    def test_generator_param_refused_exit_two(self, tmp_path, capsys, lines, message):
+        path = self.write_config(tmp_path, *lines)
+        assert main(["adversary", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["config", "flag", "environment", "adversary"])
+    @pytest.mark.parametrize("count", [10, 11])
+    def test_ladder_has_at_most_ten_values(self, tmp_path, capsys, kind, count):
+        # Documents write a level as one digit. Under identity the random
+        # algorithm keeps its violations, which are written at their levels.
+        ladder = " ".join(str(value) for value in range(1, count + 1))
+        doc = tmp_path / "doc.txt"
+        if kind == "config":
+            lines = ["transformation identity", "generator random", "param n 2", f"ladder {ladder}"]
+            path = self.write_config(tmp_path, *lines, "seed 1")
+            argv, where = ["verify", "--config", path], f"{path}:5: ladder"
+        elif kind == "flag":
+            argv = ["adversary", "--generator", "all-ones", "--param", "n=2", "--ladder", ladder]
+            where = "--ladder"
+        elif kind == "environment":
+            doc.write_text(f"dcbox-env 1\nn 2\nladder {ladder}\nmaximal 10\n")
+            argv, where = ["opt", "--environment", str(doc), "--input", "90"], f"{doc}:3: ladder"
+        else:
+            doc.write_text(f"dcbox-adversary 1\nname x\nn 2\nladder {ladder}\nmaximal 10\ndefault 10\n")
+            path = self.write_config(tmp_path, "transformation identity", f"algorithm {doc}")
+            argv, where = ["verify", "--config", path], f"{doc}:4: ladder"
+        code = main(argv)
+        err = capsys.readouterr().err
+        if count == 10:
+            assert (code, err) == (1 if kind == "config" else 0, "")
+        else:
+            assert (code, err) == (2, f"error: {where}: at most 10 values, one digit per level\n")
 
     def test_adversary_flags(self, tmp_path, capsys):
         out = tmp_path / "doc.txt"

@@ -26,7 +26,7 @@ from dcbox import (
     welfare,
     welfare_report,
 )
-from dcbox.adversaries import POLICY_GREEDY, POLICY_OPTIMAL, stable_rng
+from dcbox.adversaries import stable_rng
 from dcbox.blackbox import Algorithm
 from dcbox.verify import DEFAULT_ENUM_BOUND, WelfareReport
 
@@ -181,7 +181,7 @@ class TestWelfareReport:
 
 class TestApproxRatio:
     def test_optimal_knapsack_is_one(self):
-        alg = gen_knapsack([2, 1, 3], 4, POLICY_OPTIMAL, ValueLadder.of(1, 4))
+        alg = gen_knapsack([2, 1, 3], 4, "optimal", ValueLadder.of(1, 4))
         assert welfare_report(alg, alg, alg.env).approx_ratio_rule == 1
 
     def test_hamming_adversary_ratio(self):
@@ -325,8 +325,8 @@ def knapsack_panel(n, ladder, seed):
     a random algorithm over it, and an arbitrary bit table (`table_rule`)."""
     rng = stable_rng("knapsack-panel", n, ladder.k, seed)
     weights = [rng.randint(1, 3) for _ in range(n)]
-    greedy = gen_knapsack(weights, max(1, sum(weights) // 2), POLICY_GREEDY, ladder)
-    optimal = gen_knapsack(weights, max(1, sum(weights) // 2), POLICY_OPTIMAL, ladder)
+    greedy = gen_knapsack(weights, max(1, sum(weights) // 2), "greedy", ladder)
+    optimal = gen_knapsack(weights, max(1, sum(weights) // 2), "optimal", ladder)
     env = greedy.env
     table = Algorithm(env, table_rule(n, ladder.k, seed), "table")
     return env, [greedy, optimal, gen_random_algorithm(env, seed), table]
