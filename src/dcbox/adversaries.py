@@ -1,12 +1,13 @@
 """Generators for adversarial constructions and baseline algorithms.
 
-The worst-case constructions share a shape: a single hidden "special" input
-is mapped to a special allocation, every other input to a canonical default,
-and the feasibility set is the downward closure of the named allocations
-(plus, for the hidden-allocation construction, "fake" maximal allocations
-that make unsuccessful membership probes uninformative). The baselines
-(all-ones, knapsack, seeded random) serve as panels for positive
-verification sweeps.
+The `thm1` and `block` constructions share one builder: a single hidden
+"special" input is mapped to a special allocation, every other input to a
+canonical default, and the feasibility set is the downward closure of the
+named allocations (plus, for `thm1`, "fake" maximal allocations that make
+unsuccessful membership probes uninformative). An instance holds its
+algorithm, whose `env` is the environment, and its construction's parts.
+The baselines (all-ones, knapsack, seeded random) serve as panels for
+positive verification sweeps.
 
 All randomness flows through `stable_rng`, so identical parameters and seed
 reproduce identical algorithms bit for bit, across runs and platforms.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .blackbox import MAX_TABULATED_INPUTS, Algorithm, CaseTable
+from .blackbox import Algorithm, CaseTable
 from .errors import ParameterError
 from .model import (
     Allocation,
@@ -30,7 +31,6 @@ from .model import (
     ScaledWelfare,
     ValueLadder,
     ValuationVector,
-    all_inputs,
     normalize_antichain,
 )
 
@@ -44,6 +44,28 @@ def stable_rng(*parts) -> random.Random:
     platforms, processes, and interpreter versions.
     """
     return random.Random(":".join(str(p) for p in parts))
+
+
+def _hidden_input_algorithm(
+    name: str,
+    ladder: ValueLadder,
+    special_input: ValuationVector,
+    special_allocation: Allocation,
+    default_allocation: Allocation,
+    fakes: tuple[Allocation, ...] = (),
+) -> Algorithm:
+    """The algorithm mapping `special_input` to `special_allocation` and every
+    other input to `default_allocation`, with its one-case table, over the
+    downward closure of the special, default and fake allocations."""
+    n = special_input.n
+    feasibility = normalize_antichain([special_allocation, default_allocation, *fakes], n)
+    special_levels = special_input.levels
+
+    def rule(v: ValuationVector) -> Allocation:
+        return special_allocation if v.levels == special_levels else default_allocation
+
+    table = CaseTable(n, ((special_input, special_allocation),), default_allocation)
+    return Algorithm(Environment(n, ladder, feasibility), rule, name=name, table=table)
 
 
 @dataclass(frozen=True)
@@ -61,8 +83,6 @@ class Thm1Instance:
     canonical coordinates.
     """
 
-    m: int
-    seed: int
     permutation: tuple[int, ...]  # permutation[i] = image of index i
     special_input_pre: ValuationVector
     special_allocation_pre: Allocation
@@ -72,16 +92,7 @@ class Thm1Instance:
     special_allocation: Allocation
     default_allocation: Allocation
     fakes: tuple[Allocation, ...]
-    environment: Environment
     algorithm: Algorithm
-
-    @property
-    def n(self) -> int:
-        return 4 * self.m
-
-    @property
-    def feasibility(self) -> FeasibilitySet:
-        return self.environment.feasibility
 
 
 def gen_thm1(m: int, seed: int, ladder: ValueLadder = DEFAULT_LADDER) -> Thm1Instance:
@@ -105,49 +116,33 @@ def gen_thm1(m: int, seed: int, ladder: ValueLadder = DEFAULT_LADDER) -> Thm1Ins
         return tuple(out)
 
     special_input_pre = ValuationVector((1,) * (3 * m) + (0,) * m)
-    c_bits = [0] * n
-    for i in one_positions:
-        c_bits[i] = 1
-    for i in range(3 * m, n):
-        c_bits[i] = 1
-    special_allocation_pre = Allocation(tuple(c_bits))
+    last_m = sum(1 << i for i in range(3 * m, n))
+    special_allocation_pre = Allocation.from_mask(n, last_m | sum(1 << i for i in one_positions))
     default_pre = Allocation((0,) * (2 * m) + (1,) * (2 * m))
-    fakes_pre = []
-    for combo in itertools.combinations(range(2 * m), m // 2 - 1):
-        bits = [0] * n
-        for i in combo:
-            bits[i] = 1
-        for i in range(3 * m, n):
-            bits[i] = 1
-        fakes_pre.append(Allocation(tuple(bits)))
+    fakes_pre = tuple(
+        Allocation.from_mask(n, last_m | sum(1 << i for i in combo))
+        for combo in itertools.combinations(range(2 * m), m // 2 - 1)
+    )
 
     special_input = ValuationVector(permute(special_input_pre.levels))
     special_allocation = Allocation(permute(special_allocation_pre.bits))
     default_allocation = Allocation(permute(default_pre.bits))
     fakes = tuple(Allocation(permute(f.bits)) for f in fakes_pre)
 
-    feasibility = normalize_antichain([special_allocation, default_allocation, *fakes], n)
-    environment = Environment(n, ladder, feasibility)
-    special_levels = special_input.levels
-
-    def rule(v: ValuationVector) -> Allocation:
-        return special_allocation if v.levels == special_levels else default_allocation
-
-    table = CaseTable(n, ((special_input, special_allocation),), default_allocation)
-    algorithm = Algorithm(environment, rule, name=f"thm1(m={m},seed={seed})", table=table)
+    name = f"thm1(m={m},seed={seed})"
+    algorithm = _hidden_input_algorithm(
+        name, ladder, special_input, special_allocation, default_allocation, fakes
+    )
     return Thm1Instance(
-        m=m,
-        seed=seed,
         permutation=tuple(permutation),
         special_input_pre=special_input_pre,
         special_allocation_pre=special_allocation_pre,
         default_allocation_pre=default_pre,
-        fakes_pre=tuple(fakes_pre),
+        fakes_pre=fakes_pre,
         special_input=special_input,
         special_allocation=special_allocation,
         default_allocation=default_allocation,
         fakes=fakes,
-        environment=environment,
         algorithm=algorithm,
     )
 
@@ -165,24 +160,12 @@ class BlockAdversaryInstance:
     always leaving at least one chosen position low.
     """
 
-    lengths: tuple[int, int, int]  # (L1, L2, L3)
-    ones_count: int
-    seed: int | None
     chosen_positions: tuple[int, ...]
     special_input: ValuationVector
     special_allocation: Allocation
     default_allocation: Allocation
     chain: tuple[ValuationVector, ...]
-    environment: Environment
     algorithm: Algorithm
-
-    @property
-    def n(self) -> int:
-        return self.lengths[0] + self.lengths[2]
-
-    @property
-    def feasibility(self) -> FeasibilitySet:
-        return self.environment.feasibility
 
 
 def gen_block_adversary(
@@ -230,27 +213,16 @@ def gen_block_adversary(
         levels[p] = 1
         chain.append(ValuationVector(tuple(levels)))
 
-    feasibility = normalize_antichain([special_allocation, default_allocation], n)
-    environment = Environment(n, ladder, feasibility)
-    special_levels = special_input.levels
-
-    def rule(v: ValuationVector) -> Allocation:
-        return special_allocation if v.levels == special_levels else default_allocation
-
-    table = CaseTable(n, ((special_input, special_allocation),), default_allocation)
-    algorithm = Algorithm(
-        environment, rule, name=f"block(L1={L1},L2={L2},L3={L3},ones={ones_count})", table=table
+    name = f"block(L1={L1},L2={L2},L3={L3},ones={ones_count})"
+    algorithm = _hidden_input_algorithm(
+        name, ladder, special_input, special_allocation, default_allocation
     )
     return BlockAdversaryInstance(
-        lengths=(L1, L2, L3),
-        ones_count=ones_count,
-        seed=seed if positions is None else None,
         chosen_positions=chosen,
         special_input=special_input,
         special_allocation=special_allocation,
         default_allocation=default_allocation,
         chain=tuple(chain),
-        environment=environment,
         algorithm=algorithm,
     )
 
@@ -262,22 +234,11 @@ class HammingAdversaryInstance:
     At n = 2m, inputs with at most m + f high values map to the allocation
     covering the second half; everything else maps to the first half. The
     worst approximation ratio, low/high exactly, is attained at the input
-    that is high on the first half and low on the second.
+    that is high on the first half and low on the second. The instance holds
+    only the algorithm, which has no case table: documents tabulate it.
     """
 
-    m: int
-    f: int
-    threshold: int
-    environment: Environment
     algorithm: Algorithm
-
-    @property
-    def n(self) -> int:
-        return 2 * self.m
-
-    @property
-    def feasibility(self) -> FeasibilitySet:
-        return self.environment.feasibility
 
 
 def gen_hamming_adversary(
@@ -297,16 +258,9 @@ def gen_hamming_adversary(
     def rule(v: ValuationVector) -> Allocation:
         return second_half if sum(v.levels) <= threshold else first_half
 
-    table = None
-    if 2**n <= MAX_TABULATED_INPUTS:
-        cases = tuple(
-            (v, first_half) for v in all_inputs(n, 2) if sum(v.levels) > threshold
-        )
-        table = CaseTable(n, cases, second_half)
-    feasibility = normalize_antichain([second_half, first_half], n)
-    environment = Environment(n, ladder, feasibility)
-    algorithm = Algorithm(environment, rule, name=f"hamming(m={m},f={f_value})", table=table)
-    return HammingAdversaryInstance(m, f_value, threshold, environment, algorithm)
+    environment = Environment(n, ladder, normalize_antichain([second_half, first_half], n))
+    algorithm = Algorithm(environment, rule, name=f"hamming(m={m},f={f_value})")
+    return HammingAdversaryInstance(algorithm)
 
 
 def gen_all_ones(n: int, ladder: ValueLadder = DEFAULT_LADDER) -> Algorithm:
@@ -445,11 +399,9 @@ class Generator:
     optional: tuple[str, ...] = ()
     seeded: bool = False
 
-    def algorithm(self, name: str, params, seed: int | None, ladder: ValueLadder) -> Algorithm:
-        """The algorithm from a config's (param, text) pairs; a param it does
-        not take, a missing or malformed one, or a missing seed is refused."""
-        if self.seeded and seed is None:
-            raise ParameterError(f"generator {name!r} is randomized and needs a seed")
+    def parse(self, name: str, params) -> dict[str, object]:
+        """The (param, text) pairs, parsed; a param the generator does not
+        take, or a value its parser refuses, raises ParameterError."""
         parsed = {}
         for key, text in params:
             if key not in self.params:
@@ -459,6 +411,14 @@ class Generator:
                 parsed[key] = self.params[key](text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParameterError(f"param {key}: cannot parse {text!r}") from exc
+        return parsed
+
+    def algorithm(self, name: str, params, seed: int | None, ladder: ValueLadder) -> Algorithm:
+        """The algorithm from a config's (param, text) pairs; a param it does
+        not take, a missing or malformed one, or a missing seed is refused."""
+        if self.seeded and seed is None:
+            raise ParameterError(f"generator {name!r} is randomized and needs a seed")
+        parsed = self.parse(name, params)
         for key in self.params:
             if key not in parsed and key not in self.optional:
                 raise ParameterError(f"generator {name!r} needs param {key!r}")

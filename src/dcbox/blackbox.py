@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     QueryBudgetExceeded,
 )
-from .model import Allocation, Environment, ValuationVector, input_at, input_index, is_feasible
+from .model import Allocation, Environment, ValuationVector, index_within, input_at, is_feasible
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class Algorithm:
     Generators guarantee that every output is feasible; give its black box
     `answers=AnswerTable(algorithm, check_feasible=True)` to assert this in
     debug verification runs. `table` is the optional persistable case-table
-    form used by the harness.
+    form that adversary documents write.
 
     Called directly, the algorithm answers from its newest AnswerTable while
     that table lives (`live_answers`, a weak reference set by the table), so
@@ -76,19 +76,9 @@ class Algorithm:
 
     def __call__(self, v: ValuationVector) -> Allocation:
         answers = None if self.live_answers is None else self.live_answers()
-        levels = v.levels
-        # Only an input of the table's shape has an index that names it.
-        if (
-            answers is not None
-            and len(levels) == answers.n
-            and levels
-            and min(levels) >= 0
-            and max(levels) < answers.k
-        ):
-            x = answers.get(input_index(levels, answers.k))
-            if x is not None:
-                return x
-        return self.rule(v)
+        u = None if answers is None else index_within(v.levels, answers.n, answers.k)
+        x = None if u is None else answers.get(u)
+        return self.rule(v) if x is None else x
 
 
 class AnswerTable(dict):

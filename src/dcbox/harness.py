@@ -26,7 +26,7 @@ from .adversaries import (
     gen_random_environment,
     stable_rng,
 )
-from .blackbox import Algorithm, tabulate
+from .blackbox import Algorithm
 from .errors import NonMonotoneRuleError, ParameterError, ParseError
 from .model import Environment, ValuationVector, ValueLadder, opt_welfare
 from .serialize import (
@@ -37,6 +37,7 @@ from .serialize import (
     SWEEP_HEADER,
     Key,
     adversary_document_for,
+    check_generator_params,
     dump_adversary,
     format_input,
     format_rational,
@@ -45,6 +46,7 @@ from .serialize import (
     parse_input,
     parse_integer,
     parse_ladder,
+    parse_name,
     parse_rational,
     read_records,
 )
@@ -144,17 +146,6 @@ def _joined(values: tuple) -> str:
     return " ".join(map(str, values))
 
 
-def _member(names: tuple[str, ...], what: str) -> Callable[[list[str]], str]:
-    """A parser of one name from `names`; another names the known ones."""
-
-    def parse(args: list[str]) -> str:
-        if args[0] not in names:
-            raise ParameterError(f"unknown {what} {args[0]!r}; known: {', '.join(names)}")
-        return args[0]
-
-    return parse
-
-
 def _ratio_tokens(args: list[str]) -> tuple[str, ...]:
     """Ratio tokens that evaluate (`ratio_value`); whether one exceeds 1
     depends on n, so that is checked per sweep cell."""
@@ -183,14 +174,14 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         1,
         "one identifier",
         field="transformation",
-        parse=_member(TRANSFORMATION_IDS, "transformation"),
+        parse=_one(lambda name: parse_name(name, TRANSFORMATION_IDS, "transformation")),
     ),
     "generator": ConfigKey(
         1,
         1,
         "one generator name",
         field="generator",
-        parse=_member(adversaries.GENERATOR_NAMES, "generator"),
+        parse=_one(lambda name: parse_name(name, adversaries.GENERATOR_NAMES, "generator")),
     ),
     "param": ConfigKey(
         2,
@@ -240,9 +231,15 @@ _SWEEP_KEYS = ("panel-random", "threshold")
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     config = ExperimentConfig()
-    read_records(
-        text, CONFIG_HEADER, CONFIG_KEYS, source, lambda line, key, args: config.set(key, args)
-    )
+    param_lines: list[int] = []
+
+    def record(line: int, key: str, args: list[str]) -> None:
+        config.set(key, args)
+        if key == "param":
+            param_lines.append(line)
+
+    read_records(text, CONFIG_HEADER, CONFIG_KEYS, source, record)
+    check_generator_params(config.generator, config.params, param_lines, source)
     return config
 
 
@@ -295,7 +292,7 @@ def build_algorithm(config: ExperimentConfig) -> Algorithm:
             raise ParameterError("ladder comes from the algorithm document; drop the ladder key")
         doc = load_adversary(_read_document(config.algorithm_path), source=config.algorithm_path)
         return doc.build_algorithm()
-    name = _member(adversaries.GENERATOR_NAMES, "generator")([config.generator])
+    name = parse_name(config.generator, adversaries.GENERATOR_NAMES, "generator")
     ladder = config.ladder if config.ladder is not None else adversaries.DEFAULT_LADDER
     return adversaries.GENERATORS[name].algorithm(name, config.params, config.seed, ladder)
 
@@ -448,7 +445,7 @@ def _verify_entry(
 def _validate_transformation(config: ExperimentConfig) -> str:
     if config.transformation is None:
         raise ParameterError("config needs a transformation")
-    return _member(TRANSFORMATION_IDS, "transformation")([config.transformation])
+    return parse_name(config.transformation, TRANSFORMATION_IDS, "transformation")
 
 
 def cmd_verify(config: ExperimentConfig) -> ResultRecord:
@@ -567,11 +564,8 @@ def cmd_adversary(config: ExperimentConfig) -> str:
     reloadable by cmd_verify."""
     if config.generator is None:
         raise ParameterError("adversary generation needs a generator")
-    algorithm = build_algorithm(config)
-    if algorithm.table is None:
-        algorithm = Algorithm(algorithm.env, algorithm.rule, algorithm.name, tabulate(algorithm))
     doc = adversary_document_for(
-        algorithm,
+        build_algorithm(config),
         generator=config.generator,
         seed=config.seed,
         params=config.params,

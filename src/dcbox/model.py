@@ -264,6 +264,14 @@ def input_index(levels: tuple[int, ...], k: int) -> int:
     return sum(map(operator.mul, levels, input_weights(len(levels), k)))
 
 
+def index_within(levels: tuple[int, ...], n: int, k: int) -> int | None:
+    """The index of an input of n agents on k levels; None for levels of
+    another length or off the ladder, which no index names."""
+    if len(levels) == n and levels and min(levels) >= 0 and max(levels) < k:
+        return input_index(levels, k)
+    return None
+
+
 def input_at(index: int, n: int, k: int) -> ValuationVector:
     """The input of n agents with this index; the inverse of `input_index`."""
     return ValuationVector(tuple([index // w % k for w in input_weights(n, k)]))

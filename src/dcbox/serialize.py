@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from .blackbox import Algorithm, CaseTable, InstrumentedBlackBox
+from .adversaries import GENERATOR_NAMES, GENERATORS
+from .blackbox import Algorithm, CaseTable, InstrumentedBlackBox, tabulate
 from .errors import DcboxError, ParameterError, ParseError
 from .model import (
     Allocation,
@@ -64,6 +65,27 @@ def parse_ladder(tokens: list[str]) -> ValueLadder:
     if len(tokens) > MAX_SERIALIZED_LEVELS:
         raise ParameterError(f"at most {MAX_SERIALIZED_LEVELS} values, one digit per level")
     return ValueLadder(tuple(parse_rational(t) for t in tokens))
+
+
+def parse_name(token: str, names: tuple[str, ...], what: str) -> str:
+    """`token` if it is one of `names`; another is refused, naming the known ones."""
+    if token not in names:
+        raise ParameterError(f"unknown {what} {token!r}; known: {', '.join(names)}")
+    return token
+
+
+def check_generator_params(
+    generator: str | None, params: Sequence[tuple[str, str]], lines: Sequence[int], source: str
+) -> None:
+    """Check a record's (param, text) pairs against its generator once it is
+    read (`generator` may follow them); a refused one fails at its line."""
+    if generator is None:
+        return
+    for number, param in zip(lines, params):
+        try:
+            GENERATORS[generator].parse(generator, [param])
+        except ParameterError as exc:
+            raise ParseError(str(exc), source=source, line=number) from exc
 
 
 LEVEL_CHARACTERS = "0123456789lmh"  # the characters parse_input accepts
@@ -211,6 +233,7 @@ class _Records:
         self.generator: str | None = None
         self.seed: int | None = None
         self.params: list[tuple[str, str]] = []
+        self.param_lines: list[int] = []
         self.default: tuple[int, Allocation] | None = None  # (line, allocation)
         self.cases: list[tuple[int, str, str]] = []  # (line, input, allocation), parsed at the end
 
@@ -222,11 +245,14 @@ class _Records:
         elif key == "name":
             self.name = " ".join(args)
         elif key == "generator":
-            self.generator = args[0]
+            self.generator = parse_name(args[0], GENERATOR_NAMES, "generator")
         elif key == "seed":
             self.seed = parse_integer(args[0])
         elif key == "param":
+            if args[0] in dict(self.params):
+                raise ParameterError(f"repeated name {args[0]!r}")
             self.params.append((args[0], " ".join(args[1:])))
+            self.param_lines.append(number)
         elif key == "case":
             self.cases.append((number, args[0], args[1]))
         else:  # maximal or default: an allocation over n agents
@@ -289,6 +315,7 @@ def dump_adversary(doc: AdversaryDocument) -> str:
 def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     records = _Records(source)
     read_records(text, ADVERSARY_HEADER, ADVERSARY_KEYS, source, records.feed)
+    check_generator_params(records.generator, records.params, records.param_lines, source)
     environment = records.environment()
     if records.default is None:
         raise ParseError("missing default allocation", source=source)
@@ -341,13 +368,11 @@ def adversary_document_for(
     seed: int | None = None,
     params: tuple[tuple[str, str], ...] = (),
 ) -> AdversaryDocument:
-    if algorithm.table is None:
-        raise ParameterError(
-            f"algorithm {algorithm.name!r} has no case table; tabulate it first"
-        )
+    """The algorithm's document, with its own case table or, without one,
+    `tabulate`'s."""
     return AdversaryDocument(
         environment=algorithm.env,
-        table=algorithm.table,
+        table=algorithm.table if algorithm.table is not None else tabulate(algorithm),
         name=algorithm.name,
         generator=generator,
         seed=seed,

@@ -33,8 +33,8 @@ from .model import (
     ValuationVector,
     above_masks,
     all_inputs,
+    index_within,
     input_at,
-    input_index,
     input_weights,
 )
 
@@ -71,11 +71,9 @@ class CachedRule:
         self._table: list[int] = []
 
     def __call__(self, v: ValuationVector) -> Allocation:
-        levels = v.levels
         n, k = self._shape
-        if n == len(levels) and max(levels) < k:
-            return Allocation.from_mask(n, self._table[input_index(levels, k)])
-        return self.rule(v)
+        u = index_within(v.levels, n, k)
+        return self.rule(v) if u is None else Allocation.from_mask(n, self._table[u])
 
     def masks(self, n: int, k: int) -> list[int]:
         """The rule's mask table over n agents and k levels."""

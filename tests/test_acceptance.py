@@ -164,7 +164,7 @@ def test_c07_hamming_quantities():
         for f in (2, 3):
             inst = gen_hamming_adversary(m, f, ValueLadder.of(1, 2))
             transformed = CachedRule(TransformedRule("two", inst.algorithm))
-            report = welfare_report(transformed, inst.algorithm, inst.environment)
+            report = welfare_report(transformed, inst.algorithm, inst.algorithm.env)
             assert report.approx_ratio_original == Fraction(1, 2)
             degraded = report.approx_ratio_rule
             assert degraded <= Fraction(1, m), (m, f, degraded)
@@ -226,12 +226,12 @@ def test_c09_adversary_well_formedness():
         assert sorted(inst.permutation[cut:]) == list(range(cut, n))
         specials = [
             v
-            for v in inst.environment.inputs()
+            for v in inst.algorithm.env.inputs()
             if inst.algorithm(v) == inst.special_allocation
         ]
         assert specials == [inst.special_input]
         for fake in inst.fakes:
-            assert is_feasible(fake, inst.feasibility)
+            assert is_feasible(fake, inst.algorithm.env.feasibility)
         _assert_outputs_feasible(inst.algorithm, sample_seed=m)
 
     for L1, L2, L3, ones in ((8, 4, 1, 2), (10, 5, 1, 4), (16, 8, 2, 5)):

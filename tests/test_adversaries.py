@@ -19,6 +19,7 @@ from dcbox import (
     gen_random_environment,
     gen_thm1,
     is_feasible,
+    tabulate,
     welfare,
 )
 from dcbox.adversaries import _density_ranks, stable_rng
@@ -81,7 +82,7 @@ class TestThm1:
     def test_exactly_one_special_input(self):
         inst = gen_thm1(2, seed=7)
         specials = [
-            v for v in inst.environment.inputs() if inst.algorithm(v) == inst.special_allocation
+            v for v in inst.algorithm.env.inputs() if inst.algorithm(v) == inst.special_allocation
         ]
         assert specials == [inst.special_input]
 
@@ -96,10 +97,10 @@ class TestThm1:
     def test_outputs_and_fakes_feasible(self):
         for m in (2, 4):
             inst = gen_thm1(m, seed=5)
-            assert is_feasible(inst.special_allocation, inst.feasibility)
-            assert is_feasible(inst.default_allocation, inst.feasibility)
+            assert is_feasible(inst.special_allocation, inst.algorithm.env.feasibility)
+            assert is_feasible(inst.default_allocation, inst.algorithm.env.feasibility)
             for fake in inst.fakes:
-                assert is_feasible(fake, inst.feasibility)
+                assert is_feasible(fake, inst.algorithm.env.feasibility)
 
     def test_deterministic_in_seed(self):
         a, b = gen_thm1(2, seed=42), gen_thm1(2, seed=42)
@@ -171,12 +172,13 @@ class TestHammingAdversary:
 
     def test_two_maximal_allocations(self):
         inst = gen_hamming_adversary(4, 2)
-        assert inst.feasibility.maximal == frozenset({bits("11110000"), bits("00001111")})
+        maximal = inst.algorithm.env.feasibility.maximal
+        assert maximal == frozenset({bits("11110000"), bits("00001111")})
 
     def test_table_matches_rule(self):
         inst = gen_hamming_adversary(4, 2)
-        lookup = inst.algorithm.table.lookup()
-        for v in inst.environment.inputs():
+        lookup = tabulate(inst.algorithm).lookup()
+        for v in inst.algorithm.env.inputs():
             assert lookup(v) == inst.algorithm(v)
 
 

@@ -144,9 +144,9 @@ class TestInstrumentedBlackBox:
         inst = gen_thm1(2, seed=5)
         bb = InstrumentedBlackBox(inst.algorithm)
         bb.query(ix(inst.special_input))
-        for v in list(inst.environment.inputs())[:40]:
+        for v in list(inst.algorithm.env.inputs())[:40]:
             bb.query(ix(v))
-        n = inst.environment.n
+        n = inst.algorithm.env.n
         for queried, answered in bb.log:
             assert inst.algorithm(input_at(queried, n, 2)) == answered
 
@@ -365,7 +365,7 @@ class TestThm1Fakes:
         # are members of the generated feasibility set
         inst = gen_thm1(2, seed=9)
         for fake in inst.fakes:
-            assert is_feasible(fake, inst.feasibility) is True
+            assert is_feasible(fake, inst.algorithm.env.feasibility) is True
 
 
 class TestTabulate:
@@ -373,7 +373,7 @@ class TestTabulate:
         inst = gen_thm1(2, seed=3)
         table = tabulate(inst.algorithm)
         looked_up = table.lookup()
-        for v in inst.environment.inputs():
+        for v in inst.algorithm.env.inputs():
             assert looked_up(v) == inst.algorithm(v)
 
     def test_majority_default_compresses(self):

@@ -1,5 +1,6 @@
 """Harness: config parsing, verify/sweep/payments/adversary/opt commands, CLI."""
 
+import hashlib
 import itertools
 import re
 from collections import Counter
@@ -385,7 +386,7 @@ class TestCmdSweep:
         fractions = []
         for inst in (small, large):
             report = welfare_report(
-                TransformedRule("two", inst.algorithm), inst.algorithm, inst.environment
+                TransformedRule("two", inst.algorithm), inst.algorithm, inst.algorithm.env
             )
             fractions.append(report.pointwise_min_fraction)
         assert fractions[1] < fractions[0]
@@ -479,12 +480,66 @@ class TestCmdAdversary:
         loaded = load_adversary(doc_path.read_text(), source=str(doc_path))
         rebuilt = loaded.build_algorithm()
         inst = gen_thm1(2, seed=9)
-        for v in inst.environment.inputs():
+        for v in inst.algorithm.env.inputs():
             assert rebuilt(v) == inst.algorithm(v)
 
     def test_unknown_generator(self):
         with pytest.raises(ParameterError):
             cmd_adversary(ExperimentConfig(generator="nonsense"))
+
+    # A spec is the generator, its params, the ladder and the seed; the value is
+    # the sha256 of its document. `hamming` has no table of its own, so its
+    # digests also pin tabulate's choice of default.
+    PINNED = {
+        "hamming m=2 f=0 ladder=1,2": (
+            "57ff15bea44975a0943f6754d4ed8c2d2ad65fddf85d145948415b038e645305"
+        ),
+        "hamming m=2 f=2 ladder=1,2": (
+            "245893e8cc66c6c267c0ee628e2890bc75edfcd213d4c7aafc54454a6ddd7246"
+        ),
+        "hamming m=4 f=1 ladder=1,5": (
+            "6df3fdcd5719c6e1c2cbbfd9377b914ea39e8920f59ddd7017ff2cb35ecce94f"
+        ),
+        "hamming m=6 f=3 ladder=1,2": (
+            "cd0c3e51d05391c3e04d3958ed8766de4fe76756f616c616699df585c5e178ff"
+        ),
+        "thm1 m=2 ladder=1,2 seed=7": (
+            "3e290ea4eb9620df7ce86b08a503b362a10a56ea0c6661cc6642a25ec003db8f"
+        ),
+        "thm1 m=4 ladder=1,2 seed=3": (
+            "dd10f45bbf262cb9d1403978c1133fdbcac8f10503736e666ec6fe67298c080b"
+        ),
+        "block L1=6 L2=4 L3=1 ones=2 ladder=1,2 seed=5": (
+            "e1163cd11fbb588ced068194235794618f75b1bfd7b3640cf3b78754e2b5ac81"
+        ),
+        "block L1=6 L2=4 L3=1 ones=2 positions=3,5 ladder=1,2": (
+            "95c9c229f625697933c4261f81e9827c479ad7690b5bd94ace9e8d66ffa55d24"
+        ),
+        "all-ones n=3 ladder=1,3": (
+            "5773c3c67fd4840729d758ce873bcb5a4cfc693ecd051e5d04e3dc12d2180f70"
+        ),
+        "knapsack weights=1,2,3,1 capacity=3 ladder=1,2": (
+            "22398094508e7fca48a71ee22df36fbc1fd7686ff1fa821c2ead315375cac098"
+        ),
+        "knapsack weights=1,2,3,1 capacity=3 policy=optimal ladder=1,3": (
+            "562bf4812965f58f9c5a759ae07afc75b91f25b1a619973d89733a2911bfd2fd"
+        ),
+        "random n=3 ladder=1,2,4 seed=11": (
+            "f3a5966d073dbb8626cb3fb8238f8e60014ec1c66dc1d610a3731d9f3550920d"
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", PINNED)
+    def test_document_bytes_are_pinned(self, spec):
+        generator, *pairs = spec.split()
+        params = dict(pair.split("=") for pair in pairs)
+        ladder = ValueLadder.of(*map(int, params.pop("ladder").split(",")))
+        seed = int(params.pop("seed")) if "seed" in params else None
+        config = ExperimentConfig(
+            generator=generator, params=tuple(params.items()), ladder=ladder, seed=seed
+        )
+        digest = hashlib.sha256(cmd_adversary(config).encode()).hexdigest()
+        assert digest == self.PINNED[spec]
 
 
 class TestCmdOpt:
@@ -783,19 +838,21 @@ class TestCli:
         [
             (
                 ["generator all-ones", "param n 2", "param bogus 7"],
-                "generator 'all-ones' takes no param 'bogus'; it takes n",
+                "{path}:4: generator 'all-ones' takes no param 'bogus'; it takes n",
             ),
             (
                 ["generator block", "param L1 6", "param L2 4", "param L3 1", "param ones 2"]
                 + ["param positon 3,4", "seed 1"],
-                "generator 'block' takes no param 'positon'; it takes L1, L2, L3, ones, positions",
+                "{path}:7: generator 'block' takes no param 'positon'; "
+                "it takes L1, L2, L3, ones, positions",
             ),
             (
                 ["generator knapsack", "param weights 1,2", "param capacity 2", "param polcy optimal"],
-                "generator 'knapsack' takes no param 'polcy'; it takes weights, capacity, policy",
+                "{path}:5: generator 'knapsack' takes no param 'polcy'; "
+                "it takes weights, capacity, policy",
             ),
             (["generator hamming", "param m 2"], "generator 'hamming' needs param 'f'"),
-            (["generator hamming", "param m 2", "param f x"], "param f: cannot parse 'x'"),
+            (["generator hamming", "param m 2", "param f x"], "{path}:4: param f: cannot parse 'x'"),
             (["generator random", "param n 2"], "generator 'random' is randomized and needs a seed"),
         ],
         ids=["unknown-name", "misspelt-optional", "misspelt-policy", "missing", "malformed", "seed"],
@@ -803,7 +860,64 @@ class TestCli:
     def test_generator_param_refused_exit_two(self, tmp_path, capsys, lines, message):
         path = self.write_config(tmp_path, *lines)
         assert main(["adversary", "--config", path]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize(
+        "kind, lines, message",
+        [
+            (
+                "config",
+                ["param bogus 7", "generator all-ones", "param n 2"],
+                "{path}:2: generator 'all-ones' takes no param 'bogus'; it takes n",
+            ),
+            (
+                "config",
+                ["param m x", "param f 1", "generator hamming"],
+                "{path}:2: param m: cannot parse 'x'",
+            ),
+            (
+                "document",
+                ["generator nonsense", "param zz 1"],
+                "{path}:3: generator: unknown generator 'nonsense'; "
+                "known: thm1, block, hamming, all-ones, knapsack, random",
+            ),
+            (
+                "document",
+                ["param zz 1", "generator hamming", "param m 1"],
+                "{path}:3: generator 'hamming' takes no param 'zz'; it takes m, f",
+            ),
+            (
+                "document",
+                ["generator hamming", "param m 1", "param f x"],
+                "{path}:5: param f: cannot parse 'x'",
+            ),
+            (
+                "document",
+                ["generator hamming", "param m 1", "param m 2"],
+                "{path}:5: param: repeated name 'm'",
+            ),
+        ],
+        ids=[
+            "config-param-before-generator",
+            "config-malformed-before-generator",
+            "document-unknown-generator",
+            "document-param-before-generator",
+            "document-malformed",
+            "document-repeated-name",
+        ],
+    )
+    def test_generator_metadata_fails_at_its_line(self, tmp_path, capsys, kind, lines, message):
+        if kind == "config":
+            path = self.write_config(tmp_path, *lines)
+            argv = ["adversary", "--config", path]
+        else:
+            doc = tmp_path / "doc.txt"
+            body = ["name x", *lines, "n 2", "ladder 1 2", "maximal 10", "default 10"]
+            doc.write_text("\n".join(["dcbox-adversary 1", *body]) + "\n")
+            config = self.write_config(tmp_path, "transformation two", f"algorithm {doc}")
+            path, argv = str(doc), ["verify", "--config", config]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize("kind", ["config", "flag", "environment", "adversary"])
     @pytest.mark.parametrize("count", [10, 11])

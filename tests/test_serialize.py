@@ -104,14 +104,17 @@ class TestEnvironmentDocuments:
 
 class TestAdversaryDocuments:
     def test_round_trip_agrees_on_all_inputs(self):
-        for builder in (lambda: gen_thm1(2, seed=7), lambda: gen_hamming_adversary(4, 2)):
+        for generator, builder in (
+            ("thm1", lambda: gen_thm1(2, seed=7)),
+            ("hamming", lambda: gen_hamming_adversary(4, 2)),
+        ):
             inst = builder()
-            doc = adversary_document_for(inst.algorithm, generator="g", seed=7)
+            doc = adversary_document_for(inst.algorithm, generator=generator, seed=7)
             text = dump_adversary(doc)
             loaded = load_adversary(text)
-            assert loaded.environment == inst.environment
+            assert loaded.environment == inst.algorithm.env
             reloaded = loaded.build_algorithm()
-            for v in inst.environment.inputs():
+            for v in inst.algorithm.env.inputs():
                 assert reloaded(v) == inst.algorithm(v)
 
     def test_serialization_is_deterministic(self):
@@ -205,7 +208,7 @@ DOCUMENTS = {
         [
             "dcbox-adversary 1",
             "name x",
-            "generator g",
+            "generator hamming",
             "seed 1",
             "param m 2",
             "n 2",
@@ -220,8 +223,8 @@ DOCUMENTS = {
         [
             "dcbox-config 1",
             "transformation two",
-            "generator all-ones",
-            "param n 2",
+            "generator hamming",
+            "param m 2",
             "algorithm a.txt",
             "environment e.txt",
             "ladder 1 2",
@@ -288,8 +291,8 @@ class TestRepeatedKeys:
         doc = load_adversary("\n".join([*DOCUMENTS["adversary"][1], *extra]) + "\n")
         assert len(doc.table.cases) == 2
         assert doc.params == (("m", "2"), ("f", "1"))
-        config = parse_config("\n".join([*DOCUMENTS["config"][1], "param m 4"]) + "\n")
-        assert config.params == (("n", "2"), ("m", "4"))
+        config = parse_config("\n".join([*DOCUMENTS["config"][1], "param f 4"]) + "\n")
+        assert config.params == (("m", "2"), ("f", "4"))
 
 
 class TestQueryLogExport:

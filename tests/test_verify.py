@@ -12,6 +12,7 @@ from dcbox import (
     DimensionError,
     Environment,
     FeasibilitySet,
+    ParameterError,
     TransformedRule,
     ValueLadder,
     ValuationVector,
@@ -186,7 +187,7 @@ class TestApproxRatio:
 
     def test_hamming_adversary_ratio(self):
         inst = gen_hamming_adversary(6, 3)
-        report = welfare_report(inst.algorithm, inst.algorithm, inst.environment)
+        report = welfare_report(inst.algorithm, inst.algorithm, inst.algorithm.env)
         assert report.approx_ratio_rule == Fraction(1, 2)
 
     def test_two_over_hamming_degrades(self):
@@ -194,7 +195,7 @@ class TestApproxRatio:
         # against an optimum of 6 highs
         inst = gen_hamming_adversary(6, 3)
         rule = CachedRule(TransformedRule("two", inst.algorithm))
-        assert welfare_report(rule, rule, inst.environment).approx_ratio_rule <= Fraction(1, 6)
+        assert welfare_report(rule, rule, inst.algorithm.env).approx_ratio_rule <= Fraction(1, 6)
 
     def test_never_exceeds_one(self):
         for seed in range(8):
@@ -394,6 +395,14 @@ class TestMaskTableOracle:
         assert rule(v) == Allocation.full(3)
         assert myerson_payments(rule, v, alg.env.ladder) == [1, 1, 1]  # level 0 pays 1
         assert len(calls) == 8  # once per input, all in the check
+
+    def test_levels_off_the_ladder_go_to_the_rule(self):
+        # A negative level must not read another input's table entry.
+        alg = gen_all_ones(2, ValueLadder.of(1, 3))
+        rule = CachedRule(TransformedRule("two", alg))
+        assert check_monotone(rule, alg.env).is_monotone
+        with pytest.raises(ParameterError, match=r"center index -1 outside \[0, 4\)"):
+            rule(vec(-1, 0))
 
     def test_sampled_evaluations_are_not_memoized(self):
         alg = gen_all_ones(4, ValueLadder.of(1, 2, 3))
