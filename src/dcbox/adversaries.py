@@ -413,16 +413,16 @@ class Generator:
                 raise ParameterError(f"param {key}: cannot parse {text!r}") from exc
         return parsed
 
-    def algorithm(self, name: str, params, seed: int | None, ladder: ValueLadder) -> Algorithm:
-        """The algorithm from a config's (param, text) pairs; a param it does
-        not take, a missing or malformed one, or a missing seed is refused."""
+    def check(self, name: str, params, seed: int | None) -> dict[str, object]:
+        """The (param, text) pairs, parsed for `build`; a param it does not take,
+        a missing or malformed one, or a missing seed is refused."""
         if self.seeded and seed is None:
             raise ParameterError(f"generator {name!r} is randomized and needs a seed")
         parsed = self.parse(name, params)
         for key in self.params:
             if key not in parsed and key not in self.optional:
                 raise ParameterError(f"generator {name!r} needs param {key!r}")
-        return self.build(seed, ladder, **parsed)
+        return parsed
 
 
 def _comma_separated(parse: Callable[[str], object]) -> Callable[[str], list]:

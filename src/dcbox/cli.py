@@ -11,6 +11,7 @@ import argparse
 import sys
 import warnings
 
+from .adversaries import GENERATORS
 from .errors import DcboxError, NonMonotoneRuleError, ParameterError
 from .harness import (
     CONFIG_KEYS,
@@ -58,6 +59,8 @@ def _configure(args: argparse.Namespace) -> ExperimentConfig:
                 raise ParameterError(f"{flag} takes {row.takes}")
             try:
                 config.set(key, tokens)
+                if key == "param" and config.generator is not None:
+                    GENERATORS[config.generator].parse(config.generator, config.params[-1:])
             except ParameterError as exc:
                 raise ParameterError(f"{flag}: {exc}") from exc
     return config

@@ -290,11 +290,14 @@ def build_algorithm(config: ExperimentConfig) -> Algorithm:
     if config.algorithm_path is not None:
         if config.ladder is not None:
             raise ParameterError("ladder comes from the algorithm document; drop the ladder key")
+        if config.params:
+            raise ParameterError("params come from the algorithm document; drop the param keys")
         doc = load_adversary(_read_document(config.algorithm_path), source=config.algorithm_path)
         return doc.build_algorithm()
     name = parse_name(config.generator, adversaries.GENERATOR_NAMES, "generator")
     ladder = config.ladder if config.ladder is not None else adversaries.DEFAULT_LADDER
-    return adversaries.GENERATORS[name].algorithm(name, config.params, config.seed, ladder)
+    generator = adversaries.GENERATORS[name]
+    return generator.build(config.seed, ladder, **generator.check(name, config.params, config.seed))
 
 
 def standard_panel(
@@ -408,38 +411,55 @@ class ResultRecord:
         return "\n".join(lines) + "\n"
 
 
-def _transformed(
+def _seed(config: ExperimentConfig) -> int:
+    """The seed of sampled verification and of sweep panels: the configured one, else 0."""
+    return config.seed if config.seed is not None else 0
+
+
+def _checked_rule(
     config: ExperimentConfig, algorithm: Algorithm, transformation: str
-) -> TransformedRule:
-    """`algorithm` transformed under the configured budget (c * n^d) and radius."""
+) -> tuple[CachedRule, MonotonicityReport]:
+    """`algorithm` transformed under the configured budget (c * n^d) and
+    radius, behind its mask table, with its monotonicity report under the
+    configured enumeration bound and seed."""
     budget = None
     if config.query_budget is not None:
         c, d = config.query_budget
         budget = c * algorithm.env.n**d
-    return TransformedRule(
+    transformed = TransformedRule(
         transformation, algorithm, query_budget=budget, hamming_radius=config.hamming_radius
     )
+    rule = CachedRule(transformed)
+    monotone = check_monotone(rule, algorithm.env, enum_bound=config.enum_bound, seed=_seed(config))
+    return rule, monotone
 
 
 def _verify_entry(
     config: ExperimentConfig, algorithm: Algorithm, transformation: str
 ) -> VerifyEntry:
     env = algorithm.env
-    rule = _transformed(config, algorithm, transformation)
-    cached = CachedRule(rule)
-    seed = config.seed if config.seed is not None else 0
-    monotone = check_monotone(cached, env, enum_bound=config.enum_bound, seed=seed)
+    rule, monotone = _checked_rule(config, algorithm, transformation)
     # The algorithm answers from the rule's live answer table: one call per input.
-    welfare = welfare_report(cached, algorithm, env, enum_bound=config.enum_bound, seed=seed)
-    return VerifyEntry(
-        algorithm=algorithm.name,
-        n=env.n,
-        k=env.k,
-        monotone=monotone,
-        welfare=welfare,
-        max_queries=rule.max_queries,
-        max_radius=rule.max_radius,
-    )
+    welfare = welfare_report(rule, algorithm, env, enum_bound=config.enum_bound, seed=_seed(config))
+    queries, radius = rule.rule.max_queries, rule.rule.max_radius
+    return VerifyEntry(algorithm.name, env.n, env.k, monotone, welfare, queries, radius)
+
+
+def _record(
+    config: ExperimentConfig, started: float, transformation: str, algorithms: list[Algorithm], cell=None
+) -> ResultRecord:
+    """`algorithms` verified under `transformation` into a record with the
+    config echo and sweep `cell` (or None), timed from `started`."""
+    entries = [_verify_entry(config, algorithm, transformation) for algorithm in algorithms]
+    duration_ms = int((time.monotonic() - started) * 1000)
+    return ResultRecord(config.echo_lines(), entries, cell, duration_ms)
+
+
+def _write(config: ExperimentConfig, document: str) -> str:
+    """`document`, written first to the configured output, if any."""
+    if config.output:
+        Path(config.output).write_text(document, encoding="utf-8")
+    return document
 
 
 def _validate_transformation(config: ExperimentConfig) -> str:
@@ -453,15 +473,8 @@ def cmd_verify(config: ExperimentConfig) -> ResultRecord:
     configured (transformation, algorithm, environment)."""
     started = time.monotonic()
     transformation = _validate_transformation(config)
-    algorithm = build_algorithm(config)
-    entry = _verify_entry(config, algorithm, transformation)
-    record = ResultRecord(
-        config_lines=config.echo_lines(),
-        entries=[entry],
-        duration_ms=int((time.monotonic() - started) * 1000),
-    )
-    if config.output:
-        Path(config.output).write_text(record.to_document(), encoding="utf-8")
+    record = _record(config, started, transformation, [build_algorithm(config)])
+    _write(config, record.to_document())
     return record
 
 
@@ -469,15 +482,8 @@ def _sweep_cell(config: ExperimentConfig, n: int, ratio_token: str) -> ResultRec
     started = time.monotonic()
     transformation = _validate_transformation(config)
     ladder = ladder_for_ratio(ratio_token, n)
-    seed = config.seed if config.seed is not None else 0
-    panel = standard_panel(n, ladder, seed, random_count=config.panel_random)
-    entries = [_verify_entry(config, algorithm, transformation) for algorithm in panel]
-    return ResultRecord(
-        config_lines=config.echo_lines(),
-        entries=entries,
-        cell=(n, ratio_token),
-        duration_ms=int((time.monotonic() - started) * 1000),
-    )
+    panel = standard_panel(n, ladder, _seed(config), random_count=config.panel_random)
+    return _record(config, started, transformation, panel, cell=(n, ratio_token))
 
 
 def cmd_regime_sweep(config: ExperimentConfig) -> tuple[list[ResultRecord], str]:
@@ -511,10 +517,7 @@ def cmd_regime_sweep(config: ExperimentConfig) -> tuple[list[ResultRecord], str]
             f"meets-threshold {str(meets).lower()}"
         )
     lines.append(f"duration-ms {int((time.monotonic() - started) * 1000)}")
-    document = "\n".join(lines) + "\n"
-    if config.output:
-        Path(config.output).write_text(document, encoding="utf-8")
-    return records, document
+    return records, _write(config, "\n".join(lines) + "\n")
 
 
 def _configured_input(config: ExperimentConfig, env: Environment) -> ValuationVector:
@@ -537,9 +540,7 @@ def cmd_payments(config: ExperimentConfig) -> str:
     algorithm = build_algorithm(config)
     env = algorithm.env
     v = _configured_input(config, env)
-    rule = CachedRule(_transformed(config, algorithm, transformation))
-    seed = config.seed if config.seed is not None else 0
-    monotone = check_monotone(rule, env, enum_bound=config.enum_bound, seed=seed)
+    rule, monotone = _checked_rule(config, algorithm, transformation)
     if not monotone.is_monotone:
         raise NonMonotoneRuleError(monotone)
     # After an exhaustive check these calls read the rule's mask table.
@@ -553,10 +554,7 @@ def cmd_payments(config: ExperimentConfig) -> str:
     ]
     for agent, (bit, payment) in enumerate(zip(allocation.bits, payments)):
         lines.append(f"agent {agent} bit {bit} payment {format_rational(payment)}")
-    document = "\n".join(lines) + "\n"
-    if config.output:
-        Path(config.output).write_text(document, encoding="utf-8")
-    return document
+    return _write(config, "\n".join(lines) + "\n")
 
 
 def cmd_adversary(config: ExperimentConfig) -> str:
@@ -570,10 +568,7 @@ def cmd_adversary(config: ExperimentConfig) -> str:
         seed=config.seed,
         params=config.params,
     )
-    text = dump_adversary(doc)
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
-    return text
+    return _write(config, dump_adversary(doc))
 
 
 def cmd_opt(config: ExperimentConfig) -> Fraction:

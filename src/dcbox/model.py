@@ -188,18 +188,6 @@ class Environment:
         return all_inputs(self.n, self.ladder.k)
 
 
-def welfare(v: ValuationVector, x: Allocation, ladder: ValueLadder) -> Fraction:
-    """Welfare of allocation x at input v: the dot product of values and bits."""
-    if v.n != x.n:
-        raise DimensionError(f"input of length {v.n} vs allocation of length {x.n}")
-    vals = ladder.values
-    total = Fraction(0)
-    for lvl, bit in zip(v.levels, x.bits):
-        if bit:
-            total += vals[lvl]
-    return total
-
-
 def is_feasible(x: Allocation, feasibility: FeasibilitySet) -> bool:
     """Membership in the downward closure: x is dominated by a maximal element."""
     if x.n != feasibility.n:

@@ -316,6 +316,11 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     records = _Records(source)
     read_records(text, ADVERSARY_HEADER, ADVERSARY_KEYS, source, records.feed)
     check_generator_params(records.generator, records.params, records.param_lines, source)
+    if records.generator is not None:  # the metadata must suffice to regenerate the document
+        try:
+            GENERATORS[records.generator].check(records.generator, records.params, records.seed)
+        except ParameterError as exc:
+            raise ParseError(str(exc), source=source) from exc
     environment = records.environment()
     if records.default is None:
         raise ParseError("missing default allocation", source=source)

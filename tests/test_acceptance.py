@@ -77,12 +77,19 @@ def test_c01_two_monotone():
                 assert report.is_monotone, (n, ratio, algorithm.name, report.violations[:3])
 
 
-@criterion("C2", "t_two keeps half the welfare pointwise when high/low >= n")
+@criterion("C2", "t_two keeps half the welfare pointwise when high/low >= n; floor R/(R+n-1)")
 def test_c02_two_pointwise_half():
+    # The exact floor over all algorithms is R/(R+n-1), R = high/low. If
+    # A(v) has a high 1, the output keeps only A(v)'s high 1s: at least R
+    # against at most R + (n-1). Otherwise the output either carries a high
+    # 1, at least R against at most n-1, or is A(v) itself. `all-ones`
+    # reaches the floor at any input with one high position, so it is the
+    # panel minimum in every cell.
     half = Fraction(1, 2)
     for n in range(2, 11):
         for ratio in (n, 2 * n, n * n):
             ladder = ValueLadder.of(1, ratio)
+            minima = []
             for algorithm in panel(n, ladder):
                 rule = CachedRule(TransformedRule("two", algorithm))
                 report = welfare_report(rule, algorithm, algorithm.env)
@@ -95,6 +102,8 @@ def test_c02_two_pointwise_half():
                         algorithm.name,
                         report.pointwise_min_fraction,
                     )
+                    minima.append(report.pointwise_min_fraction)
+            assert min(minima) == Fraction(ratio, ratio + n - 1), (n, ratio, min(minima))
 
 
 @criterion("C3", "t_two over all-ones keeps full welfare at exactly 2 inputs")

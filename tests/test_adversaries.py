@@ -20,10 +20,9 @@ from dcbox import (
     gen_thm1,
     is_feasible,
     tabulate,
-    welfare,
 )
 from dcbox.adversaries import _density_ranks, stable_rng
-from oracles import hamming_distance
+from oracles import hamming_distance, welfare
 
 
 def bits(text):

@@ -919,6 +919,43 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
+    @pytest.mark.parametrize(
+        "kind, lines, message",
+        [
+            ("config", ["param n 2"], "params come from the algorithm document; drop the param keys"),
+            ("flag", ["bogus=3"], "--param: generator 'all-ones' takes no param 'bogus'; it takes n"),
+            ("flag", ["n=x"], "--param: param n: cannot parse 'x'"),
+            ("document", ["generator hamming", "param m 1"], "{doc}: generator 'hamming' needs param 'f'"),
+            (
+                "document",
+                ["generator thm1", "param m 2"],
+                "{doc}: generator 'thm1' is randomized and needs a seed",
+            ),
+        ],
+        ids=[
+            "param-beside-algorithm",
+            "flag-param-unknown",
+            "flag-param-malformed",
+            "document-param-missing",
+            "document-seed-missing",
+        ],
+    )
+    def test_unread_or_missing_metadata_exit_two(self, tmp_path, capsys, kind, lines, message):
+        # A param beside a loaded document would be echoed yet unread; a bad
+        # --param names its flag; a document carries what regenerates it.
+        doc = tmp_path / "doc.txt"
+        metadata = lines if kind == "document" else []
+        body = ["name x", *metadata, "n 2", "ladder 1 2", "maximal 10", "default 10"]
+        doc.write_text("\n".join(["dcbox-adversary 1", *body]) + "\n")
+        if kind == "flag":
+            argv = ["adversary", "--generator", "all-ones", "--param", lines[0]]
+        else:
+            extra = lines if kind == "config" else []
+            path = self.write_config(tmp_path, "transformation two", f"algorithm {doc}", *extra)
+            argv = ["verify", "--config", path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(doc=doc)}\n"
+
     @pytest.mark.parametrize("kind", ["config", "flag", "environment", "adversary"])
     @pytest.mark.parametrize("count", [10, 11])
     def test_ladder_has_at_most_ten_values(self, tmp_path, capsys, kind, count):

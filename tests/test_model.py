@@ -22,9 +22,9 @@ from dcbox import (
     is_feasible,
     normalize_antichain,
     opt_welfare,
-    welfare,
 )
 from dcbox.model import ScaledWelfare
+from oracles import welfare
 
 L, H = 0, 1  # two-value level indices
 

@@ -104,12 +104,12 @@ class TestEnvironmentDocuments:
 
 class TestAdversaryDocuments:
     def test_round_trip_agrees_on_all_inputs(self):
-        for generator, builder in (
-            ("thm1", lambda: gen_thm1(2, seed=7)),
-            ("hamming", lambda: gen_hamming_adversary(4, 2)),
+        for generator, params, builder in (
+            ("thm1", (("m", "2"),), lambda: gen_thm1(2, seed=7)),
+            ("hamming", (("m", "4"), ("f", "2")), lambda: gen_hamming_adversary(4, 2)),
         ):
             inst = builder()
-            doc = adversary_document_for(inst.algorithm, generator=generator, seed=7)
+            doc = adversary_document_for(inst.algorithm, generator=generator, seed=7, params=params)
             text = dump_adversary(doc)
             loaded = load_adversary(text)
             assert loaded.environment == inst.algorithm.env
@@ -211,6 +211,7 @@ DOCUMENTS = {
             "generator hamming",
             "seed 1",
             "param m 2",
+            "param f 1",
             "n 2",
             "ladder 1 2",
             "maximal 10",
@@ -287,7 +288,7 @@ class TestRepeatedKeys:
     def test_repeatable_keys_accumulate(self):
         env = load_environment("\n".join([*DOCUMENTS["env"][1], "maximal 01"]) + "\n")
         assert len(env.feasibility.maximal) == 2
-        extra = ["maximal 01", "case 11 01", "param f 1"]
+        extra = ["maximal 01", "case 11 01"]
         doc = load_adversary("\n".join([*DOCUMENTS["adversary"][1], *extra]) + "\n")
         assert len(doc.table.cases) == 2
         assert doc.params == (("m", "2"), ("f", "1"))

@@ -474,6 +474,20 @@ class TestRefusedMultiTable:
         with pytest.raises(ParameterError):
             t_multi(InstrumentedBlackBox(alg), vec(1, 0))
 
+
+class TestMultiAtThreeValues:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: multi is not monotone at k = 3")
+    def test_witness_is_monotone(self):
+        # A(1,2) = 10 and 00 elsewhere. At (1,0) the distance-1 scan meets
+        # (1,2) and adopts 10. At (2,0), (1,2) is at distance 2, and the
+        # steps that could adopt a class-2 allocation scan distances 3-5,
+        # which n=2 does not reach: agent 0 loses the item by raising its bid.
+        env = Environment(2, ValueLadder.of(1, 2, 4), FeasibilitySet(2, frozenset({bits("11")})))
+        alg = Algorithm(env, lambda v: bits("10" if v.levels == (1, 2) else "00"), name="witness")
+        report = check_monotone(CachedRule(TransformedRule("multi", alg)), env)
+        assert report.is_monotone, [(x.input.levels, x.agent) for x in report.violations]
+
+
 # Per-input digests of t_multi's black-box query sequence with fresh state,
 # in all_inputs order, recorded from the scan over ValuationVectors that the
 # integer kernel replaced: (n, ladder, environment seed, algorithm seed).

@@ -24,12 +24,12 @@ from dcbox import (
     gen_random_environment,
     myerson_payments,
     opt_welfare,
-    welfare,
     welfare_report,
 )
 from dcbox.adversaries import stable_rng
 from dcbox.blackbox import Algorithm
 from dcbox.verify import DEFAULT_ENUM_BOUND, WelfareReport
+from oracles import welfare
 
 LAD2 = ValueLadder.of(1, 100)
 
