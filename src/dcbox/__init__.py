@@ -40,16 +40,7 @@ from .model import (
     normalize_antichain,
     opt_welfare,
 )
-from .transforms import (
-    TRANSFORMATION_IDS,
-    ProvisionalState,
-    TransformedRule,
-    inputs_at_distance,
-    t_const,
-    t_multi,
-    t_two,
-    t_two_plus,
-)
+from .transforms import TRANSFORMATION_IDS, TransformedRule
 from .verify import (
     DEFAULT_ENUM_BOUND,
     CachedRule,
@@ -83,7 +74,6 @@ __all__ = [
     "NonMonotoneRuleError",
     "ParameterError",
     "ParseError",
-    "ProvisionalState",
     "QueryBudgetExceeded",
     "Thm1Instance",
     "TRANSFORMATION_IDS",
@@ -100,15 +90,10 @@ __all__ = [
     "gen_random_algorithm",
     "gen_random_environment",
     "gen_thm1",
-    "inputs_at_distance",
     "is_feasible",
     "myerson_payments",
     "normalize_antichain",
     "opt_welfare",
-    "t_const",
-    "t_multi",
-    "t_two",
-    "t_two_plus",
     "tabulate",
     "welfare_report",
 ]

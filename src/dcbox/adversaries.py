@@ -390,7 +390,8 @@ def gen_random_environment(n: int, ladder: ValueLadder, seed: int) -> Environmen
 @dataclass(frozen=True)
 class Generator:
     """A generator as configs name it: its params, each with the parser of
-    its text; the params it may omit; whether it needs a seed; and
+    its text; the params it may omit; whether it needs a seed, which a
+    seeded generator's optional params replace when given; and
     `build(seed, ladder, **params)`, which calls its gen_* function by its
     module name, so a wrapper installed there is the one called."""
 
@@ -416,9 +417,10 @@ class Generator:
     def check(self, name: str, params, seed: int | None) -> dict[str, object]:
         """The (param, text) pairs, parsed for `build`; a param it does not take,
         a missing or malformed one, or a missing seed is refused."""
-        if self.seeded and seed is None:
-            raise ParameterError(f"generator {name!r} is randomized and needs a seed")
         parsed = self.parse(name, params)
+        if self.seeded and seed is None and not parsed.keys() & set(self.optional):
+            instead = "".join(f" or param {key!r}" for key in self.optional)
+            raise ParameterError(f"generator {name!r} is randomized and needs a seed{instead}")
         for key in self.params:
             if key not in parsed and key not in self.optional:
                 raise ParameterError(f"generator {name!r} needs param {key!r}")
@@ -441,6 +443,7 @@ GENERATORS: dict[str, Generator] = {
             L1, L2, L3, ones, seed=seed, ladder=ladder, **optional
         ).algorithm,
         optional=("positions",),
+        seeded=True,
     ),
     "hamming": Generator(
         {"m": int, "f": int}, lambda seed, ladder, m, f: gen_hamming_adversary(m, f, ladder).algorithm

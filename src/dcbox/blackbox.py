@@ -158,7 +158,6 @@ class InstrumentedBlackBox:
             answers = AnswerTable(algorithm)
         if hamming_center is not None and not 0 <= hamming_center < answers.size:
             raise ParameterError(f"center index {hamming_center} outside [0, {answers.size})")
-        self.algorithm = algorithm
         self.answers = answers
         self.k = answers.k
         self.size = answers.size

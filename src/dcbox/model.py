@@ -265,8 +265,14 @@ def input_at(index: int, n: int, k: int) -> ValuationVector:
     return ValuationVector(tuple([index // w % k for w in input_weights(n, k)]))
 
 
+def positions_above(levels: tuple[int, ...], k: int) -> list[int]:
+    """One input's positions above each level: bit i of entry c is set when
+    levels[i] exceeds c, for c < k - 1."""
+    return [sum(1 << i for i, lvl in enumerate(levels) if lvl > c) for c in range(k - 1)]
+
+
 def above_masks(n: int, k: int) -> list[list[int]]:
-    """Every input's positions above each level, by input index: bit i of
+    """Every input's `positions_above`, by input index: bit i of
     `above_masks(n, k)[c][u]` is set when agent i's level in input u exceeds
     c, for c < k - 1. On two values the one list is the indices themselves."""
     lists: list[list[int]] = [[0] for _ in range(k - 1)]
@@ -341,8 +347,7 @@ class ScaledWelfare:
         if not self._masks:
             return 0, None
         scores = self._bases
-        for c, step in enumerate(self._steps):
-            above = sum(1 << i for i, lvl in enumerate(levels) if lvl > c)
+        for step, above in zip(self._steps, positions_above(levels, len(self.weights))):
             scores = [s + step * (m & above).bit_count() for s, m in zip(scores, self._masks)]
         best = max(scores)
         return best, self._masks[scores.index(best)]

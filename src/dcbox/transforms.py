@@ -8,21 +8,24 @@ deterministic: candidate inputs are enumerated by ascending flipped-position
 combinations, then ascending replacement levels, and the first qualifying
 allocation is adopted.
 
-Available transformations, by registry id:
+Available transformations, by id (`TRANSFORMATIONS` maps each to its kernel
+and the number of ladder values it takes; a `TransformedRule` refuses any
+other ladder when it is built):
 
-- "const":    return the allocation at the all-lowest input, whatever v is.
+- "const":    any ladder; return the allocation at the all-lowest input,
+              whatever v is.
 - "two":      two-value ladder; secure a 1 on a high position (searching up
               to Hamming distance 2), then zero out the low positions.
 - "two-plus": two-value ladder; upgrade toward allocations with more 1s on
               high positions, and zero a low position only after an upgrade
               or on a per-position conflict with the provisional allocation
               at the raised neighbor. Preserves full welfare on more inputs.
-- "multi":    three-value ladders (k = 3); staged upgrade scans at growing
-              Hamming distances, then zero out everything below the
-              allocation's top attained value class. Larger ladders are
-              refused: the scan table extrapolated to k >= 4 is not monotone.
-- "identity": pass-through (query once, return the answer); a harness
-              convenience for verifying raw algorithms.
+- "multi":    three-value ladder; staged upgrade scans at growing Hamming
+              distances, then zero out everything below the allocation's
+              top attained value class. The scan table extrapolated to
+              k >= 4 is not monotone.
+- "identity": any ladder; pass-through (query once, return the answer); a
+              harness convenience for verifying raw algorithms.
 
 The scans run on integers: an Allocation is stored as its bitmask (bit i
 for agent i), and an input is its index, the sum of level_i * k**i
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .blackbox import Algorithm, AnswerTable, InstrumentedBlackBox
 from .errors import DimensionError, ParameterError
@@ -60,11 +63,6 @@ def inputs_at_distance(v: ValuationVector, distance: int, k: int) -> Iterator[Va
             for i, lv in zip(combo, replacement):
                 new[i] = lv
             yield ValuationVector(tuple(new))
-
-
-def _require_two_values(bb: InstrumentedBlackBox, name: str) -> None:
-    if bb.algorithm.env.ladder.k != 2:
-        raise ParameterError(f"{name} requires a two-value ladder")
 
 
 def t_const(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
@@ -97,7 +95,6 @@ def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     3. Otherwise do the same at distance 2.
     4. Otherwise return the allocation at v unchanged.
     """
-    _require_two_values(bb, "t_two")
     n = v.n
     high = input_index(v.levels, 2)
     x = bb.query(high)
@@ -146,7 +143,6 @@ def t_two_plus(
     Queries stay within Hamming distance 5 of v. An input u is the bitmask
     of its high positions, so `mask & u` keeps an allocation's 1s on them.
     """
-    _require_two_values(bb, "t_two_plus")
     if state is None:
         state = ProvisionalState()
     n = v.n
@@ -210,17 +206,6 @@ _SCAN_STEPS = (
 )
 
 
-def _require_three_values(k: int) -> None:
-    if k < 3:
-        raise ParameterError("t_multi requires three ladder values; use t_two for two")
-    if k > 3:
-        # The scan table extrapolated to k >= 4 is not monotone (k=4, n=2 has a witness).
-        raise ParameterError(
-            f"t_multi requires three ladder values, got {k}: "
-            "no monotone scan table is known for more"
-        )
-
-
 def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     """Three-value ladder transformation (k = 3).
 
@@ -235,8 +220,7 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     the order of `inputs_at_distance`. Answers are reused through the
     box's `known` mapping: with a shared answer table only its misses are queried.
     """
-    k = bb.algorithm.env.ladder.k
-    _require_three_values(k)
+    k = bb.k
     known = bb.known
     levels = v.levels
     n = len(levels)
@@ -287,7 +271,19 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     return _restrict(x, lm[cls] | above[cls])
 
 
-TRANSFORMATION_IDS = ("const", "two", "two-plus", "multi", "identity")
+# One row per transformation id: its kernel, called as kernel(bb, v), and the
+# number of ladder values it takes (None: any). TransformedRule refuses any
+# other ladder when it is built, so the kernels do not check it.
+TRANSFORMATIONS: dict[str, tuple[Callable[..., Allocation], int | None]] = {
+    "const": (t_const, None),
+    "two": (t_two, 2),
+    "two-plus": (t_two_plus, 2),
+    # The scan table extrapolated to k >= 4 is not monotone (k=4, n=2 has a witness).
+    "multi": (t_multi, 3),
+    # The box is centred at v's index: one query, answered unchanged.
+    "identity": (lambda bb, v: bb.query(bb.hamming_center), None),
+}
+TRANSFORMATION_IDS = tuple(TRANSFORMATIONS)
 
 
 class TransformedRule:
@@ -303,7 +299,9 @@ class TransformedRule:
     would see table misses only. Otherwise each evaluation reuses only its
     own answers. Outputs are identical either way. The newest rule's table
     also answers direct calls of the algorithm, which never write to it
-    (`Algorithm.live_answers`). Not thread-safe: one instance per worker.
+    (`Algorithm.live_answers`). The kind's row of TRANSFORMATIONS is read
+    once, here: a ladder it does not take is refused, and each evaluation
+    makes one kernel call. Not thread-safe: one instance per worker.
     """
 
     def __init__(
@@ -316,19 +314,23 @@ class TransformedRule:
         shared_state: bool = True,
         check_feasible: bool = False,
     ):
-        if kind not in TRANSFORMATION_IDS:
+        if kind not in TRANSFORMATIONS:
             raise ParameterError(
                 f"unknown transformation {kind!r}; known: {', '.join(TRANSFORMATION_IDS)}"
             )
-        if kind == "multi":
-            _require_three_values(algorithm.env.k)
-        self.kind = kind
+        kernel, size = TRANSFORMATIONS[kind]
+        if size is not None and algorithm.env.k != size:
+            raise ParameterError(
+                f"transformation {kind!r} takes {size} ladder values, got {algorithm.env.k}"
+            )
         self.algorithm = algorithm
         self.query_budget = query_budget
         self.hamming_radius = hamming_radius
         self.answers = AnswerTable(algorithm, check_feasible)
         self._shared = shared_state and query_budget is None and hamming_radius is None
-        self._state = ProvisionalState() if self._shared and kind == "two-plus" else None
+        if self._shared and kind == "two-plus":
+            kernel = functools.partial(t_two_plus, state=ProvisionalState())
+        self._kernel = kernel
         self.max_queries = 0
         self.max_radius = 0
 
@@ -345,16 +347,7 @@ class TransformedRule:
             answers=answers,
             reuse_answers=self._shared,
         )
-        if self.kind == "identity":
-            out = bb.query(center)
-        elif self.kind == "const":
-            out = t_const(bb, v)
-        elif self.kind == "two":
-            out = t_two(bb, v)
-        elif self.kind == "two-plus":
-            out = t_two_plus(bb, v, self._state)
-        else:
-            out = t_multi(bb, v)
+        out = self._kernel(bb, v)
         self.max_queries = max(self.max_queries, len(bb.log))
         self.max_radius = max(self.max_radius, bb.max_radius)
         return out

@@ -13,7 +13,8 @@ from one evaluation per input in `all_inputs` order. A `CachedRule` keeps its
 table for `check_monotone`, `welfare_report` and later calls. A raise of
 agent i from level lo to hi is the entry k**i * (hi - lo) further on. Welfare
 is scored, exhaustive or sampled, from the inputs' above-level masks
-(`model.above_masks`) with one popcount per level.
+(`model.positions_above` of one input, `model.above_masks` of every input)
+with one popcount per level.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .model import (
     index_within,
     input_at,
     input_weights,
+    positions_above,
 )
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -97,14 +99,6 @@ def _table(rule: AllocationRule, n: int, k: int) -> list[int]:
 
 def _masks(rule: AllocationRule, n: int, k: int) -> list[int]:
     return rule.masks(n, k) if isinstance(rule, CachedRule) else _table(rule, n, k)
-
-
-def _above(inputs: list[ValuationVector], k: int) -> list[list[int]]:
-    """The inputs' positions above each level c < k - 1, as in `above_masks`."""
-    return [
-        [sum(1 << i for i, lvl in enumerate(v.levels) if lvl > c) for v in inputs]
-        for c in range(k - 1)
-    ]
 
 
 @dataclass(frozen=True)
@@ -253,7 +247,10 @@ def welfare_report(
         rng = random.Random(seed)
         draws = (ValuationVector(tuple(rng.randrange(k) for _ in range(n))) for _ in range(count))
         batches = (
-            (lambda r: list(_evaluate(r, n, drawn)), _above(drawn, k))
+            (
+                lambda r: list(_evaluate(r, n, drawn)),
+                list(zip(*(positions_above(v.levels, k) for v in drawn))),
+            )
             for drawn in iter(lambda: list(itertools.islice(draws, _BATCH)), [])
         )
     else:

@@ -30,12 +30,12 @@ from dcbox import (
     gen_thm1,
     is_feasible,
     opt_welfare,
-    t_two,
     welfare_report,
 )
 from dcbox.adversaries import stable_rng
 from dcbox.harness import standard_panel
 from dcbox.model import Environment, FeasibilitySet, input_index
+from dcbox.transforms import t_two
 from oracles import hamming_distance
 
 PANEL_SEED = 20260809

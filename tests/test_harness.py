@@ -619,6 +619,15 @@ class TestCli:
         assert main(["verify", "--config", path]) == 2
         assert f"{doc}:6: infeasible allocation 11" in capsys.readouterr().err
 
+    def test_ladder_the_transformation_does_not_take_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "result.txt"
+        lines = ("transformation two-plus", "generator all-ones", "param n 3", "ladder 1 2 3")
+        path = self.write_config(tmp_path, *lines, f"output {out}")
+        assert main(["verify", "--config", path]) == 2
+        message = "error: transformation 'two-plus' takes 2 ladder values, got 3\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_repeated_config_key_exit_two(self, tmp_path, capsys):
         lines = ("transformation two", "generator all-ones", "param n 3", "transformation multi")
         path = self.write_config(tmp_path, *lines)
@@ -931,6 +940,11 @@ class TestCli:
                 ["generator thm1", "param m 2"],
                 "{doc}: generator 'thm1' is randomized and needs a seed",
             ),
+            (
+                "document",
+                ["generator block", "param L1 4", "param L2 3", "param L3 1", "param ones 2"],
+                "{doc}: generator 'block' is randomized and needs a seed or param 'positions'",
+            ),
         ],
         ids=[
             "param-beside-algorithm",
@@ -938,6 +952,7 @@ class TestCli:
             "flag-param-malformed",
             "document-param-missing",
             "document-seed-missing",
+            "document-seed-or-positions-missing",
         ],
     )
     def test_unread_or_missing_metadata_exit_two(self, tmp_path, capsys, kind, lines, message):
