@@ -131,8 +131,9 @@ class InstrumentedBlackBox:
     violations raise distinct exception types.
 
     Kernels reuse answers as `known.get(u) or bb.query(u)`. `known` holds
-    this box's answers, or with reuse_answers the whole table, whose
-    answers from earlier boxes would then bypass a budget or radius.
+    the answers of this evaluation, or with reuse_answers the whole table,
+    whose answers from earlier evaluations would then bypass a budget or
+    radius. `recenter` starts the next evaluation in the same box.
     Single-owner mutable state: do not share one instance between workers.
     """
 
@@ -146,8 +147,6 @@ class InstrumentedBlackBox:
         answers: AnswerTable | None = None,
         reuse_answers: bool = False,
     ):
-        if hamming_radius is not None and hamming_center is None:
-            raise ParameterError("hamming_radius needs a hamming_center")
         if hamming_radius is not None and hamming_radius < 0:
             raise ParameterError("hamming_radius must be nonnegative")
         if budget is not None and budget < 0:
@@ -156,15 +155,24 @@ class InstrumentedBlackBox:
             raise ParameterError("reused answers would bypass the query budget and radius")
         if answers is None:
             answers = AnswerTable(algorithm)
-        if hamming_center is not None and not 0 <= hamming_center < answers.size:
-            raise ParameterError(f"center index {hamming_center} outside [0, {answers.size})")
         self.answers = answers
         self.k = answers.k
         self.size = answers.size
         self.budget = budget
-        self.hamming_center = hamming_center
         self.hamming_radius = hamming_radius
-        self.known: dict[int, Allocation] = answers if reuse_answers else {}
+        self.reuse_answers = reuse_answers
+        self.recenter(hamming_center)
+
+    def recenter(self, center: int | None) -> None:
+        """Start a new evaluation around `center`: an empty log, `max_radius`
+        0 and, unless the table's answers are reused, no known answers.
+        Budget, radius and answer table stay."""
+        if center is None and self.hamming_radius is not None:
+            raise ParameterError("hamming_radius needs a hamming_center")
+        if center is not None and not 0 <= center < self.size:
+            raise ParameterError(f"center index {center} outside [0, {self.size})")
+        self.hamming_center = center
+        self.known: dict[int, Allocation] = self.answers if self.reuse_answers else {}
         self.log: list[tuple[int, Allocation]] = []
         self.max_radius = 0
 

@@ -34,13 +34,25 @@ positions. The kernels query the black box with indices, reuse answers
 through its `known` mapping (index to Allocation) and build each result with
 `Allocation.from_mask`. The black box sees the same queries in the same
 order as a scan over vectors.
+
+The two-value kernels reach neighbours through XOR masks per (n, distance)
+(`_flips`). `multi` reads scan plans while k**n <= 65536: a plan is keyed
+on (n, k, distance, center index) and holds the center's neighbour indices
+at that exact distance, in canonical order, as an array of 16-bit indices.
+Plans hold geometry only, never answers, so every rule over the same (n, k)
+shares them. A plan is built on its center's first scan at its distance.
+MAX_PLAN_INDICES caps the indices kept over all plans. Past the cap, and on
+larger input spaces, a scan reads the same neighbours from a one-off
+iterator and keeps nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator
+from array import array
+from math import comb
+from typing import Callable, Iterable, Iterator
 
 from .blackbox import Algorithm, AnswerTable, InstrumentedBlackBox
 from .errors import DimensionError, ParameterError
@@ -205,6 +217,69 @@ _SCAN_STEPS = (
     (5, frozenset({0}), 2),
 )
 
+# The most neighbour indices kept in all scan plans together: about 2 MB as
+# 16-bit indices, which holds every plan at n=6, k=3 (484 056 indices).
+MAX_PLAN_INDICES = 1 << 20
+
+
+class _ScanPlans:
+    """`multi`'s kept scan plans (see the module docstring), as
+    `plans[n, k][distance][center]`, and `kept`, the number of indices they
+    hold in all. One store serves every rule in the process."""
+
+    def __init__(self) -> None:
+        self.plans: dict[tuple[int, int], list[dict[int, array]]] = {}
+        self.kept = 0
+
+
+_SCAN_PLANS = _ScanPlans()
+
+
+def _neighbours(n: int, k: int, center: int, distance: int) -> Iterator[int]:
+    """The indices at exact Hamming distance `distance` from `center`, in
+    `inputs_at_distance` order, as a one-off iterator."""
+    deltas = []
+    for w in input_weights(n, k):
+        lvl = center // w % k
+        deltas.append([(lv - lvl) * w for lv in range(k) if lv != lvl])
+    combos = itertools.starmap(itertools.product, itertools.combinations(deltas, distance))
+    return map(center.__add__, map(sum, itertools.chain.from_iterable(combos)))
+
+
+def _scan_plan(n: int, k: int, center: int, distance: int) -> Iterable[int]:
+    """`_neighbours(n, k, center, distance)`: the kept plan, else, while
+    k**n <= 65536, built and kept on this first scan as long as the kept
+    indices stay within MAX_PLAN_INDICES, else the one-off iterator. Plans
+    are built from the center index, never from a caller's levels, so every
+    rule may trust them."""
+    if distance > n:
+        return ()
+    if k**n > 1 << 16:
+        return _neighbours(n, k, center, distance)
+    store = _SCAN_PLANS
+    by_distance = store.plans.get((n, k))
+    if by_distance is None:
+        by_distance = store.plans[n, k] = [{} for _ in range(n + 1)]
+    plan = by_distance[distance].get(center)
+    if plan is not None:
+        return plan
+    size = comb(n, distance) * (k - 1) ** distance
+    if store.kept + size > MAX_PLAN_INDICES:
+        return _neighbours(n, k, center, distance)
+    plan = by_distance[distance][center] = array("H", _neighbours(n, k, center, distance))
+    store.kept += size
+    return plan
+
+
+def _top_class(mask: int, lm: list[int]) -> int:
+    """The highest level c at which the allocation `mask` has a 1 on a
+    position of level c (`lm[c]`); the empty allocation counts as the lowest
+    class: it is neither a high- nor a mid-class allocation."""
+    c = len(lm) - 1
+    while c and not mask & lm[c]:
+        c -= 1
+    return c
+
 
 def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     """Three-value ladder transformation (k = 3).
@@ -215,18 +290,17 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     appear in v are skipped: no candidate could qualify. Queries stay within
     Hamming distance 5 of v.
 
-    An input is its index (agent i has weight k**i); the distance-d
-    neighbours are v's index plus one level delta per changed position, in
-    the order of `inputs_at_distance`. Answers are reused through the
-    box's `known` mapping: with a shared answer table only its misses are queried.
+    An input is its index (agent i has weight k**i); each scan reads the
+    center's plan at its distance (`_scan_plan`). Answers are reused through
+    the box's `known` mapping: with a shared answer table only its misses
+    are queried.
     """
     k = bb.k
     known = bb.known
+    query = bb.query
     levels = v.levels
     n = len(levels)
-    weights = input_weights(n, k)
     index = input_index(levels, k)
-    deltas = [[(lv - lvl) * w for lv in range(k) if lv != lvl] for lvl, w in zip(levels, weights)]
     lm = [0] * k  # lm[c]: positions of v at level c
     for i, lvl in enumerate(levels):
         lm[lvl] |= 1 << i
@@ -234,25 +308,10 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     for c in range(k - 2, -1, -1):
         above[c] = above[c + 1] | lm[c + 1]
 
-    def scan(distance: int) -> Iterator[Allocation]:
-        # Answers at the distance-`distance` neighbours, canonical order. An
-        # Allocation is never falsy, so `or` queries only on a miss.
-        for combo in itertools.combinations(deltas, distance):
-            for offset in map(sum, itertools.product(*combo)):
-                u = index + offset
-                yield known.get(u) or bb.query(u)
-
-    def top_class(mask: int) -> int:
-        # The empty allocation counts as the lowest class: it is neither a
-        # high- nor a mid-class allocation.
-        for c in range(k - 1, 0, -1):
-            if mask & lm[c]:
-                return c
-        return 0
-
-    x = known.get(index) or bb.query(index)
+    # An Allocation is never falsy, so `or` queries only on a miss.
+    x = known.get(index) or query(index)
+    cls = _top_class(x.mask, lm)
     for distance, sources, target in _SCAN_STEPS:
-        cls = top_class(x.mask)
         # Adopt the first candidate with a 1 in `want` and none in `reject`.
         if sources is None:
             want, reject = above[cls], 0
@@ -262,12 +321,13 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
             continue
         if not want:
             continue
-        for candidate in scan(distance):
+        for u in _scan_plan(n, k, index, distance):
+            candidate = known.get(u) or query(u)
             cmask = candidate.mask
             if cmask & want and not cmask & reject:
                 x = candidate
+                cls = _top_class(cmask, lm)
                 break
-    cls = top_class(x.mask)
     return _restrict(x, lm[cls] | above[cls])
 
 
@@ -289,12 +349,12 @@ TRANSFORMATION_IDS = tuple(TRANSFORMATIONS)
 class TransformedRule:
     """An allocation rule: a transformation bound to a black-boxed algorithm.
 
-    Every evaluation wraps the algorithm in a fresh InstrumentedBlackBox
-    centered at the evaluated input's index (applying the per-evaluation
-    query budget and optional Hamming-radius restriction) and updates query
-    statistics from it. Below the boxes, one AnswerTable per rule, `answers`,
-    runs the algorithm once per distinct input. Kernels reuse the whole table (and
-    `two-plus` its derived memo) across evaluations only when shared_state
+    The rule owns one InstrumentedBlackBox, which applies the per-evaluation
+    query budget and optional Hamming-radius restriction. Every evaluation
+    re-centres it at the evaluated input's index, which also clears its log
+    and radius, and updates query statistics from it. Below the box, one
+    AnswerTable per rule, `answers`, runs the algorithm once per distinct
+    input. Kernels reuse the whole table (and `two-plus` its derived memo) across evaluations only when shared_state
     is set and neither a query budget nor a Hamming radius is: a limit
     would see table misses only. Otherwise each evaluation reuses only its
     own answers. Outputs are identical either way. The newest rule's table
@@ -323,14 +383,19 @@ class TransformedRule:
             raise ParameterError(
                 f"transformation {kind!r} takes {size} ladder values, got {algorithm.env.k}"
             )
-        self.algorithm = algorithm
-        self.query_budget = query_budget
-        self.hamming_radius = hamming_radius
         self.answers = AnswerTable(algorithm, check_feasible)
-        self._shared = shared_state and query_budget is None and hamming_radius is None
-        if self._shared and kind == "two-plus":
+        shared = shared_state and query_budget is None and hamming_radius is None
+        if shared and kind == "two-plus":
             kernel = functools.partial(t_two_plus, state=ProvisionalState())
         self._kernel = kernel
+        self._box = InstrumentedBlackBox(
+            algorithm,
+            budget=query_budget,
+            hamming_center=0,
+            hamming_radius=hamming_radius,
+            answers=self.answers,
+            reuse_answers=shared,
+        )
         self.max_queries = 0
         self.max_radius = 0
 
@@ -338,15 +403,8 @@ class TransformedRule:
         answers = self.answers
         if v.n != answers.n:
             raise DimensionError(f"input of length {v.n} vs n={answers.n}")
-        center = input_index(v.levels, answers.k)
-        bb = InstrumentedBlackBox(
-            self.algorithm,
-            budget=self.query_budget,
-            hamming_center=center,
-            hamming_radius=self.hamming_radius,
-            answers=answers,
-            reuse_answers=self._shared,
-        )
+        bb = self._box
+        bb.recenter(input_index(v.levels, answers.k))
         out = self._kernel(bb, v)
         self.max_queries = max(self.max_queries, len(bb.log))
         self.max_radius = max(self.max_radius, bb.max_radius)

@@ -205,6 +205,16 @@ class TestIndexQueries:
         with pytest.raises(ParameterError):
             InstrumentedBlackBox(alg, hamming_center=-1, hamming_radius=1)
 
+    def test_radius_needs_a_center_on_every_recenter(self):
+        alg = gen_all_ones(3)
+        with pytest.raises(ParameterError, match="needs a hamming_center"):
+            InstrumentedBlackBox(alg, hamming_radius=1)
+        bb = InstrumentedBlackBox(alg, hamming_center=0, hamming_radius=1)
+        with pytest.raises(ParameterError, match="needs a hamming_center"):
+            bb.recenter(None)
+        with pytest.raises(ParameterError):
+            bb.recenter(8)
+
     def test_transformed_rule_rejects_input_of_wrong_length(self):
         rule = TransformedRule("two", gen_all_ones(3))
         with pytest.raises(DimensionError):

@@ -1,6 +1,7 @@
 """Transformations: classification, step traces, locality, determinism."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -24,7 +25,9 @@ from dcbox import (
     gen_random_environment,
     is_feasible,
 )
+from dcbox import transforms
 from dcbox.blackbox import Algorithm
+from dcbox.harness import standard_panel
 from dcbox.model import input_at, input_index
 from dcbox.transforms import (
     ProvisionalState,
@@ -539,6 +542,94 @@ class TestMultiQueryOrder:
         _check_budget_and_radius_one_too_small(_query_order_algorithm(case), t_multi)
 
 
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty scan-plan store for one test, so plans that earlier tests
+    kept, or the cap they filled, do not decide which side of the cap runs."""
+    store = transforms._ScanPlans()
+    monkeypatch.setattr(transforms, "_SCAN_PLANS", store)
+    return store
+
+
+def _kept_lengths(store):
+    return sum(len(plan) for at in store.plans.values() for plans in at for plan in plans.values())
+
+
+class TestScanPlans:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_plan_is_the_canonical_neighbour_order(self, n, fresh_plans):
+        for center in range(3**n):
+            v = input_at(center, n, 3)
+            for distance in range(1, 6):
+                expected = [input_index(u.levels, 3) for u in inputs_at_distance(v, distance, 3)]
+                # Built on the first scan, then read back as kept.
+                for _ in range(2):
+                    assert list(transforms._scan_plan(n, 3, center, distance)) == expected
+                if distance > n:
+                    assert expected == []
+        assert fresh_plans.kept == _kept_lengths(fresh_plans) > 0
+
+    # Caps that keep every plan, some plans and none: the kernel must scan
+    # the same neighbours on both sides of the cap.
+    @pytest.mark.parametrize("cap", [transforms.MAX_PLAN_INDICES, 500, 0])
+    def test_both_sides_of_the_cap_scan_alike(self, cap, fresh_plans, monkeypatch):
+        monkeypatch.setattr(transforms, "MAX_PLAN_INDICES", cap)
+        case = sorted(QUERY_ORDER_CASES)[0]
+        alg = _query_order_algorithm(case)
+        assert _log_digests(alg, t_multi) == QUERY_ORDER_DIGESTS[case].split()
+        _check_budget_and_radius_one_too_small(alg, t_multi)
+        env = gen_random_environment(5, ValueLadder.of(1, 5, 25), 2)
+        alg = gen_random_algorithm(env, 3)
+        got = []
+        for shared_state in (True, False):
+            rule = TransformedRule("multi", alg, shared_state=shared_state)
+            check_monotone(CachedRule(rule), env)
+            got.append((rule.max_queries, rule.max_radius))
+        assert got == [(71, 5), (171, 5)]
+        assert fresh_plans.kept == _kept_lengths(fresh_plans) <= cap
+        assert (fresh_plans.kept > 0) == (cap > 0)
+
+    def test_kept_indices_stay_within_the_cap(self, fresh_plans):
+        # C8-sized panels at n = 6 and 7, then a sampled run at n = 14, whose
+        # 3**14 inputs no exhaustive run reaches and no plan is kept for.
+        for n in (6, 7):
+            for algorithm in standard_panel(
+                n, ValueLadder.of(1, n, n * n), 20260809, random_count=20, include_optimal=True
+            ):
+                check_monotone(CachedRule(TransformedRule("multi", algorithm)), algorithm.env)
+        n = 14
+        ones, empty = Allocation.from_mask(n, (1 << n) - 1), Allocation.from_mask(n, 0)
+        env = Environment(n, ValueLadder.of(1, n, n * n), FeasibilitySet(n, frozenset({ones})))
+        # Cheap answers whose scans run out to distance 5 at most centers.
+        alg = Algorithm(env, lambda v: ones if v.levels.count(2) >= 8 else empty)
+        # Nothing of size k**n is allocated up front: a list over the inputs
+        # would take 12.7 MB at n = 13 alone. This first evaluation adopts a
+        # distance-1 answer: 17 queries, the center and 16 neighbours.
+        tracemalloc.start()
+        try:
+            rule = TransformedRule("multi", alg)
+            assert rule(vec(*[2] * 7, *[0] * 7)) == Allocation.from_mask(n, (1 << 7) - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.max_queries == 17
+        assert peak < 1 << 20
+        assert check_monotone(rule, env, enum_bound=10, seed=7).sampled
+        assert fresh_plans.kept == _kept_lengths(fresh_plans) <= transforms.MAX_PLAN_INDICES
+        assert set(fresh_plans.plans) == {(6, 3), (7, 3)}
+
+    def test_indices_past_64_bits_scan_without_plans(self, fresh_plans):
+        # 3**41 > 2**64: no fixed-width array holds these indices.
+        n = 41
+        ones, empty = Allocation.from_mask(n, (1 << n) - 1), Allocation.from_mask(n, 0)
+        env = Environment(n, ValueLadder.of(1, n, n * n), FeasibilitySet(n, frozenset({ones})))
+        alg = Algorithm(env, lambda v: ones if v.levels.count(2) >= 8 else empty)
+        rule = TransformedRule("multi", alg)
+        assert rule(vec(*[2] * 7, *[0] * 34)) == Allocation.from_mask(n, (1 << 7) - 1)
+        assert (rule.max_queries, rule.max_radius) == (17, 1)
+        assert fresh_plans.plans == {} and fresh_plans.kept == 0
+
+
 # The same per-input digests for the two-value transformations on ladder
 # 1 100, recorded from the scan over ValuationVectors: (transformation, n,
 # environment seed, algorithm seed). The seeds were picked for many inputs
@@ -667,7 +758,7 @@ class TestSharedAnswerTable:
     # (shared state, fresh state). The shared multi count is low: a shared
     # table answers unqueried what earlier evaluations asked, so it counts
     # misses only. It should change only when rules report exact per-input
-    # footprints (ROADMAP item 1).
+    # footprints (ROADMAP item 10).
     @pytest.mark.parametrize(
         "kind, n, ladder, expected",
         [
@@ -685,6 +776,42 @@ class TestSharedAnswerTable:
             check_monotone(CachedRule(rule), env)
             got.append((rule.max_queries, rule.max_radius))
         assert got == expected
+
+
+class TestBoxReuse:
+    # A rule re-centres one black box per evaluation. After an evaluation
+    # that raised, the next input must see what a new rule's box sees.
+    @pytest.mark.parametrize(
+        "limit, error",
+        [
+            ({"query_budget": 20}, QueryBudgetExceeded),
+            ({"hamming_radius": 3}, HammingRestrictionViolation),
+        ],
+        ids=["budget", "radius"],
+    )
+    @pytest.mark.parametrize("shared_state", [True, False])
+    def test_evaluation_after_a_raise_matches_a_new_rule(self, limit, error, shared_state):
+        alg = _query_order_algorithm("k3-n4")
+        inputs = list(alg.env.inputs())
+        checked = 0
+        for v, after in zip(inputs, inputs[1:]):
+            rule = TransformedRule("multi", alg, shared_state=shared_state, **limit)
+            try:
+                rule(v)
+                continue
+            except error:
+                pass
+            new = TransformedRule("multi", alg, shared_state=shared_state, **limit)
+            try:
+                expected = new(after)
+            except error:
+                with pytest.raises(error):
+                    rule(after)
+                continue
+            assert rule(after) == expected
+            assert (rule.max_queries, rule.max_radius) == (new.max_queries, new.max_radius)
+            checked += 1
+        assert checked >= 5
 
 
 class TestWrongLengthAllocation:
