@@ -1042,3 +1042,60 @@ class TestCli:
         )
         main(["verify", "--config", path, "--seed", "2"])
         assert "config.seed 2" in capsys.readouterr().out
+
+
+def _pinned_command(spec):
+    """The subcommand and config lines of a pinned document's spec."""
+    command, *words = spec.split()
+    if command == "sweep":
+        lines = ["transformation two-plus", "sweep-n 3 4", "sweep-ratio n+1 2n+1"]
+        return command, lines + ["panel-random 2", "seed 5", f"workers {words[0][-1]}"]
+    kind = "two" if command == "payments" else words[0]
+    lines = [f"transformation {kind}", "generator random", "seed 3"]
+    lines += ["param n 4", "ladder 1 4 16"] if kind == "multi" else ["param n 5", "ladder 1 7"]
+    mode = words[-1]
+    if mode == "limited":
+        lines += ["query-budget 4 2", "hamming-radius 7"]
+    elif mode == "sampled":
+        lines.append("enum-bound 30")
+    elif command == "payments":
+        lines.append("input hlhlh")
+    return command, lines
+
+
+class TestPinnedDocuments:
+    # sha256 of each CLI result document without its duration-ms line:
+    # every kind verified exhaustively, under a query budget and Hamming
+    # radius that it stays within, and sampled; a sweep at 1 and 2 workers;
+    # one payments document. A change to any kernel, verifier or writer
+    # that moves one byte of a result shows here.
+    PINNED = {
+        "verify const exhaustive": "0d04513e774311705b1709c1902a6ad910a41431cd7061835d94f562d679123f",
+        "verify const limited": "2e61cb4703765648f8dc0b97d1da16ae2351245f86b32387564e31a08d0d993c",
+        "verify const sampled": "fbee8eb58cd3f7cb9996e1051527db96ed551f522194caf9a443133cd9ffd71c",
+        "verify two exhaustive": "08678b83b7da4ed2c9ff889ce565769d8bef195731c098cbb02424f1f4218655",
+        "verify two limited": "8e974d6883f55fc7f6d35acef010b6df3133c8927a77b3200cd475b9105bf095",
+        "verify two sampled": "0d2128e821e29cf81748f3e303c84bb939272d728b77c37176b61c921aff3db3",
+        "verify two-plus exhaustive": "9f07d3e78d738b95cb08504ac0606470b9a9540f87e516b9704e86cef54acc31",
+        "verify two-plus limited": "746c728b5a4c5fdb63208642778b2cbc5b94581e6d673f16c784a4281270e5a1",
+        "verify two-plus sampled": "7fb9f58852b650a59c4bea1c9fb076f05c13bf073754d4099e2519c87afe6896",
+        "verify identity exhaustive": "390d0fa1ab8c983774e85a943bfb41c6289dd97816781a09377ab33aeba6116b",
+        "verify identity limited": "1dd623fe0d51e57cf9a3a1c4a52dc85de7e03e1154e7c4c78dbf983681388891",
+        "verify identity sampled": "18f627781d72d6aa8a3878e6e3b2162d0a856b905491e73fcd10ddca0c5fca81",
+        "verify multi exhaustive": "96e22da152c2126c83d188e91c91ede0745f8345287d85ec608659acd79b33f5",
+        "verify multi limited": "61936a598b130778f11ffac55909277538bc2706c94d75135158e7f293befeea",
+        "verify multi sampled": "eca932638339d5e0e9d3526eeefaef85715bc2e3288b5971ea19c721fe1d8160",
+        "sweep workers=1": "de72f579b4f77fa73bef6dcb2c280494967f8e95a2d13e48bec9f817da6d1ff0",
+        "sweep workers=2": "de72f579b4f77fa73bef6dcb2c280494967f8e95a2d13e48bec9f817da6d1ff0",
+        "payments two exhaustive": "a8e4bcee1442cdab15e0afc7145aaf32ea86cfb7c925b5c8f683f5462daf3189",
+    }
+
+    @pytest.mark.parametrize("spec", PINNED)
+    def test_document_bytes_are_pinned(self, spec, tmp_path, capsys):
+        command, lines = _pinned_command(spec)
+        path = tmp_path / "config.txt"
+        path.write_text(config_text(*lines))
+        # identity reports the random algorithm's own violations: exit 1.
+        assert main([command, "--config", str(path)]) == (1 if "identity" in spec else 0)
+        document = re.sub(r"^duration-ms \d+\n", "", capsys.readouterr().out, flags=re.M)
+        assert hashlib.sha256(document.encode()).hexdigest() == self.PINNED[spec]
