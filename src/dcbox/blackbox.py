@@ -2,13 +2,14 @@
 
 An `Algorithm` is a total deterministic allocation rule attached to its
 environment. Transformations never call it directly: they go through an
-`InstrumentedBlackBox`, which takes each query as an input index (see
-`model.input_index`), logs it, enforces an optional query budget, measures
-its Hamming distance from an optional center and optionally restricts it to
-a strict radius. Below the box, an `AnswerTable`, the only memo of the
-algorithm's answers, calls the algorithm once per distinct input. The
-algorithm itself keeps a weak reference to its newest table and answers a
-direct call from it on a hit, without ever writing to it.
+`InstrumentedBlackBox` centred at the evaluated input's index, which takes
+each query as an input index (see `model.input_index`), logs it, enforces an
+optional query budget, measures its Hamming distance from the center and
+optionally restricts it to a strict radius. Below the box, an
+`AnswerTable`, the only memo of the algorithm's answers, calls the
+algorithm once per distinct input. The algorithm itself keeps a weak
+reference to its newest table and answers a direct call from it on a hit,
+without ever writing to it.
 """
 
 from __future__ import annotations
@@ -124,17 +125,20 @@ class InstrumentedBlackBox:
     recording (index, allocation) pairs; answers come from `answers`, a
     fresh AnswerTable unless one is given (which may check feasibility).
 
-    The budget counts successful queries. `max_radius` is the largest
-    Hamming distance of a successful query from the center index, if one
-    is set, measured by the box itself. With a radius f set too, only
-    inputs at distance < f are allowed. Budget exhaustion and radius
-    violations raise distinct exception types.
+    The center index (`hamming_center`, 0 unless given) is the input under
+    evaluation. The budget counts successful queries. `max_radius` is the
+    largest Hamming distance of a successful query from the center,
+    measured by the box itself. With a radius f set, only inputs at
+    distance < f are allowed. Budget exhaustion and radius violations raise
+    distinct exception types.
 
-    Kernels reuse answers as `known.get(u) or bb.query(u)`. `known` holds
-    the answers of this evaluation, or with reuse_answers the whole table,
-    whose answers from earlier evaluations would then bypass a budget or
-    radius. `recenter` starts the next evaluation in the same box.
-    Single-owner mutable state: do not share one instance between workers.
+    The box holds every per-evaluation memo under one policy: `known`, the
+    answers kernels reuse as `known.get(u) or bb.query(u)`, and `memo`, a
+    kernel's allocations derived from them by index. Without reuse_answers
+    `recenter` empties both; with it, `known` is the whole table and
+    `memo` persists, whose entries from earlier evaluations would then
+    bypass a budget or radius. Single-owner mutable state: do not share one
+    instance between workers.
     """
 
     def __init__(
@@ -142,7 +146,7 @@ class InstrumentedBlackBox:
         algorithm: Algorithm,
         *,
         budget: int | None = None,
-        hamming_center: int | None = None,
+        hamming_center: int = 0,
         hamming_radius: int | None = None,
         answers: AnswerTable | None = None,
         reuse_answers: bool = False,
@@ -156,23 +160,26 @@ class InstrumentedBlackBox:
         if answers is None:
             answers = AnswerTable(algorithm)
         self.answers = answers
+        self.n = answers.n
         self.k = answers.k
         self.size = answers.size
         self.budget = budget
         self.hamming_radius = hamming_radius
         self.reuse_answers = reuse_answers
+        self.known: dict[int, Allocation] = answers if reuse_answers else {}
+        self.memo: dict[int, Allocation] = {}
         self.recenter(hamming_center)
 
-    def recenter(self, center: int | None) -> None:
+    def recenter(self, center: int) -> None:
         """Start a new evaluation around `center`: an empty log, `max_radius`
-        0 and, unless the table's answers are reused, no known answers.
-        Budget, radius and answer table stay."""
-        if center is None and self.hamming_radius is not None:
-            raise ParameterError("hamming_radius needs a hamming_center")
-        if center is not None and not 0 <= center < self.size:
+        0 and, unless answers are reused, empty `known` and `memo`. Budget,
+        radius and answer table stay."""
+        if not 0 <= center < self.size:
             raise ParameterError(f"center index {center} outside [0, {self.size})")
         self.hamming_center = center
-        self.known: dict[int, Allocation] = self.answers if self.reuse_answers else {}
+        if not self.reuse_answers:
+            self.known = {}
+            self.memo = {}
         self.log: list[tuple[int, Allocation]] = []
         self.max_radius = 0
 
@@ -181,14 +188,12 @@ class InstrumentedBlackBox:
             raise ParameterError(f"input index {u} outside [0, {self.size})")
         if self.budget is not None and len(self.log) >= self.budget:
             raise QueryBudgetExceeded(f"query budget of {self.budget} exhausted")
-        d = 0
         c = self.hamming_center
-        if c is not None:
-            d = (u ^ c).bit_count() if self.k == 2 else _digit_distance(u, c, self.k)
-            if self.hamming_radius is not None and d >= self.hamming_radius:
-                raise HammingRestrictionViolation(
-                    f"query at distance {d} from the center; allowed distance is < {self.hamming_radius}"
-                )
+        d = (u ^ c).bit_count() if self.k == 2 else _digit_distance(u, c, self.k)
+        if self.hamming_radius is not None and d >= self.hamming_radius:
+            raise HammingRestrictionViolation(
+                f"query at distance {d} from the center; allowed distance is < {self.hamming_radius}"
+            )
         x = self.known[u] = self.answers[u]
         self.log.append((u, x))
         if d > self.max_radius:

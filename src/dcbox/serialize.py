@@ -359,7 +359,7 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
 def dump_query_log(bb: InstrumentedBlackBox) -> str:
     """Render an instrumented black box's log: one record per query with its
     position, the queried input, and the answered allocation."""
-    n, k = bb.answers.n, bb.answers.k
+    n, k = bb.n, bb.k
     lines = [QUERY_LOG_HEADER]
     for position, (u, x) in enumerate(bb.log):
         lines.append(f"query {position} {format_input(input_at(u, n, k))} {x.to_string()}")

@@ -1,19 +1,20 @@
 """Monotone black-box transformations.
 
-Each transformation consumes an instrumented black box and one input and
-returns an allocation that is a coordinatewise subset of some queried
-allocation, hence feasible by downward closure. Wherever a step says to
-pick among several qualifying allocations, the scan is canonical and
-deterministic: candidate inputs are enumerated by ascending flipped-position
-combinations, then ascending replacement levels, and the first qualifying
-allocation is adopted.
+Each transformation is a kernel, `kernel(bb)`. It takes only an
+instrumented black box centred at the evaluated input: the input is the
+box's center index, `bb.hamming_center`. It returns an allocation that is a
+coordinatewise subset of some queried allocation, hence feasible by
+downward closure. Wherever a step says to pick among several qualifying
+allocations, the scan is canonical and deterministic: candidate inputs are
+enumerated by ascending flipped-position combinations, then ascending
+replacement levels, and the first qualifying allocation is adopted.
 
 Available transformations, by id (`TRANSFORMATIONS` maps each to its kernel
 and the number of ladder values it takes; a `TransformedRule` refuses any
 other ladder when it is built):
 
 - "const":    any ladder; return the allocation at the all-lowest input,
-              whatever v is.
+              whatever the center is.
 - "two":      two-value ladder; secure a 1 on a high position (searching up
               to Hamming distance 2), then zero out the low positions.
 - "two-plus": two-value ladder; upgrade toward allocations with more 1s on
@@ -31,9 +32,10 @@ The scans run on integers: an Allocation is stored as its bitmask (bit i
 for agent i), and an input is its index, the sum of level_i * k**i
 (`input_index`), which on a two-value ladder is the bitmask of its high
 positions. The kernels query the black box with indices, reuse answers
-through its `known` mapping (index to Allocation) and build each result with
-`Allocation.from_mask`. The black box sees the same queries in the same
-order as a scan over vectors.
+through its `known` mapping (index to Allocation), keep derived allocations
+in its `memo` and build each result with `Allocation.from_mask`. The box
+alone decides whether `known` and `memo` outlive an evaluation. The black
+box sees the same queries in the same order as a scan over vectors.
 
 The two-value kernels reach neighbours through XOR masks per (n, distance)
 (`_flips`). `multi` reads scan plans while k**n <= 65536: a plan is keyed
@@ -56,7 +58,7 @@ from typing import Callable, Iterable, Iterator
 
 from .blackbox import Algorithm, AnswerTable, InstrumentedBlackBox
 from .errors import DimensionError, ParameterError
-from .model import Allocation, ValuationVector, input_index, input_weights
+from .model import Allocation, ValuationVector, index_within, input_weights
 
 
 def inputs_at_distance(v: ValuationVector, distance: int, k: int) -> Iterator[ValuationVector]:
@@ -77,8 +79,8 @@ def inputs_at_distance(v: ValuationVector, distance: int, k: int) -> Iterator[Va
             yield ValuationVector(tuple(new))
 
 
-def t_const(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
-    """Return the allocation at the all-lowest input, independent of v.
+def t_const(bb: InstrumentedBlackBox) -> Allocation:
+    """Return the allocation at the all-lowest input, independent of the center.
 
     Exactly one query per call. Keeps a low/high fraction of the
     approximation ratio for any algorithm.
@@ -97,8 +99,9 @@ def _restrict(x: Allocation, keep: int) -> Allocation:
     return Allocation.from_mask(x.n, x.mask & keep) if x.mask & ~keep else x
 
 
-def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
-    """Two-value transformation; queries stay within Hamming distance 2 of v.
+def t_two(bb: InstrumentedBlackBox) -> Allocation:
+    """Two-value transformation at the center v; queries stay within Hamming
+    distance 2 of v.
 
     1. If the allocation at v has a 1 on a high position, zero out the low
        positions and return it.
@@ -107,12 +110,11 @@ def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     3. Otherwise do the same at distance 2.
     4. Otherwise return the allocation at v unchanged.
     """
-    n = v.n
-    high = input_index(v.levels, 2)
+    high = bb.hamming_center
     x = bb.query(high)
     # Without a high position no candidate can qualify: the scans are skipped.
     if high and not x.mask & high:
-        for flip in itertools.chain(_flips(n, 1), _flips(n, 2)):
+        for flip in itertools.chain(_flips(bb.n, 1), _flips(bb.n, 2)):
             candidate = bb.query(high ^ flip)
             if candidate.mask & high:
                 x = candidate
@@ -120,24 +122,9 @@ def t_two(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     return _restrict(x, high) if x.mask & high else x
 
 
-class ProvisionalState:
-    """Memo of the provisional transformation's derived allocations by input
-    index.
-
-    All entries are pure functions of the underlying algorithm, so the memo
-    may be reused across evaluations of one rule instance within a single
-    worker; recomputation always returns the identical allocation.
-    """
-
-    def __init__(self) -> None:
-        self.first_pass: dict[int, Allocation] = {}
-        self.provisional: dict[int, Allocation] = {}
-
-
-def t_two_plus(
-    bb: InstrumentedBlackBox, v: ValuationVector, state: ProvisionalState | None = None
-) -> Allocation:
-    """Two-value transformation preserving full welfare on a 1/n input fraction.
+def t_two_plus(bb: InstrumentedBlackBox) -> Allocation:
+    """Two-value transformation at the center v, preserving full welfare on a
+    1/n input fraction.
 
     1. If the allocation at v has a 1 on a high position, adopt the first
        adjacent input's allocation that yields strictly more 1s on high
@@ -154,16 +141,17 @@ def t_two_plus(
 
     Queries stay within Hamming distance 5 of v. An input u is the bitmask
     of its high positions, so `mask & u` keeps an allocation's 1s on them.
+    The box's `memo` keeps step 1's allocation at u and steps 1-5's at ~u:
+    each is a pure function of the algorithm, so reusing it across
+    evaluations returns the identical allocation.
     """
-    if state is None:
-        state = ProvisionalState()
-    n = v.n
-    adjacent = _flips(n, 1)
-    near = adjacent + _flips(n, 2)
+    adjacent = _flips(bb.n, 1)
+    near = adjacent + _flips(bb.n, 2)
     known = bb.known
+    memo = bb.memo
 
     def first_pass(u: int) -> Allocation:
-        x = state.first_pass.get(u)
+        x = memo.get(u)
         if x is not None:
             return x
         x = known.get(u) or bb.query(u)
@@ -175,11 +163,11 @@ def t_two_plus(
                 if (candidate.mask & u).bit_count() > hc:
                     x = candidate
                     break
-        state.first_pass[u] = x
+        memo[u] = x
         return x
 
     def provisional(u: int) -> Allocation:
-        x = state.provisional.get(u)
+        x = memo.get(~u)
         if x is not None:
             return x
         original = (known.get(u) or bb.query(u)).mask
@@ -193,10 +181,10 @@ def t_two_plus(
                     break
         if (x.mask & u).bit_count() > (original & u).bit_count():
             x = _restrict(x, u)
-        state.provisional[u] = x
+        memo[~u] = x
         return x
 
-    high = input_index(v.levels, 2)
+    high = bb.hamming_center
     x = provisional(high)
     kept = x.mask
     for bit in adjacent:
@@ -281,8 +269,8 @@ def _top_class(mask: int, lm: list[int]) -> int:
     return c
 
 
-def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
-    """Three-value ladder transformation (k = 3).
+def t_multi(bb: InstrumentedBlackBox) -> Allocation:
+    """Three-value ladder transformation (k = 3) at the center v.
 
     Runs five staged upgrade scans, each one Hamming distance further out,
     then zeroes out every position whose level is strictly below the
@@ -295,15 +283,14 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     the box's `known` mapping: with a shared answer table only its misses
     are queried.
     """
+    n = bb.n
     k = bb.k
     known = bb.known
     query = bb.query
-    levels = v.levels
-    n = len(levels)
-    index = input_index(levels, k)
+    index = bb.hamming_center
     lm = [0] * k  # lm[c]: positions of v at level c
-    for i, lvl in enumerate(levels):
-        lm[lvl] |= 1 << i
+    for i, w in enumerate(input_weights(n, k)):
+        lm[index // w % k] |= 1 << i
     above = [0] * k  # above[c]: positions of v above level c
     for c in range(k - 2, -1, -1):
         above[c] = above[c + 1] | lm[c + 1]
@@ -331,17 +318,18 @@ def t_multi(bb: InstrumentedBlackBox, v: ValuationVector) -> Allocation:
     return _restrict(x, lm[cls] | above[cls])
 
 
-# One row per transformation id: its kernel, called as kernel(bb, v), and the
-# number of ladder values it takes (None: any). TransformedRule refuses any
-# other ladder when it is built, so the kernels do not check it.
-TRANSFORMATIONS: dict[str, tuple[Callable[..., Allocation], int | None]] = {
+# One row per transformation id: its kernel, called as kernel(bb) on a box
+# centred at the evaluated input, and the number of ladder values it takes
+# (None: any). TransformedRule refuses any other ladder when it is built, so
+# the kernels do not check it.
+TRANSFORMATIONS: dict[str, tuple[Callable[[InstrumentedBlackBox], Allocation], int | None]] = {
     "const": (t_const, None),
     "two": (t_two, 2),
     "two-plus": (t_two_plus, 2),
     # The scan table extrapolated to k >= 4 is not monotone (k=4, n=2 has a witness).
     "multi": (t_multi, 3),
-    # The box is centred at v's index: one query, answered unchanged.
-    "identity": (lambda bb, v: bb.query(bb.hamming_center), None),
+    # One query at the center, answered unchanged.
+    "identity": (lambda bb: bb.query(bb.hamming_center), None),
 }
 TRANSFORMATION_IDS = tuple(TRANSFORMATIONS)
 
@@ -351,17 +339,19 @@ class TransformedRule:
 
     The rule owns one InstrumentedBlackBox, which applies the per-evaluation
     query budget and optional Hamming-radius restriction. Every evaluation
-    re-centres it at the evaluated input's index, which also clears its log
-    and radius, and updates query statistics from it. Below the box, one
-    AnswerTable per rule, `answers`, runs the algorithm once per distinct
-    input. Kernels reuse the whole table (and `two-plus` its derived memo) across evaluations only when shared_state
+    computes the input's index once, refusing an input of another length
+    (DimensionError) or with a level off the ladder (ParameterError),
+    re-centres the box there, makes one kernel call and updates query
+    statistics from the box. Below the box, one AnswerTable per rule,
+    `answers`, runs the algorithm once per distinct input. The box keeps
+    its answers and derived memo across evaluations only when shared_state
     is set and neither a query budget nor a Hamming radius is: a limit
-    would see table misses only. Otherwise each evaluation reuses only its
-    own answers. Outputs are identical either way. The newest rule's table
-    also answers direct calls of the algorithm, which never write to it
+    would see table misses only. Otherwise each evaluation starts empty.
+    Outputs are identical either way. The newest rule's table also answers
+    direct calls of the algorithm, which never write to it
     (`Algorithm.live_answers`). The kind's row of TRANSFORMATIONS is read
-    once, here: a ladder it does not take is refused, and each evaluation
-    makes one kernel call. Not thread-safe: one instance per worker.
+    once, here: a ladder it does not take is refused. Not thread-safe: one
+    instance per worker.
     """
 
     def __init__(
@@ -384,28 +374,26 @@ class TransformedRule:
                 f"transformation {kind!r} takes {size} ladder values, got {algorithm.env.k}"
             )
         self.answers = AnswerTable(algorithm, check_feasible)
-        shared = shared_state and query_budget is None and hamming_radius is None
-        if shared and kind == "two-plus":
-            kernel = functools.partial(t_two_plus, state=ProvisionalState())
         self._kernel = kernel
         self._box = InstrumentedBlackBox(
             algorithm,
             budget=query_budget,
-            hamming_center=0,
             hamming_radius=hamming_radius,
             answers=self.answers,
-            reuse_answers=shared,
+            reuse_answers=shared_state and query_budget is None and hamming_radius is None,
         )
         self.max_queries = 0
         self.max_radius = 0
 
     def __call__(self, v: ValuationVector) -> Allocation:
-        answers = self.answers
-        if v.n != answers.n:
-            raise DimensionError(f"input of length {v.n} vs n={answers.n}")
         bb = self._box
-        bb.recenter(input_index(v.levels, answers.k))
-        out = self._kernel(bb, v)
+        u = index_within(v.levels, bb.n, bb.k)
+        if u is None:
+            if v.n != bb.n:
+                raise DimensionError(f"input of length {v.n} vs n={bb.n}")
+            raise ParameterError(f"input {v.levels} has a level off the {bb.k}-value ladder")
+        bb.recenter(u)
+        out = self._kernel(bb)
         self.max_queries = max(self.max_queries, len(bb.log))
         self.max_radius = max(self.max_radius, bb.max_radius)
         return out

@@ -330,5 +330,5 @@ def test_c10_oracle_equivalences():
             bb = InstrumentedBlackBox(
                 algorithm, hamming_center=input_index(v.levels, 2), hamming_radius=3
             )
-            t_two(bb, v)
+            t_two(bb)
             assert bb.max_radius <= 2

@@ -30,7 +30,8 @@ from dcbox.blackbox import Algorithm
 from dcbox.harness import standard_panel
 from dcbox.model import input_at, input_index
 from dcbox.transforms import (
-    ProvisionalState,
+    TRANSFORMATION_IDS,
+    TRANSFORMATIONS,
     inputs_at_distance,
     t_const,
     t_multi,
@@ -49,6 +50,11 @@ def bits(text):
 
 def vec(*levels):
     return ValuationVector(tuple(levels))
+
+
+def centred(alg, v, **limits):
+    """A new black box over alg centred at v's index: what a kernel takes."""
+    return InstrumentedBlackBox(alg, hamming_center=input_index(v.levels, alg.env.k), **limits)
 
 
 def constant_algorithm(n, allocation, maximal, ladder=LAD2, name="const-alg"):
@@ -121,20 +127,18 @@ class TestClassification:
 class TestTConst:
     def test_constant_behavior(self):
         alg = gen_all_ones(4, LAD2)
-        bb = InstrumentedBlackBox(alg)
-        assert t_const(bb, vec(1, 1, 1, 1)) == bits("1111")
+        assert t_const(centred(alg, vec(1, 1, 1, 1))) == bits("1111")
 
     def test_output_ignores_input(self):
         # A(llll) = 0011; t_const returns it even at the all-high input
         low_answer = bits("0011")
         alg = constant_algorithm(4, low_answer, {low_answer})
-        bb = InstrumentedBlackBox(alg)
-        assert t_const(bb, vec(1, 1, 1, 1)) == low_answer
+        assert t_const(centred(alg, vec(1, 1, 1, 1))) == low_answer
 
     def test_single_query_at_all_lowest(self):
         alg = gen_all_ones(3, LAD2)
-        bb = InstrumentedBlackBox(alg)
-        t_const(bb, vec(1, 0, 1))
+        bb = centred(alg, vec(1, 0, 1))
+        t_const(bb)
         assert len(bb.log) == 1
         assert input_at(bb.log[0][0], 3, 2) == vec(0, 0, 0)
 
@@ -148,14 +152,12 @@ class TestTTwo:
 
     def test_zeroes_lows_when_high_present(self):
         alg = gen_all_ones(2, LAD2)
-        bb = InstrumentedBlackBox(alg)
-        assert t_two(bb, vec(1, 0)) == bits("10")
+        assert t_two(centred(alg, vec(1, 0))) == bits("10")
 
     def test_pass_through_when_no_candidate(self):
         # A constant at (0,1) never yields a 1 on the high position of (h,l)
         alg = constant_algorithm(2, bits("01"), {bits("01"), bits("10")})
-        bb = InstrumentedBlackBox(alg)
-        assert t_two(bb, vec(1, 0)) == bits("01")
+        assert t_two(centred(alg, vec(1, 0))) == bits("01")
 
     def test_adopts_neighbor_allocation(self):
         # high answer only at (h,h); at (h,l) step 2 adopts it and zeroes lows
@@ -164,40 +166,37 @@ class TestTTwo:
 
         feas = FeasibilitySet(2, frozenset({bits("11")}))
         alg = Algorithm(Environment(2, LAD2, feas), rule)
-        bb = InstrumentedBlackBox(alg)
-        assert t_two(bb, vec(1, 0)) == bits("10")
+        assert t_two(centred(alg, vec(1, 0))) == bits("10")
 
     def test_queries_stay_within_distance_two(self):
         for seed in range(5):
             env = gen_random_environment(5, LAD2, seed)
             alg = gen_random_algorithm(env, seed + 30)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg, hamming_center=input_index(v.levels, env.k))
-                t_two(bb, v)
+                bb = centred(alg, v)
+                t_two(bb)
                 assert bb.max_radius <= 2
 
     def test_deterministic_logs(self):
         env = gen_random_environment(4, LAD2, 7)
         alg = gen_random_algorithm(env, 77)
         for v in env.inputs():
-            first = InstrumentedBlackBox(alg)
-            second = InstrumentedBlackBox(alg)
-            assert t_two(first, v) == t_two(second, v)
+            first = centred(alg, v)
+            second = centred(alg, v)
+            assert t_two(first) == t_two(second)
             assert first.log == second.log
 
 
 class TestTTwoPlus:
     def test_all_high_input_unchanged(self):
         alg = gen_all_ones(3, LAD2)
-        bb = InstrumentedBlackBox(alg)
-        assert t_two_plus(bb, vec(1, 1, 1)) == bits("111")
+        assert t_two_plus(centred(alg, vec(1, 1, 1))) == bits("111")
 
     def test_keeps_low_when_no_conflict(self):
         # contrast with t_two: the raised neighbor's provisional allocation
         # keeps the bit, so the low position is not zeroed
         alg = gen_all_ones(2, LAD2)
-        bb = InstrumentedBlackBox(alg)
-        assert t_two_plus(bb, vec(1, 0)) == bits("11")
+        assert t_two_plus(centred(alg, vec(1, 0))) == bits("11")
 
     def test_all_ones_preserves_everything(self):
         alg = gen_all_ones(4, LAD2)
@@ -213,22 +212,30 @@ class TestTTwoPlus:
         for v in env.inputs():
             assert shared(v) == fresh(v)
 
-    def test_memo_is_stable(self):
+    def test_memo_follows_the_reuse_policy(self):
+        # Without reuse, re-centring empties the box's memo and the next
+        # evaluation queries again; with it, the memo is kept and answers
+        # the same evaluation without a query.
         env = gen_random_environment(4, LAD2, 13)
         alg = gen_random_algorithm(env, 131)
-        state = ProvisionalState()
         v = vec(1, 0, 1, 0)
-        first = t_two_plus(InstrumentedBlackBox(alg), v, state)
-        again = t_two_plus(InstrumentedBlackBox(alg), v, state)
-        assert first == again
+        for reuse in (False, True):
+            bb = centred(alg, v, reuse_answers=reuse)
+            first = t_two_plus(bb)
+            memo, queries = dict(bb.memo), len(bb.log)
+            assert memo and queries
+            bb.recenter(input_index(v.levels, 2))
+            assert bb.memo == (memo if reuse else {})
+            assert t_two_plus(bb) == first
+            assert len(bb.log) == (0 if reuse else queries)
 
     def test_queries_stay_within_distance_five(self):
         for seed in range(4):
             env = gen_random_environment(4, LAD2, seed + 20)
             alg = gen_random_algorithm(env, seed + 40)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg, hamming_center=input_index(v.levels, env.k))
-                t_two_plus(bb, v)
+                bb = centred(alg, v)
+                t_two_plus(bb)
                 assert bb.max_radius <= 5
 
 
@@ -236,13 +243,11 @@ class TestTTwoPlus:
 class TestTMulti:
     def test_zeroes_below_top_class(self):
         alg = gen_all_ones(3, LAD3)
-        bb = InstrumentedBlackBox(alg)
-        assert t_multi(bb, vec(2, 1, 0)) == bits("100")
+        assert t_multi(centred(alg, vec(2, 1, 0))) == bits("100")
 
     def test_all_low_input_untouched(self):
         alg = gen_all_ones(3, LAD3)
-        bb = InstrumentedBlackBox(alg)
-        assert t_multi(bb, vec(0, 0, 0)) == bits("111")
+        assert t_multi(centred(alg, vec(0, 0, 0))) == bits("111")
 
     def test_upgrades_to_high_class(self):
         # (2,2,0) at distance 1 answers with a high-class allocation; the
@@ -254,7 +259,7 @@ class TestTMulti:
 
         feas = FeasibilitySet(3, frozenset({bits("101")}))
         alg = Algorithm(Environment(3, LAD3, feas), rule)
-        out = t_multi(InstrumentedBlackBox(alg), vec(2, 0, 0))
+        out = t_multi(centred(alg, vec(2, 0, 0)))
         assert out == bits("100")
 
     def test_queries_stay_within_distance_five_for_three_values(self):
@@ -262,14 +267,14 @@ class TestTMulti:
             env = gen_random_environment(4, LAD3, seed + 60)
             alg = gen_random_algorithm(env, seed + 90)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg, hamming_center=input_index(v.levels, env.k))
-                t_multi(bb, v)
+                bb = centred(alg, v)
+                t_multi(bb)
                 assert bb.max_radius <= 5
 
     def test_rejects_allocation_of_wrong_length(self):
         alg = constant_algorithm(3, bits("10"), [bits("111")], ladder=LAD3)
         with pytest.raises(DimensionError):
-            t_multi(InstrumentedBlackBox(alg), vec(2, 1, 0))
+            t_multi(centred(alg, vec(2, 1, 0)))
 
 
 def _literal_two_plus(alg, v):
@@ -502,8 +507,8 @@ def _fresh_logs(alg, transform):
     """(input, queried inputs in order) per input, fresh state each time."""
     n, k = alg.env.n, alg.env.k
     for v in alg.env.inputs():
-        bb = InstrumentedBlackBox(alg)
-        transform(bb, v)
+        bb = centred(alg, v)
+        transform(bb)
         yield v, [input_at(u, n, k) for u, _ in bb.log]
 
 
@@ -518,15 +523,14 @@ def _check_budget_and_radius_one_too_small(alg, transform):
     """A budget one below the fresh query count, or a radius equal to the
     farthest query's distance, raises at exactly the query that exceeds it."""
     for v, log in _fresh_logs(alg, transform):
-        tight = InstrumentedBlackBox(alg, budget=len(log) - 1)
+        tight = centred(alg, v, budget=len(log) - 1)
         with pytest.raises(QueryBudgetExceeded):
-            transform(tight, v)
+            transform(tight)
         assert len(tight.log) == len(log) - 1
         radius = max(hamming_distance(u, v) for u in log)
-        center = input_index(v.levels, alg.env.k)
-        near = InstrumentedBlackBox(alg, hamming_center=center, hamming_radius=radius)
+        near = centred(alg, v, hamming_radius=radius)
         with pytest.raises(HammingRestrictionViolation):
-            transform(near, v)
+            transform(near)
         first_far = next(i for i, u in enumerate(log) if hamming_distance(u, v) == radius)
         assert len(near.log) == first_far
 
@@ -699,15 +703,15 @@ class TestFeasibilityInvariant:
             alg = gen_random_algorithm(env, seed + 1100)
             for v in env.inputs():
                 for fn in (t_two, t_two_plus, t_const):
-                    bb = InstrumentedBlackBox(alg)
-                    out = fn(bb, v)
+                    bb = centred(alg, v)
+                    out = fn(bb)
                     assert any(out.dominated_by(answer) for _, answer in bb.log)
         for seed in range(2):
             env = gen_random_environment(3, LAD3, seed + 1200)
             alg = gen_random_algorithm(env, seed + 1300)
             for v in env.inputs():
-                bb = InstrumentedBlackBox(alg)
-                out = t_multi(bb, v)
+                bb = centred(alg, v)
+                out = t_multi(bb)
                 assert any(out.dominated_by(answer) for _, answer in bb.log)
 
     # every transformation output is feasible in its environment
@@ -823,9 +827,9 @@ class TestWrongLengthAllocation:
     )
     def test_raises_at_the_first_answer(self, transform, ladder, answer):
         alg = constant_algorithm(3, bits(answer), [bits("111")], ValueLadder.of(*ladder))
-        bb = InstrumentedBlackBox(alg)
+        bb = centred(alg, vec(1, 0, 1))
         with pytest.raises(DimensionError):
-            transform(bb, vec(1, 0, 1))
+            transform(bb)
         # The first query raised: the wrong-length answer is refused, not logged.
         assert len(bb.log) == 0
 
@@ -885,3 +889,41 @@ class TestTransformedRule:
         for v in env.inputs():
             rule(v)
         assert rule.max_radius <= 2
+
+
+def _kind_ladders():
+    """(kind, ladder values) for every row of TRANSFORMATIONS: the ladder
+    size the row takes, or two and three values for a row that takes any."""
+    sizes = {2: (1, 9), 3: (1, 5, 25)}
+    for kind in TRANSFORMATION_IDS:
+        size = TRANSFORMATIONS[kind][1]
+        for values in [sizes[size]] if size else sizes.values():
+            yield pytest.param(kind, values, id=f"{kind}-{len(values)}")
+
+
+class TestKernelContract:
+    # A kernel takes only its black box: the evaluated input is the box's
+    # center, and the box's reuse policy decides what carries over.
+    @pytest.mark.parametrize("kind, values", list(_kind_ladders()))
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_kernel_on_a_centred_box_is_the_rule(self, kind, values, reuse):
+        env = gen_random_environment(3, ValueLadder.of(*values), 4400)
+        alg = gen_random_algorithm(env, 4500)
+        kernel = TRANSFORMATIONS[kind][0]
+        rule = TransformedRule(kind, alg, shared_state=reuse)
+        bb = InstrumentedBlackBox(alg, reuse_answers=reuse)
+        for v in env.inputs():
+            bb.recenter(input_index(v.levels, env.k))
+            assert kernel(bb) == rule(v)
+
+    @pytest.mark.parametrize("kind, values", list(_kind_ladders()))
+    def test_rule_refuses_a_level_off_the_ladder(self, kind, values):
+        # A level off the ladder names no input: its index would alias another.
+        rule = TransformedRule(kind, gen_all_ones(2, ValueLadder.of(*values)))
+        for levels in [(len(values), 0), (0, len(values) + 1), (-1, 0)]:
+            with pytest.raises(ParameterError, match="off the"):
+                rule(vec(*levels))
+        with pytest.raises(DimensionError):
+            rule(vec(0, 0, 0))
+        assert rule.max_queries == 0
+        assert rule(vec(0, 0)) == bits("11")

@@ -401,7 +401,8 @@ class TestMaskTableOracle:
         alg = gen_all_ones(2, ValueLadder.of(1, 3))
         rule = CachedRule(TransformedRule("two", alg))
         assert check_monotone(rule, alg.env).is_monotone
-        with pytest.raises(ParameterError, match=r"center index -1 outside \[0, 4\)"):
+        off_the_ladder = r"^input \(-1, 0\) has a level off the 2-value ladder$"
+        with pytest.raises(ParameterError, match=off_the_ladder):
             rule(vec(-1, 0))
 
     def test_sampled_evaluations_are_not_memoized(self):
