@@ -63,10 +63,13 @@ class Algorithm:
 
     Called directly, the algorithm answers from its newest AnswerTable while
     that table lives (`live_answers`, a weak reference set by the table), so
-    an input some rule already asked is not computed again. A miss, or an
-    input of another length or with a level off the ladder, calls `rule`
-    and stores nothing: direct calls never change what a rule's black
-    boxes see or count.
+    an input some rule already asked is not computed again. It takes an
+    input index, as exhaustive mask tables pass (`verify._table`), or a
+    vector, as sampled and direct calls pass. A miss calls `rule` and
+    stores nothing, so direct calls never change what a rule's black boxes
+    see or count: a missed index is decoded (`input_at`) and an answer of
+    another length refused (DimensionError); a vector of another length or
+    with a level off the ladder always misses.
     """
 
     env: Environment
@@ -75,19 +78,35 @@ class Algorithm:
     table: Optional[CaseTable] = None
     live_answers: Optional[weakref.ref] = field(default=None, init=False, repr=False, compare=False)
 
-    def __call__(self, v: ValuationVector) -> Allocation:
+    def __call__(self, v: ValuationVector | int) -> Allocation:
         answers = None if self.live_answers is None else self.live_answers()
+        if isinstance(v, int):
+            x = None if answers is None else answers.get(v)
+            return self._answer_at(v) if x is None else x
         u = None if answers is None else index_within(v.levels, answers.n, answers.k)
         x = None if u is None else answers.get(u)
         return self.rule(v) if x is None else x
 
+    def _answer_at(self, u: int) -> Allocation:
+        """The rule's answer at input index u, decoded with `input_at`, and
+        stored nowhere. An index outside [0, k**n) raises ParameterError and
+        an answer of another length DimensionError."""
+        n, k = self.env.n, self.env.ladder.k
+        if not 0 <= u < k**n:
+            raise ParameterError(f"input index {u} outside [0, {k**n})")
+        x = self.rule(input_at(u, n, k))
+        if x.n != n:
+            raise DimensionError(f"allocation of length {x.n} vs input of length {n}")
+        return x
+
 
 class AnswerTable(dict):
-    """An algorithm's answers by input index. A miss decodes the index,
-    calls the rule once and checks the answer's length and, if asked, its
-    feasibility; only answers that pass are stored, so entries are safe to
-    reuse unchecked. The newest table of an algorithm is the one its direct
-    calls read (`Algorithm.live_answers`); it dies with its owner."""
+    """An algorithm's answers by input index. A miss decodes the index and
+    calls the rule once (`Algorithm._answer_at`, which checks the answer's
+    length), then checks its feasibility if asked; only answers that pass
+    are stored, so entries are safe to reuse unchecked. The newest table of
+    an algorithm is the one its direct calls read (`Algorithm.live_answers`);
+    it dies with its owner."""
 
     def __init__(self, algorithm: Algorithm, check_feasible: bool = False):
         super().__init__()
@@ -99,9 +118,7 @@ class AnswerTable(dict):
         object.__setattr__(algorithm, "live_answers", weakref.ref(self))
 
     def __missing__(self, u: int) -> Allocation:
-        x = self.algorithm.rule(input_at(u, self.n, self.k))
-        if x.n != self.n:
-            raise DimensionError(f"allocation of length {x.n} vs input of length {self.n}")
+        x = self.algorithm._answer_at(u)
         if self.check_feasible and not is_feasible(x, self.algorithm.env.feasibility):
             raise InfeasibleOutputError(
                 f"algorithm {self.algorithm.name!r} returned infeasible {x.to_string()}"

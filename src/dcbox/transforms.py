@@ -338,20 +338,23 @@ class TransformedRule:
     """An allocation rule: a transformation bound to a black-boxed algorithm.
 
     The rule owns one InstrumentedBlackBox, which applies the per-evaluation
-    query budget and optional Hamming-radius restriction. Every evaluation
-    computes the input's index once, refusing an input of another length
-    (DimensionError) or with a level off the ladder (ParameterError),
-    re-centres the box there, makes one kernel call and updates query
-    statistics from the box. Below the box, one AnswerTable per rule,
-    `answers`, runs the algorithm once per distinct input. The box keeps
-    its answers and derived memo across evaluations only when shared_state
-    is set and neither a query budget nor a Hamming radius is: a limit
-    would see table misses only. Otherwise each evaluation starts empty.
-    Outputs are identical either way. The newest rule's table also answers
-    direct calls of the algorithm, which never write to it
-    (`Algorithm.live_answers`). The kind's row of TRANSFORMATIONS is read
-    once, here: a ladder it does not take is refused. Not thread-safe: one
-    instance per worker.
+    query budget and optional Hamming-radius restriction. A call takes an
+    input index, as exhaustive mask tables pass (`verify._table`), or a
+    vector, as sampled and direct calls pass. A vector's index is computed
+    once, refusing an input of another length (DimensionError) or with a
+    level off the ladder (ParameterError); `recenter` refuses an index
+    outside [0, k**n) (ParameterError). Every evaluation re-centres the box
+    at the index, makes one kernel call and updates query statistics from
+    the box. `env` is the algorithm's environment. Below the box, one
+    AnswerTable per rule, `answers`, runs the algorithm once per distinct
+    input. The box keeps its answers and derived memo across evaluations
+    only when shared_state is set and neither a query budget nor a Hamming
+    radius is: a limit would see table misses only. Otherwise each
+    evaluation starts empty. Outputs are identical either way. The newest
+    rule's table also answers direct calls of the algorithm, which never
+    write to it (`Algorithm.live_answers`). The kind's row of
+    TRANSFORMATIONS is read once, here: a ladder it does not take is
+    refused. Not thread-safe: one instance per worker.
     """
 
     def __init__(
@@ -373,6 +376,7 @@ class TransformedRule:
             raise ParameterError(
                 f"transformation {kind!r} takes {size} ladder values, got {algorithm.env.k}"
             )
+        self.env = algorithm.env
         self.answers = AnswerTable(algorithm, check_feasible)
         self._kernel = kernel
         self._box = InstrumentedBlackBox(
@@ -385,13 +389,16 @@ class TransformedRule:
         self.max_queries = 0
         self.max_radius = 0
 
-    def __call__(self, v: ValuationVector) -> Allocation:
+    def __call__(self, v: ValuationVector | int) -> Allocation:
         bb = self._box
-        u = index_within(v.levels, bb.n, bb.k)
-        if u is None:
-            if v.n != bb.n:
-                raise DimensionError(f"input of length {v.n} vs n={bb.n}")
-            raise ParameterError(f"input {v.levels} has a level off the {bb.k}-value ladder")
+        if isinstance(v, int):
+            u = v  # recenter refuses an index outside [0, k**n)
+        else:
+            u = index_within(v.levels, bb.n, bb.k)
+            if u is None:
+                if v.n != bb.n:
+                    raise DimensionError(f"input of length {v.n} vs n={bb.n}")
+                raise ParameterError(f"input {v.levels} has a level off the {bb.k}-value ladder")
         bb.recenter(u)
         out = self._kernel(bb)
         self.max_queries = max(self.max_queries, len(bb.log))

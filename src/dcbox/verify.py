@@ -9,9 +9,12 @@ deterministically: violations are sorted canonically before emission.
 The verifiers call a rule only through `_evaluate`, which evaluates inputs
 in order and checks each allocation's length. Exhaustively they work on mask
 tables: a rule's allocation masks listed by input index (`model.input_index`),
-from one evaluation per input in `all_inputs` order. A `CachedRule` keeps its
-table for `check_monotone`, `welfare_report` and later calls. A raise of
-agent i from level lo to hi is the entry k**i * (hi - lo) further on. Welfare
+from one evaluation per input in `all_inputs` order. A `TransformedRule`,
+or an `Algorithm`, over the verifier's (n, k) is passed each input's index
+there; any other rule gets the input's `ValuationVector`, as sampled
+inputs and direct calls do. A `CachedRule` keeps its table for
+`check_monotone`, `welfare_report` and later calls. A raise of agent i from
+level lo to hi is the entry k**i * (hi - lo) further on. Welfare
 is scored, exhaustive or sampled, from the inputs' above-level masks
 (`model.positions_above` of one input, `model.above_masks` of every input)
 with one popcount per level.
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+from .blackbox import Algorithm
 from .errors import DimensionError
 from .model import (
     Allocation,
@@ -39,6 +43,7 @@ from .model import (
     input_weights,
     positions_above,
 )
+from .transforms import TransformedRule
 
 DEFAULT_ENUM_BOUND = 2_000_000
 _BATCH = 4096  # drawn inputs welfare_report evaluates and scores at a time
@@ -46,10 +51,13 @@ _BATCH = 4096  # drawn inputs welfare_report evaluates and scores at a time
 AllocationRule = Callable[[ValuationVector], Allocation]
 
 
-def _evaluate(rule: AllocationRule, n: int, inputs: Iterable[ValuationVector]) -> Iterator[int]:
-    """The masks of the rule's allocations at `inputs`, each evaluated when
-    it is read, in order: the one place the verifiers call a rule. An
-    allocation over other than n agents raises DimensionError."""
+def _evaluate(
+    rule: AllocationRule, n: int, inputs: Iterable[ValuationVector | int]
+) -> Iterator[int]:
+    """The masks of the rule's allocations at `inputs` (vectors, or indices
+    for a rule that takes them), each evaluated when it is read, in order:
+    the one place the verifiers call a rule. An allocation over other than
+    n agents raises DimensionError."""
     for v in inputs:
         x = rule(v)
         if x.n != n:
@@ -92,7 +100,14 @@ def _table(rule: AllocationRule, n: int, k: int) -> list[int]:
     # The indices in all_inputs order: agent 0's level varies slowest.
     offsets = [[lvl * w for lvl in range(k)] for w in input_weights(n, k)]
     order = map(sum, itertools.product(*offsets))
-    for u, mask in zip(order, _evaluate(rule, n, all_inputs(n, k))):
+    env = rule.env if isinstance(rule, (TransformedRule, Algorithm)) else None
+    if env is not None and (env.n, env.k) == (n, k):
+        # The rule takes the index itself: no vector to build and index again.
+        # Any other rule gets vectors, so one over another n is still refused.
+        order, inputs = itertools.tee(order)
+    else:
+        inputs = all_inputs(n, k)
+    for u, mask in zip(order, _evaluate(rule, n, inputs)):
         table[u] = mask
     return table
 

@@ -1,9 +1,13 @@
-"""Literal reference implementations that the package's kernels are tested against."""
+"""Literal reference implementations that the package's kernels are tested
+against, and the test parameters several test modules share."""
 
 import operator
 from fractions import Fraction
 
+import pytest
+
 from dcbox import DimensionError
+from dcbox.transforms import TRANSFORMATIONS
 
 
 def hamming_distance(u, v) -> int:
@@ -23,3 +27,12 @@ def welfare(v, x, ladder) -> Fraction:
         if bit:
             total += vals[lvl]
     return total
+
+
+def kind_ladders():
+    """(kind, ladder values) for every row of TRANSFORMATIONS: the ladder
+    size the row takes, or two and three values for a row that takes any."""
+    sizes = {2: (1, 9), 3: (1, 5, 25)}
+    for kind, (_, size) in TRANSFORMATIONS.items():
+        for values in [sizes[size]] if size else sizes.values():
+            yield pytest.param(kind, values, id=f"{kind}-{len(values)}")

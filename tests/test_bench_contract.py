@@ -52,14 +52,24 @@ def test_traced_verifiers_run_and_uninstall_restores_every_name():
         report = dcbox.welfare_report(rule, algorithm, algorithm.env)
         assert report.total_inputs == 8
         assert rule(ValuationVector((1, 0, 1))).n == 3
+        # Fresh state under a budget and a radius, over another algorithm,
+        # with that algorithm as welfare_report's original.
+        knapsack = dcbox.gen_knapsack([1, 2, 1], 2, ladder=ValueLadder.of(1, 3))
+        fresh = dcbox.CachedRule(
+            dcbox.TransformedRule("two", knapsack, query_budget=7, hamming_radius=3)
+        )
+        assert dcbox.check_monotone(fresh, knapsack.env).is_monotone
+        assert dcbox.welfare_report(fresh, knapsack, knapsack.env).total_inputs == 8
     finally:
         tracer.uninstall()
-    assert tracer.count("verify.check_monotone") == 1
-    assert tracer.count("verify.welfare_report") == 1
+    assert tracer.count("verify.check_monotone") == 2
+    assert tracer.count("verify.welfare_report") == 2
     assert tracer.count("verify.cached_rule") == 1
-    assert tracer.count("transforms.rule") == 8  # one evaluation per input
+    assert tracer.count("transforms.rule") == 2 * 8  # one evaluation per input, per rule
     assert tracer.count("blackbox.query") > 0
     assert tracer.count("adversaries.algorithm") > 0
+    # Each algorithm answers each distinct input once (calls_per_input 1.0).
+    assert tracer.count("adversaries.algorithm") == len(tracer.algorithm_inputs) == 2 * 8
     after = _bindings()
     changed = [key for key, value in before.items() if after.get(key) is not value]
     assert changed == []

@@ -343,6 +343,38 @@ class TestLiveAnswerTable:
         assert alg(vec(1, 0, 0)) == Allocation((1, 1, 1))
         assert (1, 0, 0) not in calls
 
+    def test_an_index_reads_the_table_and_a_miss_stores_nothing(self):
+        alg, calls = counting(gen_all_ones(3))
+        rule = TransformedRule("const", alg)
+        rule(vec(1, 1, 0))  # const queries the all-lowest input, index 0, only
+        assert list(rule.answers) == [0]
+        calls.clear()
+        assert alg(0) == Allocation.full(3)
+        assert not calls
+        # Index 5 is input (1, 0, 1): decoded, answered, not stored.
+        assert alg(5) == Allocation.full(3)
+        assert alg(5) == Allocation.full(3)
+        assert calls == {(1, 0, 1): 2}
+        assert list(rule.answers) == [0]
+
+    def test_an_index_miss_refuses_a_wrong_length_answer(self):
+        env = gen_all_ones(3).env
+        alg = Algorithm(env, lambda v: Allocation((1, 1)), name="short")
+        with pytest.raises(DimensionError, match="^allocation of length 2 vs input of length 3$"):
+            alg(3)  # no live table: every index is a miss
+        table = AnswerTable(alg)
+        with pytest.raises(DimensionError):
+            alg(3)
+        assert len(table) == 0
+
+    def test_an_index_outside_the_inputs_is_refused(self):
+        alg, calls = counting(gen_all_ones(3))
+        TransformedRule("identity", alg)(vec(0, 0, 0))
+        for u in (-1, 8):
+            with pytest.raises(ParameterError, match=rf"^input index {u} outside \[0, 8\)$"):
+                alg(u)
+        assert calls == {(0, 0, 0): 1}
+
     def test_table_dies_with_the_last_rule(self):
         alg, calls = counting(gen_all_ones(3))
         rule = CachedRule(TransformedRule("two", alg))

@@ -30,7 +30,6 @@ from dcbox.blackbox import Algorithm
 from dcbox.harness import standard_panel
 from dcbox.model import input_at, input_index
 from dcbox.transforms import (
-    TRANSFORMATION_IDS,
     TRANSFORMATIONS,
     inputs_at_distance,
     t_const,
@@ -38,7 +37,7 @@ from dcbox.transforms import (
     t_two,
     t_two_plus,
 )
-from oracles import hamming_distance
+from oracles import hamming_distance, kind_ladders
 
 LAD2 = ValueLadder.of(1, 100)
 LAD3 = ValueLadder.of(1, 10, 100)
@@ -891,20 +890,10 @@ class TestTransformedRule:
         assert rule.max_radius <= 2
 
 
-def _kind_ladders():
-    """(kind, ladder values) for every row of TRANSFORMATIONS: the ladder
-    size the row takes, or two and three values for a row that takes any."""
-    sizes = {2: (1, 9), 3: (1, 5, 25)}
-    for kind in TRANSFORMATION_IDS:
-        size = TRANSFORMATIONS[kind][1]
-        for values in [sizes[size]] if size else sizes.values():
-            yield pytest.param(kind, values, id=f"{kind}-{len(values)}")
-
-
 class TestKernelContract:
     # A kernel takes only its black box: the evaluated input is the box's
     # center, and the box's reuse policy decides what carries over.
-    @pytest.mark.parametrize("kind, values", list(_kind_ladders()))
+    @pytest.mark.parametrize("kind, values", list(kind_ladders()))
     @pytest.mark.parametrize("reuse", [False, True])
     def test_kernel_on_a_centred_box_is_the_rule(self, kind, values, reuse):
         env = gen_random_environment(3, ValueLadder.of(*values), 4400)
@@ -916,7 +905,7 @@ class TestKernelContract:
             bb.recenter(input_index(v.levels, env.k))
             assert kernel(bb) == rule(v)
 
-    @pytest.mark.parametrize("kind, values", list(_kind_ladders()))
+    @pytest.mark.parametrize("kind, values", list(kind_ladders()))
     def test_rule_refuses_a_level_off_the_ladder(self, kind, values):
         # A level off the ladder names no input: its index would alias another.
         rule = TransformedRule(kind, gen_all_ones(2, ValueLadder.of(*values)))
@@ -927,3 +916,15 @@ class TestKernelContract:
             rule(vec(0, 0, 0))
         assert rule.max_queries == 0
         assert rule(vec(0, 0)) == bits("11")
+
+    @pytest.mark.parametrize("kind, values", list(kind_ladders()))
+    def test_rule_refuses_an_index_outside_the_inputs(self, kind, values):
+        env = gen_random_environment(2, ValueLadder.of(*values), 4600)
+        rule = TransformedRule(kind, gen_random_algorithm(env, 4700))
+        size = env.input_count()
+        for u in (-1, size, size + 1):
+            with pytest.raises(ParameterError, match=rf"^center index {u} outside \[0, {size}\)$"):
+                rule(u)
+        assert rule.max_queries == 0
+        for v in env.inputs():
+            assert rule(input_index(v.levels, env.k)) == rule(v)

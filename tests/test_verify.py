@@ -29,7 +29,7 @@ from dcbox import (
 from dcbox.adversaries import stable_rng
 from dcbox.blackbox import Algorithm
 from dcbox.verify import DEFAULT_ENUM_BOUND, WelfareReport
-from oracles import welfare
+from oracles import kind_ladders, welfare
 
 LAD2 = ValueLadder.of(1, 100)
 
@@ -421,3 +421,89 @@ class TestMaskTableOracle:
         assert len(calls) == 2 * 40 + 40
         assert len(set(calls)) < len(calls)
         assert rule.cache == {}
+
+
+# TransformedRule keywords per state: shared answers, fresh state, and fresh
+# state under limits that no scan at n=4 reaches.
+STATES = {
+    "shared": {},
+    "fresh": {"shared_state": False},
+    "limited": {"query_budget": 200, "hamming_radius": 6},
+}
+
+
+class TestIndexedTables:
+    # Exhaustive tables pass a TransformedRule or an Algorithm each input's
+    # index; a plain callable gets the vector. Both must see the same inputs
+    # in the same order, so shared-state query counts (table misses) agree.
+    @pytest.mark.parametrize("kind, values", list(kind_ladders()))
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_index_table_is_the_vector_table(self, kind, values, state):
+        env = gen_random_environment(4, ValueLadder.of(*values), 6100)
+        n, k = env.n, env.k
+        alg = gen_random_algorithm(env, 6200)
+        indexed = TransformedRule(kind, alg, **STATES[state])
+        by_vector = TransformedRule(kind, alg, **STATES[state])
+        rule = CachedRule(indexed)
+        plain = CachedRule(lambda v: by_vector(v))
+        assert rule.masks(n, k) == plain.masks(n, k)
+        assert (indexed.max_queries, indexed.max_radius) == (
+            by_vector.max_queries,
+            by_vector.max_radius,
+        )
+        # The same misses in the same order filled both answer tables.
+        assert list(indexed.answers) == list(by_vector.answers)
+        assert CachedRule(alg).masks(n, k) == CachedRule(lambda v: alg(v)).masks(n, k)
+        assert welfare_report(rule, alg, env) == welfare_report(plain, lambda v: alg(v), env)
+
+    @pytest.mark.parametrize("kind", ["const", "two"])
+    def test_original_misses_are_decoded_in_order_and_not_stored(self, kind):
+        env = gen_random_environment(4, LAD2, 6300)
+        base = gen_random_algorithm(env, 6400)
+        calls = []
+
+        def counting(v):
+            calls.append(v.levels)
+            return base(v)
+
+        alg = Algorithm(env, counting, "counting")
+        rule = CachedRule(TransformedRule(kind, alg))
+        assert check_monotone(rule, env).is_monotone
+        asked = dict(rule.rule.answers)
+        calls.clear()
+        indexed = welfare_report(rule, alg, env)
+        misses = list(calls)
+        calls.clear()
+        assert indexed == welfare_report(rule, lambda v: alg(v), env)
+        assert calls == misses
+        assert len(misses) == env.input_count() - len(asked)  # const: all but index 0
+        assert dict(rule.rule.answers) == asked
+
+    def test_exhaustive_tables_build_no_vectors(self, monkeypatch):
+        env = gen_random_environment(4, ValueLadder.of(1, 5, 25), 6500)
+        alg = gen_random_algorithm(env, 6600)
+        expected = welfare_report(CachedRule(TransformedRule("multi", alg)), alg, env)
+
+        def refused(n, k):
+            raise AssertionError("an exhaustive table built the input vectors")
+
+        monkeypatch.setattr("dcbox.verify.all_inputs", refused)
+        rule = CachedRule(TransformedRule("multi", alg))
+        assert check_monotone(rule, env).is_monotone
+        assert welfare_report(rule, alg, env) == expected
+        with pytest.raises(AssertionError, match="built the input vectors"):
+            check_monotone(lambda v: alg(v), env)
+
+    @pytest.mark.parametrize("enum_bound", [DEFAULT_ENUM_BOUND, 5], ids=["exhaustive", "sampled"])
+    def test_rule_over_another_n_is_refused_by_both_verifiers(self, enum_bound):
+        ladder = ValueLadder.of(1, 3)
+        small = gen_all_ones(3, ladder)
+        env = gen_all_ones(4, ladder).env
+        rule = CachedRule(TransformedRule("two", small))
+        with pytest.raises(DimensionError, match="^input of length 4 vs n=3$"):
+            check_monotone(rule, env, enum_bound=enum_bound)
+        with pytest.raises(DimensionError, match="^input of length 4 vs n=3$"):
+            welfare_report(rule, gen_all_ones(4, ladder), env, enum_bound=enum_bound)
+        # An Algorithm over n=3 as the original: a vector call, refused on length.
+        with pytest.raises(DimensionError, match="^allocation of length 3 vs input of length 4$"):
+            welfare_report(gen_all_ones(4, ladder), small, env, enum_bound=enum_bound)
