@@ -5,11 +5,11 @@ environment. Transformations never call it directly: they go through an
 `InstrumentedBlackBox` centred at the evaluated input's index, which takes
 each query as an input index (see `model.input_index`), logs it, enforces an
 optional query budget, measures its Hamming distance from the center and
-optionally restricts it to a strict radius. Below the box, an
-`AnswerTable`, the only memo of the algorithm's answers, calls the
-algorithm once per distinct input. The algorithm itself keeps a weak
-reference to its newest table and answers a direct call from it on a hit,
-without ever writing to it.
+optionally restricts it to a strict radius. The box also holds the
+algorithm's checked answers, the only memo of them, so the algorithm runs
+once per distinct input per box. The algorithm itself keeps a weak
+reference to its newest box and answers a direct call from the box's
+answers on a hit, without ever writing to them.
 """
 
 from __future__ import annotations
@@ -56,16 +56,16 @@ class CaseTable:
 class Algorithm:
     """A total deterministic allocation rule over its environment's inputs.
 
-    Generators guarantee that every output is feasible; give its black box
-    `answers=AnswerTable(algorithm, check_feasible=True)` to assert this in
-    debug verification runs. `table` is the optional persistable case-table
-    form that adversary documents write.
+    Generators guarantee that every output is feasible; build its black box
+    with `check_feasible=True` to assert this in debug verification runs.
+    `table` is the optional persistable case-table form that adversary
+    documents write.
 
-    Called directly, the algorithm answers from its newest AnswerTable while
-    that table lives (`live_answers`, a weak reference set by the table), so
-    an input some rule already asked is not computed again. It takes an
-    input index, as exhaustive mask tables pass (`verify._table`), or a
-    vector, as sampled and direct calls pass. A miss calls `rule` and
+    Called directly, the algorithm answers from the answers of its newest
+    black box while that box lives (`live_box`, a weak reference set by the
+    box), so an input some rule already asked is not computed again. It
+    takes an input index, as exhaustive mask tables pass (`verify._table`),
+    or a vector, as sampled and direct calls pass. A miss calls `rule` and
     stores nothing, so direct calls never change what a rule's black boxes
     see or count: a missed index is decoded (`input_at`) and an answer of
     another length refused (DimensionError); a vector of another length or
@@ -76,15 +76,15 @@ class Algorithm:
     rule: Callable[[ValuationVector], Allocation]
     name: str = "algorithm"
     table: Optional[CaseTable] = None
-    live_answers: Optional[weakref.ref] = field(default=None, init=False, repr=False, compare=False)
+    live_box: Optional[weakref.ref] = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, v: ValuationVector | int) -> Allocation:
-        answers = None if self.live_answers is None else self.live_answers()
+        box = None if self.live_box is None else self.live_box()
         if isinstance(v, int):
-            x = None if answers is None else answers.get(v)
+            x = None if box is None else box.answers.get(v)
             return self._answer_at(v) if x is None else x
-        u = None if answers is None else index_within(v.levels, answers.n, answers.k)
-        x = None if u is None else answers.get(u)
+        u = None if box is None else index_within(v.levels, box.n, box.k)
+        x = None if u is None else box.answers.get(u)
         return self.rule(v) if x is None else x
 
     def _answer_at(self, u: int) -> Allocation:
@@ -100,33 +100,6 @@ class Algorithm:
         return x
 
 
-class AnswerTable(dict):
-    """An algorithm's answers by input index. A miss decodes the index and
-    calls the rule once (`Algorithm._answer_at`, which checks the answer's
-    length), then checks its feasibility if asked; only answers that pass
-    are stored, so entries are safe to reuse unchecked. The newest table of
-    an algorithm is the one its direct calls read (`Algorithm.live_answers`);
-    it dies with its owner."""
-
-    def __init__(self, algorithm: Algorithm, check_feasible: bool = False):
-        super().__init__()
-        self.algorithm = algorithm
-        self.check_feasible = check_feasible
-        self.n = algorithm.env.n
-        self.k = algorithm.env.ladder.k
-        self.size = algorithm.env.input_count()
-        object.__setattr__(algorithm, "live_answers", weakref.ref(self))
-
-    def __missing__(self, u: int) -> Allocation:
-        x = self.algorithm._answer_at(u)
-        if self.check_feasible and not is_feasible(x, self.algorithm.env.feasibility):
-            raise InfeasibleOutputError(
-                f"algorithm {self.algorithm.name!r} returned infeasible {x.to_string()}"
-            )
-        self[u] = x
-        return x
-
-
 def _digit_distance(u: int, c: int, k: int) -> int:
     # Base-k digits in which two indices differ; stops at the highest one.
     d = 0
@@ -139,23 +112,31 @@ def _digit_distance(u: int, c: int, k: int) -> int:
 
 class InstrumentedBlackBox:
     """Query wrapper taking input indices in [0, k**n) (`input_index`) and
-    recording (index, allocation) pairs; answers come from `answers`, a
-    fresh AnswerTable unless one is given (which may check feasibility).
+    recording (index, allocation) pairs.
 
-    The center index (`hamming_center`, 0 unless given) is the input under
-    evaluation. The budget counts successful queries. `max_radius` is the
-    largest Hamming distance of a successful query from the center,
-    measured by the box itself. With a radius f set, only inputs at
-    distance < f are allowed. Budget exhaustion and radius violations raise
-    distinct exception types.
+    The box owns the algorithm's answers by index, `answers`, the only memo
+    of them. A miss decodes the index and calls the rule once
+    (`Algorithm._answer_at`, which checks the answer's length), then checks
+    its feasibility under check_feasible; only answers that pass are
+    stored, so entries are safe to reuse unchecked. The algorithm's direct
+    calls read the answers of its newest box (`Algorithm.live_box`, a weak
+    reference set here), so the answers die with the box.
+
+    The center index (`hamming_center`, set by `recenter`, 0 until then) is
+    the input under evaluation. The budget counts successful queries.
+    `max_radius` is the largest Hamming distance of a successful query from
+    the center, measured by the box itself. With a radius f set, only
+    inputs at distance < f are allowed. Budget exhaustion and radius
+    violations raise distinct exception types.
 
     The box holds every per-evaluation memo under one policy: `known`, the
     answers kernels reuse as `known.get(u) or bb.query(u)`, and `memo`, a
-    kernel's allocations derived from them by index. Without reuse_answers
-    `recenter` empties both; with it, `known` is the whole table and
-    `memo` persists, whose entries from earlier evaluations would then
-    bypass a budget or radius. Single-owner mutable state: do not share one
-    instance between workers.
+    kernel's allocations derived from them by index. Answers are reused
+    (`reuse_answers`) only under shared_state with neither a budget nor a
+    radius, which entries from earlier evaluations would bypass: `known` is
+    then `answers` itself and `memo` persists. Otherwise `recenter` empties
+    both. Single-owner mutable state: do not share one instance between
+    workers.
     """
 
     def __init__(
@@ -163,34 +144,32 @@ class InstrumentedBlackBox:
         algorithm: Algorithm,
         *,
         budget: int | None = None,
-        hamming_center: int = 0,
         hamming_radius: int | None = None,
-        answers: AnswerTable | None = None,
-        reuse_answers: bool = False,
+        shared_state: bool = False,
+        check_feasible: bool = False,
     ):
         if hamming_radius is not None and hamming_radius < 0:
             raise ParameterError("hamming_radius must be nonnegative")
         if budget is not None and budget < 0:
             raise ParameterError("budget must be nonnegative")
-        if reuse_answers and (budget is not None or hamming_radius is not None):
-            raise ParameterError("reused answers would bypass the query budget and radius")
-        if answers is None:
-            answers = AnswerTable(algorithm)
-        self.answers = answers
-        self.n = answers.n
-        self.k = answers.k
-        self.size = answers.size
+        self.algorithm = algorithm
+        self.n = algorithm.env.n
+        self.k = algorithm.env.ladder.k
+        self.size = algorithm.env.input_count()
         self.budget = budget
         self.hamming_radius = hamming_radius
-        self.reuse_answers = reuse_answers
-        self.known: dict[int, Allocation] = answers if reuse_answers else {}
+        self.check_feasible = check_feasible
+        self.reuse_answers = shared_state and budget is None and hamming_radius is None
+        self.answers: dict[int, Allocation] = {}
+        self.known: dict[int, Allocation] = self.answers if self.reuse_answers else {}
         self.memo: dict[int, Allocation] = {}
-        self.recenter(hamming_center)
+        object.__setattr__(algorithm, "live_box", weakref.ref(self))
+        self.recenter(0)
 
     def recenter(self, center: int) -> None:
         """Start a new evaluation around `center`: an empty log, `max_radius`
         0 and, unless answers are reused, empty `known` and `memo`. Budget,
-        radius and answer table stay."""
+        radius and answers stay."""
         if not 0 <= center < self.size:
             raise ParameterError(f"center index {center} outside [0, {self.size})")
         self.hamming_center = center
@@ -211,10 +190,25 @@ class InstrumentedBlackBox:
             raise HammingRestrictionViolation(
                 f"query at distance {d} from the center; allowed distance is < {self.hamming_radius}"
             )
-        x = self.known[u] = self.answers[u]
+        try:
+            x = self.answers[u]
+        except KeyError:
+            x = self._answer(u)
+        self.known[u] = x
         self.log.append((u, x))
         if d > self.max_radius:
             self.max_radius = d
+        return x
+
+    def _answer(self, u: int) -> Allocation:
+        """The algorithm's answer at u, stored only once every check passes."""
+        algorithm = self.algorithm
+        x = algorithm._answer_at(u)
+        if self.check_feasible and not is_feasible(x, algorithm.env.feasibility):
+            raise InfeasibleOutputError(
+                f"algorithm {algorithm.name!r} returned infeasible {x.to_string()}"
+            )
+        self.answers[u] = x
         return x
 
 

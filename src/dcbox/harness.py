@@ -439,7 +439,7 @@ def _verify_entry(
 ) -> VerifyEntry:
     env = algorithm.env
     rule, monotone = _checked_rule(config, algorithm, transformation)
-    # The algorithm answers from the rule's live answer table: one call per input.
+    # The algorithm answers from the rule's live black box: one call per input.
     welfare = welfare_report(rule, algorithm, env, enum_bound=config.enum_bound, seed=_seed(config))
     queries, radius = rule.rule.max_queries, rule.rule.max_radius
     return VerifyEntry(algorithm.name, env.n, env.k, monotone, welfare, queries, radius)

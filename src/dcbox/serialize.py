@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .adversaries import GENERATOR_NAMES, GENERATORS
-from .blackbox import Algorithm, CaseTable, InstrumentedBlackBox, tabulate
+from .blackbox import Algorithm, CaseTable, tabulate
 from .errors import DcboxError, ParameterError, ParseError
 from .model import (
     Allocation,
@@ -23,7 +23,6 @@ from .model import (
     FeasibilitySet,
     ValueLadder,
     ValuationVector,
-    input_at,
     is_feasible,
 )
 
@@ -33,7 +32,6 @@ CONFIG_HEADER = "dcbox-config 1"
 RESULT_HEADER = "dcbox-result 1"
 SWEEP_HEADER = "dcbox-sweep 1"
 PAYMENTS_HEADER = "dcbox-payments 1"
-QUERY_LOG_HEADER = "dcbox-query-log 1"
 
 MAX_SERIALIZED_LEVELS = 10  # level digits 0..9
 
@@ -354,16 +352,6 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
         seed=records.seed,
         params=tuple(records.params),
     )
-
-
-def dump_query_log(bb: InstrumentedBlackBox) -> str:
-    """Render an instrumented black box's log: one record per query with its
-    position, the queried input, and the answered allocation."""
-    n, k = bb.n, bb.k
-    lines = [QUERY_LOG_HEADER]
-    for position, (u, x) in enumerate(bb.log):
-        lines.append(f"query {position} {format_input(input_at(u, n, k))} {x.to_string()}")
-    return "\n".join(lines) + "\n"
 
 
 def adversary_document_for(

@@ -34,18 +34,20 @@ for agent i), and an input is its index, the sum of level_i * k**i
 positions. The kernels query the black box with indices, reuse answers
 through its `known` mapping (index to Allocation), keep derived allocations
 in its `memo` and build each result with `Allocation.from_mask`. The box
-alone decides whether `known` and `memo` outlive an evaluation. The black
+holds the algorithm's answers and alone decides whether `known` and `memo`
+outlive an evaluation. The black
 box sees the same queries in the same order as a scan over vectors.
 
 The two-value kernels reach neighbours through XOR masks per (n, distance)
-(`_flips`). `multi` reads scan plans while k**n <= 65536: a plan is keyed
-on (n, k, distance, center index) and holds the center's neighbour indices
-at that exact distance, in canonical order, as an array of 16-bit indices.
-Plans hold geometry only, never answers, so every rule over the same (n, k)
-shares them. A plan is built on its center's first scan at its distance.
-MAX_PLAN_INDICES caps the indices kept over all plans. Past the cap, and on
-larger input spaces, a scan reads the same neighbours from a one-off
-iterator and keeps nothing.
+(`_flips`), which are the neighbours of index 0, so `_neighbours` is the one
+index-level generator of the canonical scan order. `multi` reads scan plans
+while k**n <= 65536: a plan is keyed on (n, k, distance, center index) and
+holds the center's neighbour indices at that exact distance, in canonical
+order, as an array of 16-bit indices. Plans hold geometry only, never
+answers, so every rule over the same (n, k) shares them. A plan is built
+on its center's first scan at its distance. MAX_PLAN_INDICES caps the
+indices kept over all plans. Past the cap, and on larger input spaces, a
+scan reads the same neighbours from a one-off iterator and keeps nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from array import array
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .blackbox import Algorithm, AnswerTable, InstrumentedBlackBox
+from .blackbox import Algorithm, InstrumentedBlackBox
 from .errors import DimensionError, ParameterError
 from .model import Allocation, ValuationVector, index_within, input_weights
 
@@ -90,8 +92,9 @@ def t_const(bb: InstrumentedBlackBox) -> Allocation:
 
 @functools.cache
 def _flips(n: int, distance: int) -> tuple[int, ...]:
-    # XOR masks of the two-value neighbours at this distance, `inputs_at_distance` order.
-    return tuple(sum(1 << i for i in c) for c in itertools.combinations(range(n), distance))
+    # XOR masks of the two-value neighbours at this distance: on two values
+    # the neighbours of index 0 are exactly the masks, in canonical order.
+    return tuple(_neighbours(n, 2, 0, distance))
 
 
 def _restrict(x: Allocation, keep: int) -> Allocation:
@@ -280,8 +283,8 @@ def t_multi(bb: InstrumentedBlackBox) -> Allocation:
 
     An input is its index (agent i has weight k**i); each scan reads the
     center's plan at its distance (`_scan_plan`). Answers are reused through
-    the box's `known` mapping: with a shared answer table only its misses
-    are queried.
+    the box's `known` mapping: when the box reuses its answers, only inputs
+    no evaluation has asked are queried.
     """
     n = bb.n
     k = bb.k
@@ -345,16 +348,14 @@ class TransformedRule:
     level off the ladder (ParameterError); `recenter` refuses an index
     outside [0, k**n) (ParameterError). Every evaluation re-centres the box
     at the index, makes one kernel call and updates query statistics from
-    the box. `env` is the algorithm's environment. Below the box, one
-    AnswerTable per rule, `answers`, runs the algorithm once per distinct
-    input. The box keeps its answers and derived memo across evaluations
-    only when shared_state is set and neither a query budget nor a Hamming
-    radius is: a limit would see table misses only. Otherwise each
-    evaluation starts empty. Outputs are identical either way. The newest
-    rule's table also answers direct calls of the algorithm, which never
-    write to it (`Algorithm.live_answers`). The kind's row of
-    TRANSFORMATIONS is read once, here: a ladder it does not take is
-    refused. Not thread-safe: one instance per worker.
+    the box. `env` is the algorithm's environment. The box holds the
+    algorithm's answers, so the algorithm runs once per distinct input per
+    rule, and decides from shared_state and the limits whether its kernels
+    reuse them across evaluations (see InstrumentedBlackBox). Outputs are
+    identical either way. The newest rule's box also answers direct calls
+    of the algorithm, which never write to it (`Algorithm.live_box`). The
+    kind's row of TRANSFORMATIONS is read once, here: a ladder it does not
+    take is refused. Not thread-safe: one instance per worker.
     """
 
     def __init__(
@@ -377,14 +378,13 @@ class TransformedRule:
                 f"transformation {kind!r} takes {size} ladder values, got {algorithm.env.k}"
             )
         self.env = algorithm.env
-        self.answers = AnswerTable(algorithm, check_feasible)
         self._kernel = kernel
         self._box = InstrumentedBlackBox(
             algorithm,
             budget=query_budget,
             hamming_radius=hamming_radius,
-            answers=self.answers,
-            reuse_answers=shared_state and query_budget is None and hamming_radius is None,
+            shared_state=shared_state,
+            check_feasible=check_feasible,
         )
         self.max_queries = 0
         self.max_radius = 0

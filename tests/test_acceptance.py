@@ -327,8 +327,7 @@ def test_c10_oracle_equivalences():
         env = gen_random_environment(6, ladder, 4200 + seed)
         algorithm = gen_random_algorithm(env, 4300 + seed)
         for v in env.inputs():
-            bb = InstrumentedBlackBox(
-                algorithm, hamming_center=input_index(v.levels, 2), hamming_radius=3
-            )
+            bb = InstrumentedBlackBox(algorithm, hamming_radius=3)
+            bb.recenter(input_index(v.levels, 2))
             t_two(bb)
             assert bb.max_radius <= 2

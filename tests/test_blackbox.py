@@ -1,4 +1,4 @@
-"""Query layer: logging, budgets, Hamming restrictions, the answer table."""
+"""Query layer: logging, budgets, Hamming restrictions, the box's answers."""
 
 import gc
 import weakref
@@ -28,7 +28,7 @@ from dcbox import (
     tabulate,
     welfare_report,
 )
-from dcbox.blackbox import Algorithm, AnswerTable
+from dcbox.blackbox import Algorithm
 from dcbox.model import Environment, FeasibilitySet, ValueLadder, input_at, input_index
 from oracles import hamming_distance
 
@@ -40,6 +40,13 @@ def vec(*levels):
 def ix(v, k=2):
     """The index the black box takes for input v."""
     return input_index(v.levels, k)
+
+
+def centred(alg, center, **options):
+    """A new black box over alg, re-centred at the index `center`."""
+    bb = InstrumentedBlackBox(alg, **options)
+    bb.recenter(center)
+    return bb
 
 
 class TestHammingDistance:
@@ -85,7 +92,7 @@ class TestInstrumentedBlackBox:
     def test_strict_hamming_radius(self):
         # center (h^6, l^6), radius 3: distance 3 is not < 3
         center = vec(*([1] * 6 + [0] * 6))
-        bb = InstrumentedBlackBox(gen_all_ones(12), hamming_center=ix(center), hamming_radius=3)
+        bb = centred(gen_all_ones(12), ix(center), hamming_radius=3)
         probe = center.with_level(0, 0).with_level(1, 0).with_level(2, 0)
         assert hamming_distance(center, probe) == 3
         with pytest.raises(HammingRestrictionViolation):
@@ -96,7 +103,7 @@ class TestInstrumentedBlackBox:
 
     def test_center_without_radius_tracks_but_rejects_nothing(self):
         center = vec(1, 1, 0, 0)
-        bb = InstrumentedBlackBox(gen_all_ones(4), hamming_center=ix(center))
+        bb = centred(gen_all_ones(4), ix(center))
         assert bb.max_radius == 0
         bb.query(ix(vec(1, 0, 0, 0)))
         bb.query(ix(vec(0, 0, 1, 1)))  # the farthest input is allowed
@@ -107,11 +114,11 @@ class TestInstrumentedBlackBox:
     def test_refused_queries_do_not_count_toward_max_radius(self):
         center = vec(0, 0, 0)
         far = vec(1, 1, 1)
-        budget = InstrumentedBlackBox(gen_all_ones(3), budget=1, hamming_center=ix(center))
+        budget = centred(gen_all_ones(3), ix(center), budget=1)
         budget.query(ix(vec(1, 0, 0)))
         with pytest.raises(QueryBudgetExceeded):
             budget.query(ix(far))
-        radius = InstrumentedBlackBox(gen_all_ones(3), hamming_center=ix(center), hamming_radius=2)
+        radius = centred(gen_all_ones(3), ix(center), hamming_radius=2)
         radius.query(ix(vec(0, 1, 0)))
         with pytest.raises(HammingRestrictionViolation):
             radius.query(ix(far))
@@ -122,9 +129,7 @@ class TestInstrumentedBlackBox:
             return Allocation((1, 1, 1)) if v == far else Allocation((1, 0, 0))
 
         alg = Algorithm(env, rule)
-        checked = InstrumentedBlackBox(
-            alg, hamming_center=ix(center), answers=AnswerTable(alg, check_feasible=True)
-        )
+        checked = centred(alg, ix(center), check_feasible=True)
         checked.query(ix(vec(0, 0, 1)))
         with pytest.raises(InfeasibleOutputError):
             checked.query(ix(far))
@@ -150,7 +155,7 @@ class TestInstrumentedBlackBox:
         feas = FeasibilitySet(2, frozenset({Allocation((1, 0))}))
         env = Environment(2, ValueLadder.of(1, 2), feas)
         broken = Algorithm(env, lambda v: Allocation((1, 1)), name="broken")
-        bb = InstrumentedBlackBox(broken, answers=AnswerTable(broken, check_feasible=True))
+        bb = InstrumentedBlackBox(broken, check_feasible=True)
         with pytest.raises(InfeasibleOutputError):
             bb.query(ix(vec(0, 0)))
 
@@ -171,10 +176,10 @@ class TestIndexQueries:
         alg = gen_all_ones(center.n, ValueLadder.of(*range(1, k + 1)))
         d = hamming_distance(u, center)
         c = ix(center, k)
-        at_boundary = InstrumentedBlackBox(alg, hamming_center=c, hamming_radius=d)
+        at_boundary = centred(alg, c, hamming_radius=d)
         with pytest.raises(HammingRestrictionViolation):
             at_boundary.query(ix(u, k))
-        inside = InstrumentedBlackBox(alg, hamming_center=c, hamming_radius=d + 1)
+        inside = centred(alg, c, hamming_radius=d + 1)
         inside.query(ix(u, k))
         assert inside.max_radius == d
         assert inside.log[0][0] == ix(u, k)
@@ -195,11 +200,12 @@ class TestIndexQueries:
         assert len(bb.log) == 1
 
     def test_center_outside_range_is_rejected(self):
-        alg = gen_all_ones(3)
-        with pytest.raises(ParameterError):
-            InstrumentedBlackBox(alg, hamming_center=8)
-        with pytest.raises(ParameterError):
-            InstrumentedBlackBox(alg, hamming_center=-1, hamming_radius=1)
+        # A rule centres its box at the index it is called with.
+        for limits in ({}, {"hamming_radius": 1}):
+            rule = TransformedRule("identity", gen_all_ones(3), **limits)
+            for u in (8, -1):
+                with pytest.raises(ParameterError, match=rf"^center index {u} outside \[0, 8\)$"):
+                    rule(u)
 
     def test_recenter_outside_range_is_rejected(self):
         bb = InstrumentedBlackBox(gen_all_ones(3), hamming_radius=1)
@@ -245,40 +251,43 @@ class TestAnswerReuse:
         return Algorithm(env, rule, name="over")
 
     def test_table_stores_only_checked_answers(self):
-        table = AnswerTable(self.infeasible_at_zero(), check_feasible=True)
+        bb = InstrumentedBlackBox(self.infeasible_at_zero(), check_feasible=True)
         for _ in range(2):
             with pytest.raises(InfeasibleOutputError):
-                table[0]
-        assert table[1] == Allocation((0, 0, 0))
-        assert dict(table) == {1: Allocation((0, 0, 0))}
+                bb.query(0)
+        assert bb.query(1) == Allocation((0, 0, 0))
+        assert bb.answers == {1: Allocation((0, 0, 0))}
 
-    def test_reused_table_is_known_to_later_boxes(self):
+    def test_shared_box_knows_answers_from_earlier_evaluations(self):
         alg = self.infeasible_at_zero()
-        table = AnswerTable(alg, check_feasible=True)
-        first = InstrumentedBlackBox(alg, answers=table, reuse_answers=True)
-        first.query(5)
+        bb = InstrumentedBlackBox(alg, shared_state=True, check_feasible=True)
+        bb.query(5)
         with pytest.raises(InfeasibleOutputError):
-            first.query(0)
-        second = InstrumentedBlackBox(alg, answers=table, reuse_answers=True)
-        assert second.known is table
-        assert set(second.known) == {5}
-        assert len(second.log) == 0
+            bb.query(0)
+        bb.recenter(3)
+        assert bb.known is bb.answers
+        assert set(bb.known) == {5}
+        assert len(bb.log) == 0
 
     def test_unshared_box_knows_only_its_own_answers(self):
-        alg = gen_all_ones(3)
-        table = AnswerTable(alg)
-        InstrumentedBlackBox(alg, answers=table).query(5)
-        bb = InstrumentedBlackBox(alg, answers=table)
+        bb = InstrumentedBlackBox(gen_all_ones(3))
+        bb.query(5)
+        bb.recenter(0)
         assert bb.known == {}
         bb.query(3)
         assert bb.known == {3: Allocation((1, 1, 1))}
+        assert set(bb.answers) == {5, 3}
 
     def test_reuse_excludes_budget_and_radius(self):
+        # Under a limit, answers from earlier evaluations would bypass it.
         alg = gen_all_ones(3)
-        with pytest.raises(ParameterError):
-            InstrumentedBlackBox(alg, budget=4, reuse_answers=True)
-        with pytest.raises(ParameterError):
-            InstrumentedBlackBox(alg, hamming_center=0, hamming_radius=2, reuse_answers=True)
+        for limit in ({"budget": 4}, {"hamming_radius": 2}):
+            bb = InstrumentedBlackBox(alg, shared_state=True, **limit)
+            bb.query(1)
+            bb.recenter(0)
+            assert not bb.reuse_answers
+            assert (bb.known, bb.memo) == ({}, {})
+            assert set(bb.answers) == {1}
 
 
 def counting(alg):
@@ -347,7 +356,7 @@ class TestLiveAnswerTable:
         alg, calls = counting(gen_all_ones(3))
         rule = TransformedRule("const", alg)
         rule(vec(1, 1, 0))  # const queries the all-lowest input, index 0, only
-        assert list(rule.answers) == [0]
+        assert list(rule._box.answers) == [0]
         calls.clear()
         assert alg(0) == Allocation.full(3)
         assert not calls
@@ -355,17 +364,17 @@ class TestLiveAnswerTable:
         assert alg(5) == Allocation.full(3)
         assert alg(5) == Allocation.full(3)
         assert calls == {(1, 0, 1): 2}
-        assert list(rule.answers) == [0]
+        assert list(rule._box.answers) == [0]
 
     def test_an_index_miss_refuses_a_wrong_length_answer(self):
         env = gen_all_ones(3).env
         alg = Algorithm(env, lambda v: Allocation((1, 1)), name="short")
         with pytest.raises(DimensionError, match="^allocation of length 2 vs input of length 3$"):
             alg(3)  # no live table: every index is a miss
-        table = AnswerTable(alg)
+        bb = InstrumentedBlackBox(alg)
         with pytest.raises(DimensionError):
             alg(3)
-        assert len(table) == 0
+        assert bb.answers == {}
 
     def test_an_index_outside_the_inputs_is_refused(self):
         alg, calls = counting(gen_all_ones(3))
@@ -379,15 +388,15 @@ class TestLiveAnswerTable:
         alg, calls = counting(gen_all_ones(3))
         rule = CachedRule(TransformedRule("two", alg))
         check_monotone(rule, alg.env)
-        table = weakref.ref(rule.rule.answers)
-        assert alg.live_answers() is table()
+        box = weakref.ref(rule.rule._box)
+        assert alg.live_box() is box()
         calls.clear()
         alg(vec(1, 0, 1))
         assert not calls
         del rule
         gc.collect()
-        assert table() is None
-        assert alg.live_answers() is None
+        assert box() is None
+        assert alg.live_box() is None
         alg(vec(1, 0, 1))
         assert calls == {(1, 0, 1): 1}
 

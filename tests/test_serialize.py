@@ -14,12 +14,10 @@ from dcbox import (
     gen_thm1,
 )
 from dcbox.harness import parse_config
-from dcbox.model import input_index
 from dcbox.serialize import (
     adversary_document_for,
     dump_adversary,
     dump_environment,
-    dump_query_log,
     format_input,
     format_rational,
     load_adversary,
@@ -294,27 +292,3 @@ class TestRepeatedKeys:
         assert doc.params == (("m", "2"), ("f", "1"))
         config = parse_config("\n".join([*DOCUMENTS["config"][1], "param f 4"]) + "\n")
         assert config.params == (("m", "2"), ("f", "4"))
-
-
-class TestQueryLogExport:
-    def test_one_record_per_query(self):
-        from dcbox import InstrumentedBlackBox, gen_all_ones
-
-        alg = gen_all_ones(3, ValueLadder.of(1, 2))
-        bb = InstrumentedBlackBox(alg)
-        bb.query(input_index((1, 0, 1), 2))
-        bb.query(input_index((0, 0, 0), 2))
-        text = dump_query_log(bb)
-        lines = text.splitlines()
-        assert lines[0] == "dcbox-query-log 1"
-        assert lines[1] == "query 0 101 111"
-        assert lines[2] == "query 1 000 111"
-        assert len(lines) == 3
-
-    def test_inputs_render_as_level_digits_on_three_values(self):
-        from dcbox import InstrumentedBlackBox, gen_all_ones
-
-        bb = InstrumentedBlackBox(gen_all_ones(3, ValueLadder.of(1, 2, 3)))
-        for levels in ((2, 0, 1), (0, 1, 2)):
-            bb.query(input_index(levels, 3))
-        assert dump_query_log(bb).splitlines()[1:] == ["query 0 201 111", "query 1 012 111"]

@@ -51,9 +51,11 @@ def vec(*levels):
     return ValuationVector(tuple(levels))
 
 
-def centred(alg, v, **limits):
+def centred(alg, v, **options):
     """A new black box over alg centred at v's index: what a kernel takes."""
-    return InstrumentedBlackBox(alg, hamming_center=input_index(v.levels, alg.env.k), **limits)
+    bb = InstrumentedBlackBox(alg, **options)
+    bb.recenter(input_index(v.levels, alg.env.k))
+    return bb
 
 
 def constant_algorithm(n, allocation, maximal, ladder=LAD2, name="const-alg"):
@@ -219,7 +221,7 @@ class TestTTwoPlus:
         alg = gen_random_algorithm(env, 131)
         v = vec(1, 0, 1, 0)
         for reuse in (False, True):
-            bb = centred(alg, v, reuse_answers=reuse)
+            bb = centred(alg, v, shared_state=reuse)
             first = t_two_plus(bb)
             memo, queries = dict(bb.memo), len(bb.log)
             assert memo and queries
@@ -900,7 +902,7 @@ class TestKernelContract:
         alg = gen_random_algorithm(env, 4500)
         kernel = TRANSFORMATIONS[kind][0]
         rule = TransformedRule(kind, alg, shared_state=reuse)
-        bb = InstrumentedBlackBox(alg, reuse_answers=reuse)
+        bb = InstrumentedBlackBox(alg, shared_state=reuse)
         for v in env.inputs():
             bb.recenter(input_index(v.levels, env.k))
             assert kernel(bb) == rule(v)

@@ -451,8 +451,8 @@ class TestIndexedTables:
             by_vector.max_queries,
             by_vector.max_radius,
         )
-        # The same misses in the same order filled both answer tables.
-        assert list(indexed.answers) == list(by_vector.answers)
+        # The same misses in the same order filled both boxes' answers.
+        assert list(indexed._box.answers) == list(by_vector._box.answers)
         assert CachedRule(alg).masks(n, k) == CachedRule(lambda v: alg(v)).masks(n, k)
         assert welfare_report(rule, alg, env) == welfare_report(plain, lambda v: alg(v), env)
 
@@ -469,7 +469,7 @@ class TestIndexedTables:
         alg = Algorithm(env, counting, "counting")
         rule = CachedRule(TransformedRule(kind, alg))
         assert check_monotone(rule, env).is_monotone
-        asked = dict(rule.rule.answers)
+        asked = dict(rule.rule._box.answers)
         calls.clear()
         indexed = welfare_report(rule, alg, env)
         misses = list(calls)
@@ -477,7 +477,7 @@ class TestIndexedTables:
         assert indexed == welfare_report(rule, lambda v: alg(v), env)
         assert calls == misses
         assert len(misses) == env.input_count() - len(asked)  # const: all but index 0
-        assert dict(rule.rule.answers) == asked
+        assert dict(rule.rule._box.answers) == asked
 
     def test_exhaustive_tables_build_no_vectors(self, monkeypatch):
         env = gen_random_environment(4, ValueLadder.of(1, 5, 25), 6500)
