@@ -10,7 +10,10 @@ The baselines (all-ones, knapsack, seeded random) serve as panels for
 positive verification sweeps.
 
 All randomness flows through `stable_rng`, so identical parameters and seed
-reproduce identical algorithms bit for bit, across runs and platforms.
+reproduce identical algorithms bit for bit, across runs and platforms. The
+random algorithm draws each answer from `stable_rng`'s stream too: it
+reseeds one generator with the key `stable_rng` seeds from (`_rng_key`)
+rather than building one per input.
 """
 
 from __future__ import annotations
@@ -37,13 +40,18 @@ from .model import (
 DEFAULT_LADDER = ValueLadder.of(1, 2)
 
 
+def _rng_key(*parts) -> str:
+    """The string `stable_rng` seeds from: the parts' str forms joined by ':'."""
+    return ":".join(map(str, parts))
+
+
 def stable_rng(*parts) -> random.Random:
     """Seeded RNG whose stream depends only on the stringified parts.
 
     String seeding hashes via SHA-512, so the stream is stable across
     platforms, processes, and interpreter versions.
     """
-    return random.Random(":".join(str(p) for p in parts))
+    return random.Random(_rng_key(*parts))
 
 
 def _hidden_input_algorithm(
@@ -352,14 +360,23 @@ def gen_random_algorithm(env: Environment, seed: int) -> Algorithm:
     Per input, a seeded choice picks one maximal allocation and keeps each
     of its 1s with probability 3/4; the whole map is reproducible from the
     seed and every output is feasible by construction.
+
+    The draws at input v are those of `stable_rng("random-alg", seed,
+    v.levels)`. The rule keeps one `random.Random` and reseeds it with that
+    key at every input, which draws the identical stream without building a
+    new generator per input. So the rule is not reentrant: one algorithm
+    per thread.
     """
     maximal = env.feasibility.sorted_maximal()
     n = env.n
+    rng = random.Random(0)  # reseeded before every draw
+    # Every key of this rule is this prefix followed by the input's levels.
+    prefix = _rng_key("random-alg", seed, "")
 
     def rule(v: ValuationVector) -> Allocation:
         if not maximal:
             return Allocation.zeros(n)
-        rng = stable_rng("random-alg", seed, v.levels)
+        rng.seed(prefix + str(v.levels))
         rest = maximal[rng.randrange(len(maximal))].mask
         mask = 0
         while rest:  # one draw per 1 of the base, in agent order

@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     QueryBudgetExceeded,
 )
-from .model import Allocation, Environment, ValuationVector, index_within, input_at, is_feasible
+from .model import Allocation, Environment, ValuationVector, index_within, input_weights, is_feasible
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ class Algorithm:
     takes an input index, as exhaustive mask tables pass (`verify._table`),
     or a vector, as sampled and direct calls pass. A miss calls `rule` and
     stores nothing, so direct calls never change what a rule's black boxes
-    see or count: a missed index is decoded (`input_at`) and an answer of
+    see or count: a missed index outside [0, k**n) is refused
+    (ParameterError), any other is decoded (`_answer_at`) and an answer of
     another length refused (DimensionError); a vector of another length or
     with a level off the ladder always misses.
     """
@@ -82,19 +83,23 @@ class Algorithm:
         box = None if self.live_box is None else self.live_box()
         if isinstance(v, int):
             x = None if box is None else box.answers.get(v)
-            return self._answer_at(v) if x is None else x
+            if x is not None:
+                return x
+            size = self.env.input_count()
+            if not 0 <= v < size:
+                raise ParameterError(f"input index {v} outside [0, {size})")
+            return self._answer_at(v)
         u = None if box is None else index_within(v.levels, box.n, box.k)
         x = None if u is None else box.answers.get(u)
         return self.rule(v) if x is None else x
 
     def _answer_at(self, u: int) -> Allocation:
-        """The rule's answer at input index u, decoded with `input_at`, and
-        stored nowhere. An index outside [0, k**n) raises ParameterError and
-        an answer of another length DimensionError."""
+        """The rule's answer at input index u, which the caller has checked
+        to lie in [0, k**n), stored nowhere. The index is decoded as
+        `input_at` does, over the cached `input_weights`; an answer of
+        another length raises DimensionError."""
         n, k = self.env.n, self.env.ladder.k
-        if not 0 <= u < k**n:
-            raise ParameterError(f"input index {u} outside [0, {k**n})")
-        x = self.rule(input_at(u, n, k))
+        x = self.rule(ValuationVector(tuple([u // w % k for w in input_weights(n, k)])))
         if x.n != n:
             raise DimensionError(f"allocation of length {x.n} vs input of length {n}")
         return x
@@ -115,7 +120,8 @@ class InstrumentedBlackBox:
     recording (index, allocation) pairs.
 
     The box owns the algorithm's answers by index, `answers`, the only memo
-    of them. A miss decodes the index and calls the rule once
+    of them. A query reads `answers.get(u)`, and only a miss, which raises
+    nothing, decodes the index and calls the rule once
     (`Algorithm._answer_at`, which checks the answer's length), then checks
     its feasibility under check_feasible; only answers that pass are
     stored, so entries are safe to reuse unchecked. The algorithm's direct
@@ -190,10 +196,8 @@ class InstrumentedBlackBox:
             raise HammingRestrictionViolation(
                 f"query at distance {d} from the center; allowed distance is < {self.hamming_radius}"
             )
-        try:
-            x = self.answers[u]
-        except KeyError:
-            x = self._answer(u)
+        # An Allocation is never falsy, so `or` asks the algorithm only on a miss.
+        x = self.answers.get(u) or self._answer(u)
         self.known[u] = x
         self.log.append((u, x))
         if d > self.max_radius:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -498,6 +497,9 @@ def cmd_regime_sweep(config: ExperimentConfig) -> tuple[list[ResultRecord], str]
         raise ParameterError("sweep needs nonempty sweep-n and sweep-ratio ranges")
     cells = [(n, token) for n in config.sweep_n for token in config.sweep_ratios]
     if config.workers > 1:
+        # Imported here: only a multi-worker sweep pays for concurrent.futures.
+        from concurrent.futures import ProcessPoolExecutor
+
         ns, tokens = zip(*cells)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_sweep_cell, [config] * len(cells), ns, tokens))

@@ -35,19 +35,24 @@ positions. The kernels query the black box with indices, reuse answers
 through its `known` mapping (index to Allocation), keep derived allocations
 in its `memo` and build each result with `Allocation.from_mask`. The box
 holds the algorithm's answers and alone decides whether `known` and `memo`
-outlive an evaluation. The black
-box sees the same queries in the same order as a scan over vectors.
+outlive an evaluation. The black box sees the same queries in the same
+order as a scan over vectors.
 
 The two-value kernels reach neighbours through XOR masks per (n, distance)
 (`_flips`), which are the neighbours of index 0, so `_neighbours` is the one
-index-level generator of the canonical scan order. `multi` reads scan plans
-while k**n <= 65536: a plan is keyed on (n, k, distance, center index) and
-holds the center's neighbour indices at that exact distance, in canonical
-order, as an array of 16-bit indices. Plans hold geometry only, never
-answers, so every rule over the same (n, k) shares them. A plan is built
-on its center's first scan at its distance. MAX_PLAN_INDICES caps the
-indices kept over all plans. Past the cap, and on larger input spaces, a
-scan reads the same neighbours from a one-off iterator and keeps nothing.
+index-level generator of the canonical scan order. `multi` reads one center
+record per evaluation while k**n <= 65536. A record is keyed on (n, k,
+center index) and holds everything about the center that no answer
+changes: its positions at or above each level (`_at_or_above`, from which
+each level's positions are one XOR) and its scan plans. A plan holds the
+center's neighbour indices at one exact distance, in canonical order, as an
+array of 16-bit indices. Records hold geometry only, never answers, so
+every rule over the same (n, k) shares them. A record is built on its
+center's first evaluation, and each plan in it on the center's first scan
+at that distance. MAX_PLAN_INDICES caps the entries, masks and indices,
+kept over all records. Past the cap, and on larger input spaces, an
+evaluation derives its masks again and scans the same neighbours from a
+one-off iterator, keeping nothing.
 """
 
 from __future__ import annotations
@@ -208,18 +213,21 @@ _SCAN_STEPS = (
     (5, frozenset({0}), 2),
 )
 
-# The most neighbour indices kept in all scan plans together: about 2 MB as
-# 16-bit indices, which holds every plan at n=6, k=3 (484 056 indices).
+# The most entries kept in all center records together: each record's k + 1
+# masks and its plans' neighbour indices. The plans are 16-bit arrays, so
+# the cap is about 2 MB of indices; it holds every record at n=6, k=3
+# (729 * 4 masks and 484 056 indices).
 MAX_PLAN_INDICES = 1 << 20
 
 
 class _ScanPlans:
-    """`multi`'s kept scan plans (see the module docstring), as
-    `plans[n, k][distance][center]`, and `kept`, the number of indices they
-    hold in all. One store serves every rule in the process."""
+    """`multi`'s kept center records (see the module docstring), as
+    `plans[n, k][center]`, and `kept`, the number of entries they hold in
+    all: each record's masks and its plans' indices. One store serves every
+    rule in the process."""
 
     def __init__(self) -> None:
-        self.plans: dict[tuple[int, int], list[dict[int, array]]] = {}
+        self.plans: dict[tuple[int, int], dict[int, list]] = {}
         self.kept = 0
 
 
@@ -237,37 +245,65 @@ def _neighbours(n: int, k: int, center: int, distance: int) -> Iterator[int]:
     return map(center.__add__, map(sum, itertools.chain.from_iterable(combos)))
 
 
+def _at_or_above(n: int, k: int, center: int) -> tuple[int, ...]:
+    """ge[c]: the positions of the input `center` at level c or above, for c
+    in 0..k (ge[k] is empty). Its level-c positions are ge[c] ^ ge[c + 1] and
+    the positions above level c are ge[c + 1]."""
+    ge = [0] * (k + 1)
+    for i, w in enumerate(input_weights(n, k)):
+        ge[center // w % k] |= 1 << i
+    for c in range(k - 1, 0, -1):
+        ge[c - 1] |= ge[c]
+    return tuple(ge)
+
+
+def _record(n: int, k: int, center: int) -> list | None:
+    """`center`'s kept record: built on its first evaluation while
+    k**n <= 65536 and the kept entries stay within MAX_PLAN_INDICES, else
+    None. record[0] is its `_at_or_above` masks and record[d], for
+    1 <= d <= n, its plan at distance d, None until its first scan there.
+    Built from the center index, never from a caller's levels, so every
+    rule may trust it."""
+    store = _SCAN_PLANS
+    by_center = store.plans.get((n, k))
+    if by_center is None:
+        if k**n > 1 << 16:
+            return None
+        by_center = store.plans[n, k] = {}
+    record = by_center.get(center)
+    if record is None and store.kept + k + 1 <= MAX_PLAN_INDICES:
+        record = by_center[center] = [_at_or_above(n, k, center), *[None] * n]
+        store.kept += k + 1
+    return record
+
+
 def _scan_plan(n: int, k: int, center: int, distance: int) -> Iterable[int]:
-    """`_neighbours(n, k, center, distance)`: the kept plan, else, while
-    k**n <= 65536, built and kept on this first scan as long as the kept
-    indices stay within MAX_PLAN_INDICES, else the one-off iterator. Plans
-    are built from the center index, never from a caller's levels, so every
-    rule may trust them."""
+    """`_neighbours(n, k, center, distance)`: the plan in the center's kept
+    record, else built and kept there on this first scan as long as the
+    kept entries stay within MAX_PLAN_INDICES, else (or without a record)
+    the one-off iterator."""
     if distance > n:
         return ()
-    if k**n > 1 << 16:
+    record = _record(n, k, center)
+    if record is None:
         return _neighbours(n, k, center, distance)
-    store = _SCAN_PLANS
-    by_distance = store.plans.get((n, k))
-    if by_distance is None:
-        by_distance = store.plans[n, k] = [{} for _ in range(n + 1)]
-    plan = by_distance[distance].get(center)
-    if plan is not None:
-        return plan
-    size = comb(n, distance) * (k - 1) ** distance
-    if store.kept + size > MAX_PLAN_INDICES:
-        return _neighbours(n, k, center, distance)
-    plan = by_distance[distance][center] = array("H", _neighbours(n, k, center, distance))
-    store.kept += size
+    plan = record[distance]
+    if plan is None:
+        size = comb(n, distance) * (k - 1) ** distance
+        if _SCAN_PLANS.kept + size > MAX_PLAN_INDICES:
+            return _neighbours(n, k, center, distance)
+        plan = record[distance] = array("H", _neighbours(n, k, center, distance))
+        _SCAN_PLANS.kept += size
     return plan
 
 
-def _top_class(mask: int, lm: list[int]) -> int:
+def _top_class(mask: int, ge: tuple[int, ...]) -> int:
     """The highest level c at which the allocation `mask` has a 1 on a
-    position of level c (`lm[c]`); the empty allocation counts as the lowest
-    class: it is neither a high- nor a mid-class allocation."""
-    c = len(lm) - 1
-    while c and not mask & lm[c]:
+    position of the input's level c or above (`ge[c]`, `_at_or_above`); the
+    empty allocation counts as the lowest class: it is neither a high- nor
+    a mid-class allocation."""
+    c = len(ge) - 2
+    while c and not mask & ge[c]:
         c -= 1
     return c
 
@@ -281,44 +317,47 @@ def t_multi(bb: InstrumentedBlackBox) -> Allocation:
     appear in v are skipped: no candidate could qualify. Queries stay within
     Hamming distance 5 of v.
 
-    An input is its index (agent i has weight k**i); each scan reads the
-    center's plan at its distance (`_scan_plan`). Answers are reused through
-    the box's `known` mapping: when the box reuses its answers, only inputs
-    no evaluation has asked are queried.
+    An input is its index (agent i has weight k**i). The center's geometry,
+    its masks by level and its plan at each distance, comes from one lookup
+    of its kept record (`_record`); past the cap, and on larger input
+    spaces, it is derived for this evaluation alone (`_at_or_above`,
+    `_scan_plan`). Answers are reused through the box's `known` mapping:
+    when the box reuses its answers, only inputs no evaluation has asked
+    are queried.
     """
     n = bb.n
     k = bb.k
     known = bb.known
     query = bb.query
     index = bb.hamming_center
-    lm = [0] * k  # lm[c]: positions of v at level c
-    for i, w in enumerate(input_weights(n, k)):
-        lm[index // w % k] |= 1 << i
-    above = [0] * k  # above[c]: positions of v above level c
-    for c in range(k - 2, -1, -1):
-        above[c] = above[c + 1] | lm[c + 1]
+    record = _record(n, k, index)
+    ge = _at_or_above(n, k, index) if record is None else record[0]
 
     # An Allocation is never falsy, so `or` queries only on a miss.
     x = known.get(index) or query(index)
-    cls = _top_class(x.mask, lm)
+    cls = _top_class(x.mask, ge)
     for distance, sources, target in _SCAN_STEPS:
+        if distance > n:
+            break  # no input is that far, nor farther
         # Adopt the first candidate with a 1 in `want` and none in `reject`.
         if sources is None:
-            want, reject = above[cls], 0
+            want, reject = ge[cls + 1], 0
         elif cls in sources:
-            want, reject = lm[target], above[target]
+            want, reject = ge[target] ^ ge[target + 1], ge[target + 1]
         else:
             continue
         if not want:
             continue
-        for u in _scan_plan(n, k, index, distance):
+        # A plan within n is never empty, so `or` builds or derives one only
+        # when the record holds none.
+        for u in (record and record[distance]) or _scan_plan(n, k, index, distance):
             candidate = known.get(u) or query(u)
             cmask = candidate.mask
             if cmask & want and not cmask & reject:
                 x = candidate
-                cls = _top_class(cmask, lm)
+                cls = _top_class(cmask, ge)
                 break
-    return _restrict(x, lm[cls] | above[cls])
+    return _restrict(x, ge[cls])
 
 
 # One row per transformation id: its kernel, called as kernel(bb) on a box

@@ -7,6 +7,8 @@ import pytest
 
 from dcbox import (
     Allocation,
+    Environment,
+    FeasibilitySet,
     ParameterError,
     ValueLadder,
     ValuationVector,
@@ -22,7 +24,7 @@ from dcbox import (
     tabulate,
 )
 from dcbox.adversaries import _density_ranks, stable_rng
-from oracles import hamming_distance, welfare
+from oracles import hamming_distance, random_algorithm_answer, welfare
 
 
 def bits(text):
@@ -305,11 +307,43 @@ class TestRandomAlgorithm:
         assert any(a(v) != b(v) for v in env.inputs())
 
     def test_empty_feasibility_yields_zeros(self):
-        from dcbox import Environment, FeasibilitySet
-
         env = Environment(3, ValueLadder.of(1, 2), FeasibilitySet(3, frozenset()))
         alg = gen_random_algorithm(env, 1)
         assert alg(vec(0, 1, 0)) == bits("000")
+
+    # The rule reseeds one generator per algorithm; each answer must still be
+    # the draw of a fresh stable_rng("random-alg", seed, levels).
+    @pytest.mark.parametrize("values", [(1, 6), (1, 6, 36)], ids=["two", "three"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_answers_are_fresh_stable_rng_draws(self, n, values):
+        env = gen_random_environment(n, ValueLadder.of(*values), 40 + n)
+        alg = gen_random_algorithm(env, 50 + n)
+        for v in env.inputs():
+            assert alg(v) == random_algorithm_answer(env, 50 + n, v)
+
+    def test_one_maximal_allocation_still_draws_its_choice(self):
+        # randrange(1) takes a draw too, so the 3/4 coins come after it.
+        env = Environment(4, ValueLadder.of(1, 4, 16), FeasibilitySet(4, frozenset({bits("1111")})))
+        alg = gen_random_algorithm(env, 7)
+        answers = [alg(v) for v in env.inputs()]
+        assert answers == [random_algorithm_answer(env, 7, v) for v in env.inputs()]
+        assert len(set(answers)) > 1
+
+    def test_no_maximal_allocation_answers_empty(self):
+        env = Environment(3, ValueLadder.of(1, 4, 16), FeasibilitySet(3, frozenset()))
+        alg = gen_random_algorithm(env, 8)
+        for v in env.inputs():
+            assert alg(v) == random_algorithm_answer(env, 8, v) == bits("000")
+
+    def test_interleaved_algorithms_keep_their_own_streams(self):
+        env = gen_random_environment(4, ValueLadder.of(1, 4, 16), 9)
+        a, b = gen_random_algorithm(env, 10), gen_random_algorithm(env, 11)
+        inputs = list(env.inputs())
+        for v, w in zip(inputs, reversed(inputs)):
+            assert a(v) == random_algorithm_answer(env, 10, v)
+            assert b(w) == random_algorithm_answer(env, 11, w)
+            assert b(v) == random_algorithm_answer(env, 11, v)
+            assert a(w) == random_algorithm_answer(env, 10, w)
 
 
 class TestRandomEnvironment:

@@ -16,37 +16,18 @@ from fractions import Fraction
 import pytest
 
 from dcbox import (
-    Allocation,
     CachedRule,
     TransformedRule,
     ValueLadder,
-    ValuationVector,
     check_monotone,
     transforms,
     welfare_report,
 )
-from dcbox.adversaries import stable_rng
-from dcbox.blackbox import Algorithm, CaseTable
 from dcbox.harness import standard_panel
-from dcbox.model import Environment, normalize_antichain
+from oracles import sparse_table
 
 PANEL_SEED = 20260809  # the acceptance suite's
 SPARSE_SEEDS = 5  # sparse tables per answering-input count, so 20 per panel
-
-
-def sparse_table(n, ladder, count, seed):
-    """An algorithm whose case table answers `count` seeded inputs with
-    seeded nonempty allocations and every other input with the empty one,
-    over the downward closure of those allocations."""
-    rng = stable_rng("sparse", n, ladder.k, count, seed)
-    answers = {}
-    while len(answers) < count:
-        levels = tuple(rng.randrange(ladder.k) for _ in range(n))
-        answers[levels] = Allocation.from_mask(n, rng.randrange(1, 1 << n))
-    cases = tuple((ValuationVector(levels), x) for levels, x in answers.items())
-    table = CaseTable(n, cases, Allocation.zeros(n))
-    env = Environment(n, ladder, normalize_antichain(answers.values(), n))
-    return Algorithm(env, table.lookup(), name=f"sparse-{count}-{seed}", table=table)
 
 
 def panel(n, ladder):

@@ -37,10 +37,11 @@ from dcbox.transforms import (
     t_two,
     t_two_plus,
 )
-from oracles import hamming_distance, kind_ladders
+from oracles import hamming_distance, kind_ladders, literal_multi3, sparse_table
 
 LAD2 = ValueLadder.of(1, 100)
 LAD3 = ValueLadder.of(1, 10, 100)
+SPARSE_ORACLE_SEEDS = 3  # sparse tables per (n, answering-input count)
 
 
 def bits(text):
@@ -326,47 +327,6 @@ def _literal_two_plus(alg, v):
     return Allocation(tuple(result))
 
 
-def _literal_multi3(alg, v):
-    """Independent oracle for the three-value ladder: the five scans written
-    out one by one, no caching, no scan skipping."""
-
-    def classify(x, u):
-        best = -1
-        for lvl, b in zip(u.levels, x.bits):
-            if b and lvl > best:
-                best = lvl
-        return max(best, 0)
-
-    cur = alg(v)
-    c0 = classify(cur, v)
-    for u in inputs_at_distance(v, 1, 3):  # class increase
-        if classify(alg(u), v) > c0:
-            cur = alg(u)
-            break
-    if classify(cur, v) == 0:
-        for u in inputs_at_distance(v, 2, 3):  # low -> mid
-            if classify(alg(u), v) == 1:
-                cur = alg(u)
-                break
-    if classify(cur, v) != 2:
-        for u in inputs_at_distance(v, 3, 3):  # below-high -> high
-            if classify(alg(u), v) == 2:
-                cur = alg(u)
-                break
-    if classify(cur, v) == 1:
-        for u in inputs_at_distance(v, 4, 3):  # mid -> high
-            if classify(alg(u), v) == 2:
-                cur = alg(u)
-                break
-    if classify(cur, v) == 0:
-        for u in inputs_at_distance(v, 5, 3):  # low -> high
-            if classify(alg(u), v) == 2:
-                cur = alg(u)
-                break
-    cls = classify(cur, v)
-    return Allocation(tuple(b if lvl >= cls else 0 for b, lvl in zip(cur.bits, v.levels)))
-
-
 def _literal_multi(alg, v):
     """The step table that `multi` once extrapolated to ladders with k >= 4,
     written out as loops, classing with classify_allocation and comparing
@@ -415,12 +375,29 @@ class TestLiteralOracles:
 
     def test_multi_matches_unmemoized_oracle(self):
         ladder = ValueLadder.of(1, 5, 25)
-        for seed in range(3):
-            env = gen_random_environment(4, ladder, 6000 + seed)
-            alg = gen_random_algorithm(env, 6100 + seed)
+        dense = [
+            gen_random_algorithm(gen_random_environment(4, ladder, 6000 + seed), 6100 + seed)
+            for seed in range(3)
+        ]
+        # Dense tables almost always adopt at step 1. Sparse ones, where one
+        # to four inputs answer anything, leave most centers empty, so their
+        # scans run on through the later steps. Step j scans distance j, so
+        # only the n = 5 tables reach step 5.
+        sparse = [
+            sparse_table(n, ladder, count, seed)
+            for n in (3, 4)
+            for count in range(1, 5)
+            for seed in range(SPARSE_ORACLE_SEEDS)
+        ] + [sparse_table(5, ladder, count, 0) for count in (1, 4)]
+        for alg in dense:
             rule = TransformedRule("multi", alg)
-            for v in env.inputs():
-                assert rule(v) == _literal_multi3(alg, v)
+            for v in alg.env.inputs():
+                assert rule(v) == literal_multi3(alg, v)
+        for shared_state in (True, False):
+            for alg in sparse:
+                rule = TransformedRule("multi", alg, shared_state=shared_state)
+                for v in alg.env.inputs():
+                    assert rule(v) == literal_multi3(alg, v), (alg.name, v, shared_state)
 
 
 class TestRefusedMultiTable:
@@ -557,7 +534,14 @@ def fresh_plans(monkeypatch):
 
 
 def _kept_lengths(store):
-    return sum(len(plan) for at in store.plans.values() for plans in at for plan in plans.values())
+    """The entries the store's center records hold: their masks and plans."""
+    return sum(
+        len(entry)
+        for records in store.plans.values()
+        for record in records.values()
+        for entry in record
+        if entry is not None
+    )
 
 
 class TestScanPlans:
