@@ -7,9 +7,10 @@ each query as an input index (see `model.input_index`), logs it, enforces an
 optional query budget, measures its Hamming distance from the center and
 optionally restricts it to a strict radius. The box also holds the
 algorithm's checked answers, the only memo of them, so the algorithm runs
-once per distinct input per box. The algorithm itself keeps a weak
-reference to its newest box and answers a direct call from the box's
-answers on a hit, without ever writing to them.
+once per distinct input per box. The input index is the one encoding on
+this path: the algorithm keeps a weak reference to its newest box and
+answers a direct call by index from the box's answers on a hit, without
+ever writing to them; a call with a vector goes straight to its rule.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     ParameterError,
     QueryBudgetExceeded,
 )
-from .model import Allocation, Environment, ValuationVector, index_within, input_weights, is_feasible
+from .model import Allocation, Environment, ValuationVector, input_weights, is_feasible
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,14 @@ class Algorithm:
     `table` is the optional persistable case-table form that adversary
     documents write.
 
-    Called directly, the algorithm answers from the answers of its newest
-    black box while that box lives (`live_box`, a weak reference set by the
-    box), so an input some rule already asked is not computed again. It
-    takes an input index, as exhaustive mask tables pass (`verify._table`),
-    or a vector, as sampled and direct calls pass. A miss calls `rule` and
-    stores nothing, so direct calls never change what a rule's black boxes
-    see or count: a missed index outside [0, k**n) is refused
-    (ParameterError), any other is decoded (`_answer_at`) and an answer of
-    another length refused (DimensionError); a vector of another length or
-    with a level off the ladder always misses.
+    Called with an input index, as the verifiers call it (`verify._evaluate`),
+    the algorithm answers from the answers of its newest black box while
+    that box lives (`live_box`, a weak reference set by the box), so an
+    input some rule already asked is not computed again. A miss stores
+    nothing, so direct calls never change what a rule's black boxes see or
+    count: an index outside [0, k**n) is refused (ParameterError), any other
+    is decoded (`_answer_at`) and an answer of another length refused
+    (DimensionError). Called with a vector, it calls `rule`.
     """
 
     env: Environment
@@ -80,18 +79,16 @@ class Algorithm:
     live_box: Optional[weakref.ref] = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, v: ValuationVector | int) -> Allocation:
+        if not isinstance(v, int):
+            return self.rule(v)
         box = None if self.live_box is None else self.live_box()
-        if isinstance(v, int):
-            x = None if box is None else box.answers.get(v)
-            if x is not None:
-                return x
-            size = self.env.input_count()
-            if not 0 <= v < size:
-                raise ParameterError(f"input index {v} outside [0, {size})")
-            return self._answer_at(v)
-        u = None if box is None else index_within(v.levels, box.n, box.k)
-        x = None if u is None else box.answers.get(u)
-        return self.rule(v) if x is None else x
+        x = None if box is None else box.answers.get(v)
+        if x is not None:
+            return x
+        size = self.env.input_count()
+        if not 0 <= v < size:
+            raise ParameterError(f"input index {v} outside [0, {size})")
+        return self._answer_at(v)
 
     def _answer_at(self, u: int) -> Allocation:
         """The rule's answer at input index u, which the caller has checked
@@ -117,7 +114,8 @@ def _digit_distance(u: int, c: int, k: int) -> int:
 
 class InstrumentedBlackBox:
     """Query wrapper taking input indices in [0, k**n) (`input_index`) and
-    recording (index, allocation) pairs.
+    logging each evaluation's queries: `log` maps each queried index to its
+    allocation, in query order, reset by `recenter`.
 
     The box owns the algorithm's answers by index, `answers`, the only memo
     of them. A query reads `answers.get(u)`, and only a miss, which raises
@@ -140,9 +138,10 @@ class InstrumentedBlackBox:
     kernel's allocations derived from them by index. Answers are reused
     (`reuse_answers`) only under shared_state with neither a budget nor a
     radius, which entries from earlier evaluations would bypass: `known` is
-    then `answers` itself and `memo` persists. Otherwise `recenter` empties
-    both. Single-owner mutable state: do not share one instance between
-    workers.
+    then `answers` itself and `memo` persists. Otherwise `known` is this
+    evaluation's `log`, and `recenter` empties `memo`. No kernel queries an
+    index twice in one evaluation, so the log holds one entry per query.
+    Single-owner mutable state: do not share one instance between workers.
     """
 
     def __init__(
@@ -167,22 +166,21 @@ class InstrumentedBlackBox:
         self.check_feasible = check_feasible
         self.reuse_answers = shared_state and budget is None and hamming_radius is None
         self.answers: dict[int, Allocation] = {}
-        self.known: dict[int, Allocation] = self.answers if self.reuse_answers else {}
         self.memo: dict[int, Allocation] = {}
         object.__setattr__(algorithm, "live_box", weakref.ref(self))
         self.recenter(0)
 
     def recenter(self, center: int) -> None:
         """Start a new evaluation around `center`: an empty log, `max_radius`
-        0 and, unless answers are reused, empty `known` and `memo`. Budget,
-        radius and answers stay."""
+        0 and, unless answers are reused, `known` the new log and an empty
+        `memo`. Budget, radius and answers stay."""
         if not 0 <= center < self.size:
             raise ParameterError(f"center index {center} outside [0, {self.size})")
         self.hamming_center = center
+        self.log: dict[int, Allocation] = {}
+        self.known: dict[int, Allocation] = self.answers if self.reuse_answers else self.log
         if not self.reuse_answers:
-            self.known = {}
             self.memo = {}
-        self.log: list[tuple[int, Allocation]] = []
         self.max_radius = 0
 
     def query(self, u: int) -> Allocation:
@@ -198,8 +196,7 @@ class InstrumentedBlackBox:
             )
         # An Allocation is never falsy, so `or` asks the algorithm only on a miss.
         x = self.answers.get(u) or self._answer(u)
-        self.known[u] = x
-        self.log.append((u, x))
+        self.log[u] = x
         if d > self.max_radius:
             self.max_radius = d
         return x

@@ -381,8 +381,8 @@ class TransformedRule:
 
     The rule owns one InstrumentedBlackBox, which applies the per-evaluation
     query budget and optional Hamming-radius restriction. A call takes an
-    input index, as exhaustive mask tables pass (`verify._table`), or a
-    vector, as sampled and direct calls pass. A vector's index is computed
+    input index, as the verifiers pass (`verify._evaluate`), or a vector,
+    as direct calls and `CachedRule` pass. A vector's index is computed
     once, refusing an input of another length (DimensionError) or with a
     level off the ladder (ParameterError); `recenter` refuses an index
     outside [0, k**n) (ParameterError). Every evaluation re-centres the box
@@ -391,10 +391,10 @@ class TransformedRule:
     algorithm's answers, so the algorithm runs once per distinct input per
     rule, and decides from shared_state and the limits whether its kernels
     reuse them across evaluations (see InstrumentedBlackBox). Outputs are
-    identical either way. The newest rule's box also answers direct calls
-    of the algorithm, which never write to it (`Algorithm.live_box`). The
-    kind's row of TRANSFORMATIONS is read once, here: a ladder it does not
-    take is refused. Not thread-safe: one instance per worker.
+    identical either way. The newest rule's box also answers direct index
+    calls of the algorithm, which never write to it (`Algorithm.live_box`).
+    The kind's row of TRANSFORMATIONS is read once, here: a ladder it does
+    not take is refused. Not thread-safe: one instance per worker.
     """
 
     def __init__(

@@ -6,18 +6,19 @@ on rule evaluations, and falls back to seeded sampling above it (counts are
 reported as observed, with no statistical extrapolation). Reports merge
 deterministically: violations are sorted canonically before emission.
 
-The verifiers call a rule only through `_evaluate`, which evaluates inputs
-in order and checks each allocation's length. Exhaustively they work on mask
-tables: a rule's allocation masks listed by input index (`model.input_index`),
-from one evaluation per input in `all_inputs` order. A `TransformedRule`,
-or an `Algorithm`, over the verifier's (n, k) is passed each input's index
-there; any other rule gets the input's `ValuationVector`, as sampled
-inputs and direct calls do. A `CachedRule` keeps its table for
-`check_monotone`, `welfare_report` and later calls. A raise of agent i from
-level lo to hi is the entry k**i * (hi - lo) further on. Welfare
-is scored, exhaustive or sampled, from the inputs' above-level masks
-(`model.positions_above` of one input, `model.above_masks` of every input)
-with one popcount per level.
+The verifiers name inputs by index (`model.input_index`) and call a rule
+only through `_evaluate`, which evaluates indices in order and checks each
+allocation's length. A `TransformedRule`, or an `Algorithm`, over the
+verifier's (n, k) is passed the index itself; any other rule gets the
+input's `ValuationVector` (`input_at`), so a rule over another n still
+refuses it. Exhaustively the verifiers work on mask tables: a rule's
+allocation masks listed by input index, from one evaluation per input in
+`all_inputs` order. A `CachedRule` keeps its table for `check_monotone`,
+`welfare_report` and later calls. A raise of agent i from level lo to hi is
+the index k**i * (hi - lo) further on, exhaustive or sampled; a vector is
+built only for a violation reported. Welfare is scored, exhaustive or
+sampled, from the inputs' above-level masks (`model.positions_above` of one
+input, `model.above_masks` of every input) with one popcount per level.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .model import (
     ValueLadder,
     ValuationVector,
     above_masks,
-    all_inputs,
     index_within,
     input_at,
+    input_index,
     input_weights,
     positions_above,
 )
@@ -51,13 +52,15 @@ _BATCH = 4096  # drawn inputs welfare_report evaluates and scores at a time
 AllocationRule = Callable[[ValuationVector], Allocation]
 
 
-def _evaluate(
-    rule: AllocationRule, n: int, inputs: Iterable[ValuationVector | int]
-) -> Iterator[int]:
-    """The masks of the rule's allocations at `inputs` (vectors, or indices
-    for a rule that takes them), each evaluated when it is read, in order:
-    the one place the verifiers call a rule. An allocation over other than
-    n agents raises DimensionError."""
+def _evaluate(rule: AllocationRule, n: int, k: int, inputs: Iterable[int]) -> Iterator[int]:
+    """The masks of the rule's allocations at the input indices `inputs`,
+    each evaluated when it is read, in order: the one place the verifiers
+    call a rule. A TransformedRule or an Algorithm over (n, k) is passed the
+    index; any other rule the input (`input_at`). An allocation over other
+    than n agents raises DimensionError."""
+    env = rule.env if isinstance(rule, (TransformedRule, Algorithm)) else None
+    if env is None or (env.n, env.k) != (n, k):
+        inputs = (input_at(u, n, k) for u in inputs)
     for v in inputs:
         x = rule(v)
         if x.n != n:
@@ -99,15 +102,8 @@ def _table(rule: AllocationRule, n: int, k: int) -> list[int]:
     table = [0] * k**n
     # The indices in all_inputs order: agent 0's level varies slowest.
     offsets = [[lvl * w for lvl in range(k)] for w in input_weights(n, k)]
-    order = map(sum, itertools.product(*offsets))
-    env = rule.env if isinstance(rule, (TransformedRule, Algorithm)) else None
-    if env is not None and (env.n, env.k) == (n, k):
-        # The rule takes the index itself: no vector to build and index again.
-        # Any other rule gets vectors, so one over another n is still refused.
-        order, inputs = itertools.tee(order)
-    else:
-        inputs = all_inputs(n, k)
-    for u, mask in zip(order, _evaluate(rule, n, inputs)):
+    order, inputs = itertools.tee(map(sum, itertools.product(*offsets)))
+    for u, mask in zip(order, _evaluate(rule, n, k, inputs)):
         table[u] = mask
     return table
 
@@ -178,16 +174,17 @@ def check_monotone(
         return MonotonicityReport(violations, n * total * (k - 1) // 2, total)
     rng = random.Random(seed)
     pairs = max(1, enum_bound // 2)
+    weights = input_weights(n, k)
     for _ in range(pairs):
         levels = [rng.randrange(k) for _ in range(n)]
         i = rng.randrange(n)
         lo = rng.randrange(k - 1)
         hi = rng.randrange(lo + 1, k)
         levels[i] = lo
-        v = ValuationVector(tuple(levels))
-        x, y = _evaluate(rule, n, (v, v.with_level(i, hi)))
+        u = input_index(levels, k)
+        x, y = _evaluate(rule, n, k, (u, u + (hi - lo) * weights[i]))
         if x >> i & 1 and not y >> i & 1:
-            violations.append(MonotonicityViolation(v, i, lo, hi))
+            violations.append(MonotonicityViolation(input_at(u, n, k), i, lo, hi))
     violations.sort(key=MonotonicityViolation.sort_key)
     return MonotonicityReport(violations, pairs, 2 * pairs, sampled=True, seed=seed)
 
@@ -260,11 +257,11 @@ def welfare_report(
     # sample is never held whole.
     if sampled:
         rng = random.Random(seed)
-        draws = (ValuationVector(tuple(rng.randrange(k) for _ in range(n))) for _ in range(count))
+        draws = (tuple(rng.randrange(k) for _ in range(n)) for _ in range(count))
         batches = (
             (
-                lambda r: list(_evaluate(r, n, drawn)),
-                list(zip(*(positions_above(v.levels, k) for v in drawn))),
+                lambda r: list(_evaluate(r, n, k, [input_index(lv, k) for lv in drawn])),
+                list(zip(*(positions_above(lv, k) for lv in drawn))),
             )
             for drawn in iter(lambda: list(itertools.islice(draws, _BATCH)), [])
         )

@@ -74,7 +74,7 @@ class TestInstrumentedBlackBox:
         assert len(bb.log) == 1
         bb.query(ix(vec(0, 0, 0)))
         assert len(bb.log) == 2
-        assert input_at(bb.log[0][0], 3, 2) == vec(1, 0, 1)
+        assert [input_at(u, 3, 2) for u in bb.log] == [vec(1, 0, 1), vec(0, 0, 0)]
 
     def test_zero_budget(self):
         bb = InstrumentedBlackBox(gen_all_ones(2), budget=0)
@@ -148,7 +148,7 @@ class TestInstrumentedBlackBox:
         for v in list(inst.algorithm.env.inputs())[:40]:
             bb.query(ix(v))
         n = inst.algorithm.env.n
-        for queried, answered in bb.log:
+        for queried, answered in bb.log.items():
             assert inst.algorithm(input_at(queried, n, 2)) == answered
 
     def test_debug_mode_catches_infeasible_output(self):
@@ -182,7 +182,7 @@ class TestIndexQueries:
         inside = centred(alg, c, hamming_radius=d + 1)
         inside.query(ix(u, k))
         assert inside.max_radius == d
-        assert inside.log[0][0] == ix(u, k)
+        assert list(inside.log) == [ix(u, k)]
 
     @given(center_and_query())
     def test_index_round_trips(self, case):
@@ -278,6 +278,26 @@ class TestAnswerReuse:
         assert bb.known == {3: Allocation((1, 1, 1))}
         assert set(bb.answers) == {5, 3}
 
+    @pytest.mark.parametrize("kind, ladder", [("two-plus", (1, 9)), ("multi", (1, 4, 16))])
+    @pytest.mark.parametrize("shared_state", [True, False])
+    def test_each_query_is_logged_once(self, kind, ladder, shared_state, monkeypatch):
+        # The log is the evaluation's map from index to answer and, without
+        # reuse, the `known` that kernels read: one entry per query.
+        env = gen_random_environment(4, ValueLadder.of(*ladder), 8500)
+        rule = TransformedRule(kind, gen_random_algorithm(env, 8600), shared_state=shared_state)
+        bb = rule._box
+        queried = []
+        query = InstrumentedBlackBox.query
+        monkeypatch.setattr(
+            InstrumentedBlackBox, "query", lambda box, u: queried.append(u) or query(box, u)
+        )
+        for u in range(env.input_count()):
+            queried.clear()
+            rule(u)
+            assert bb.known is (bb.answers if shared_state else bb.log)
+            assert list(bb.log) == queried
+            assert all(bb.log[w] is bb.answers[w] for w in queried)
+
     def test_reuse_excludes_budget_and_radius(self):
         # Under a limit, answers from earlier evaluations would bypass it.
         alg = gen_all_ones(3)
@@ -349,8 +369,17 @@ class TestLiveAnswerTable:
             assert alg(ValuationVector(levels)).n == len(levels)
         assert alg(vec(3, 0, 0)) == Allocation((1, 1, 1))  # index 3 would name 110
         assert sorted(calls) == [(1,), (1, 0), (1, 0, 0, 0), (3, 0, 0)]
-        assert alg(vec(1, 0, 0)) == Allocation((1, 1, 1))
-        assert (1, 0, 0) not in calls
+
+    def test_a_vector_goes_to_the_rule_while_the_box_holds_it(self):
+        alg, calls = counting(gen_all_ones(3))
+        rule = TransformedRule("identity", alg)
+        rule(vec(1, 0, 1))
+        assert list(rule._box.answers) == [5]
+        calls.clear()
+        assert alg(vec(1, 0, 1)) == Allocation.full(3)
+        assert calls == {(1, 0, 1): 1}
+        assert alg(5) == Allocation.full(3)  # the index reads the box
+        assert calls == {(1, 0, 1): 1}
 
     def test_an_index_reads_the_table_and_a_miss_stores_nothing(self):
         alg, calls = counting(gen_all_ones(3))
@@ -391,13 +420,13 @@ class TestLiveAnswerTable:
         box = weakref.ref(rule.rule._box)
         assert alg.live_box() is box()
         calls.clear()
-        alg(vec(1, 0, 1))
+        alg(5)  # input (1, 0, 1)
         assert not calls
         del rule
         gc.collect()
         assert box() is None
         assert alg.live_box() is None
-        alg(vec(1, 0, 1))
+        alg(5)
         assert calls == {(1, 0, 1): 1}
 
 

@@ -378,18 +378,22 @@ class TestCmdSweep:
 
     def test_block_adversary_pointwise_decays_with_size(self):
         # constant ratio, growing hidden block: the pointwise minimum of the
-        # distance-2 transformation falls (no fixed threshold asserted)
+        # distance-2 transformation falls, and so does its approximation ratio
         from dcbox import TransformedRule, gen_block_adversary, welfare_report
 
         small = gen_block_adversary(8, 4, 1, 3, seed=2, ladder=ValueLadder.of(1, 2))
         large = gen_block_adversary(10, 5, 1, 4, seed=2, ladder=ValueLadder.of(1, 2))
         fractions = []
+        ratios = []
         for inst in (small, large):
             report = welfare_report(
                 TransformedRule("two", inst.algorithm), inst.algorithm, inst.algorithm.env
             )
             fractions.append(report.pointwise_min_fraction)
+            ratios.append(report.approx_ratio_rule)
         assert fractions[1] < fractions[0]
+        assert fractions == [Fraction(2, 3), Fraction(1, 2)]
+        assert ratios == [Fraction(1, 6), Fraction(1, 8)]
 
 
 class TestCmdPayments:

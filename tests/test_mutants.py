@@ -40,14 +40,18 @@ def panel(n, ladder):
 
 
 def failed_two_checks(kind, n):
-    """C1 and C2 over the panels at ratios n, 2n and n^2: the checks that fail."""
+    """C1, C2 and `two`'s query radius of 2 over the panels at ratios n, 2n
+    and n^2: the checks that fail."""
     failed = set()
     for ratio in (n, 2 * n, n * n):
         minima = []
         for algorithm in panel(n, ValueLadder.of(1, ratio)):
-            rule = CachedRule(TransformedRule(kind, algorithm))
+            transformed = TransformedRule(kind, algorithm)
+            rule = CachedRule(transformed)
             if not check_monotone(rule, algorithm.env).is_monotone:
                 failed.add("C1 monotone")
+            if transformed.max_radius > 2:
+                failed.add("radius 2")
             report = welfare_report(rule, algorithm, algorithm.env)
             if report.pointwise_min_fraction is not None:
                 if report.pointwise_min_fraction < Fraction(1, 2):
@@ -98,6 +102,16 @@ MUTANTS = {
         "_flips(bb.n, 1)",
         3,
         {"C1 monotone"},
+    ),
+    # A scan at distance 3 after distances 1 and 2: monotone and within both
+    # C2 bounds at every n from 2 to 6. Only its radius, 3 from n=3 on, tells.
+    "two/radius-3": (
+        "two",
+        "t_two",
+        "itertools.chain(_flips(bb.n, 1), _flips(bb.n, 2))",
+        "itertools.chain(_flips(bb.n, 1), _flips(bb.n, 2), _flips(bb.n, 3))",
+        3,
+        {"radius 2"},
     ),
     # Monotone on every panel tried; only C5 catches it, at n=2 and from n=6 on.
     "two-plus/first-pass-geq": (

@@ -28,6 +28,7 @@ from dcbox import (
 )
 from dcbox.adversaries import stable_rng
 from dcbox.blackbox import Algorithm
+from dcbox.model import input_index
 from dcbox.verify import DEFAULT_ENUM_BOUND, WelfareReport
 from oracles import kind_ladders, welfare
 
@@ -433,7 +434,7 @@ STATES = {
 
 
 class TestIndexedTables:
-    # Exhaustive tables pass a TransformedRule or an Algorithm each input's
+    # The verifiers pass a TransformedRule or an Algorithm each input's
     # index; a plain callable gets the vector. Both must see the same inputs
     # in the same order, so shared-state query counts (table misses) agree.
     @pytest.mark.parametrize("kind, values", list(kind_ladders()))
@@ -472,27 +473,55 @@ class TestIndexedTables:
         asked = dict(rule.rule._box.answers)
         calls.clear()
         indexed = welfare_report(rule, alg, env)
-        misses = list(calls)
-        calls.clear()
-        assert indexed == welfare_report(rule, lambda v: alg(v), env)
+        misses = [v.levels for v in env.inputs() if input_index(v.levels, 2) not in asked]
         assert calls == misses
         assert len(misses) == env.input_count() - len(asked)  # const: all but index 0
         assert dict(rule.rule._box.answers) == asked
+        # A vector goes to the rule at every input, hit or miss.
+        calls.clear()
+        assert indexed == welfare_report(rule, lambda v: alg(v), env)
+        assert calls == [v.levels for v in env.inputs()]
 
     def test_exhaustive_tables_build_no_vectors(self, monkeypatch):
         env = gen_random_environment(4, ValueLadder.of(1, 5, 25), 6500)
         alg = gen_random_algorithm(env, 6600)
         expected = welfare_report(CachedRule(TransformedRule("multi", alg)), alg, env)
 
-        def refused(n, k):
+        def refused(u, n, k):
             raise AssertionError("an exhaustive table built the input vectors")
 
-        monkeypatch.setattr("dcbox.verify.all_inputs", refused)
+        monkeypatch.setattr("dcbox.verify.input_at", refused)
         rule = CachedRule(TransformedRule("multi", alg))
         assert check_monotone(rule, env).is_monotone
         assert welfare_report(rule, alg, env) == expected
         with pytest.raises(AssertionError, match="built the input vectors"):
             check_monotone(lambda v: alg(v), env)
+
+    @pytest.mark.parametrize("kind, values", [("identity", (1, 9)), ("multi", (1, 5, 25))])
+    def test_sampled_checks_build_and_index_no_vectors(self, kind, values, monkeypatch):
+        # Sampled, too, the verifiers pass a TransformedRule and an Algorithm
+        # the index: no vector is built or indexed, except at a violation
+        # reported. identity is not monotone here, multi is.
+        env = gen_random_environment(4, ValueLadder.of(*values), 6700)
+        alg = gen_random_algorithm(env, 6800)
+        enum_bound = env.input_count() - 1
+        rule = TransformedRule(kind, alg)
+        plain = TransformedRule(kind, alg)
+        monotone = check_monotone(lambda v: plain(v), env, enum_bound=enum_bound, seed=4)
+        welfare = welfare_report(
+            lambda v: plain(v), lambda v: alg(v), env, enum_bound=enum_bound, seed=4
+        )
+        assert monotone.sampled and welfare.sampled
+        assert monotone.is_monotone == (kind == "multi")
+
+        def refused(*args):
+            raise AssertionError("a sampled check built or indexed a vector")
+
+        for name in ("dcbox.verify.ValuationVector", "dcbox.verify.index_within"):
+            monkeypatch.setattr(name, refused)
+        monkeypatch.setattr("dcbox.transforms.index_within", refused)
+        assert check_monotone(rule, env, enum_bound=enum_bound, seed=4) == monotone
+        assert welfare_report(rule, alg, env, enum_bound=enum_bound, seed=4) == welfare
 
     @pytest.mark.parametrize("enum_bound", [DEFAULT_ENUM_BOUND, 5], ids=["exhaustive", "sampled"])
     def test_rule_over_another_n_is_refused_by_both_verifiers(self, enum_bound):
