@@ -58,7 +58,7 @@ def _configure(args: argparse.Namespace) -> ExperimentConfig:
             if not row.fits(tokens):
                 raise ParameterError(f"{flag} takes {row.takes}")
             try:
-                config.set(key, tokens)
+                row.set(config, tokens)
                 if key == "param" and config.generator is not None:
                     GENERATORS[config.generator].parse(config.generator, config.params[-1:])
             except ParameterError as exc:

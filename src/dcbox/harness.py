@@ -6,6 +6,10 @@ harness runs the verification engine and renders line-oriented result
 documents. Identical config and seed reproduce byte-identical documents
 except for the trailing duration line. Sweep cells may fan out to worker
 processes; output order is deterministic regardless of completion order.
+
+Each config key is one `serialize.Key` row of `CONFIG_KEYS`, whose setter
+applies a config line and its CLI flag alike; the `generator`, `param`,
+`ladder` and `seed` rows are the ones documents read those keys by.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from .blackbox import Algorithm
 from .errors import NonMonotoneRuleError, ParameterError, ParseError
 from .model import Environment, ValuationVector, ValueLadder, opt_welfare
 from .serialize import (
+    ADVERSARY_KEYS,
     CONFIG_HEADER,
+    ENV_KEYS,
     PAYMENTS_HEADER,
     RESULT_HEADER,
     LEVEL_CHARACTERS,
@@ -44,7 +50,6 @@ from .serialize import (
     load_environment,
     parse_input,
     parse_integer,
-    parse_ladder,
     parse_name,
     parse_rational,
     read_records,
@@ -86,19 +91,6 @@ class ExperimentConfig:
     workers: int = 1
     output: str | None = None
 
-    def set(self, key: str, args: list[str]) -> None:
-        """Set config key `key`'s field from the key's arguments, parsed by
-        its row; a repeating key appends a (name, value) pair, and a name it
-        already holds is refused. A bad value raises ParameterError."""
-        row = CONFIG_KEYS[key]
-        value = row.parse(args)
-        if row.repeats:
-            held = getattr(self, row.field)
-            if value[0] in dict(held):
-                raise ParameterError(f"repeated name {value[0]!r}")
-            value = (*held, value)
-        setattr(self, row.field, value)
-
     def echo_lines(self) -> list[str]:
         """Config echo for result documents; sufficient to reproduce the run.
 
@@ -118,22 +110,11 @@ class ExperimentConfig:
         return lines
 
 
-@dataclass(frozen=True, kw_only=True)
-class ConfigKey(Key):
-    """A config key: its record shape, the ExperimentConfig field it sets,
-    the parser from its arguments to the field's value, and the renderer of
-    the value for the config echo (None: not echoed)."""
-
-    field: str
-    parse: Callable[[list[str]], object]
-    render: Callable[[object], str] | None = str
-
-
 def _one(parse: Callable[[str], T]) -> Callable[[list[str]], T]:
     return lambda args: parse(args[0])
 
 
-def _integer(least: int | None = None) -> Callable[[list[str]], int]:
+def _integer(least: int) -> Callable[[list[str]], int]:
     return _one(lambda token: parse_integer(token, least))
 
 
@@ -167,42 +148,22 @@ def _input_text(args: list[str]) -> str:
 # least 0; workers and each sweep-n value at least 1. Name domains:
 # transformation in TRANSFORMATION_IDS, generator in GENERATOR_NAMES, each
 # sweep-ratio token a rational or a formula in n; ladder at most 10 values.
-CONFIG_KEYS: dict[str, ConfigKey] = {
-    "transformation": ConfigKey(
+CONFIG_KEYS: dict[str, Key] = {
+    "transformation": Key(
         1,
         1,
         "one identifier",
         field="transformation",
         parse=_one(lambda name: parse_name(name, TRANSFORMATION_IDS, "transformation")),
     ),
-    "generator": ConfigKey(
-        1,
-        1,
-        "one generator name",
-        field="generator",
-        parse=_one(lambda name: parse_name(name, adversaries.GENERATOR_NAMES, "generator")),
-    ),
-    "param": ConfigKey(
-        2,
-        None,
-        "a key and a value",
-        repeats=True,
-        field="params",
-        parse=lambda args: (args[0], " ".join(args[1:])),
-    ),
-    "algorithm": ConfigKey(1, 1, "one path", field="algorithm_path", parse=_one(str)),
-    "environment": ConfigKey(1, 1, "one path", field="environment_path", parse=_one(str)),
-    "ladder": ConfigKey(
-        0,
-        None,
-        "rational values",
-        field="ladder",
-        parse=parse_ladder,
-        render=lambda ladder: " ".join(format_rational(v) for v in ladder.values),
-    ),
-    "seed": ConfigKey(1, 1, "one integer", field="seed", parse=_integer()),
-    "enum-bound": ConfigKey(1, 1, "one integer", field="enum_bound", parse=_integer(0)),
-    "query-budget": ConfigKey(
+    "generator": ADVERSARY_KEYS["generator"],
+    "param": ADVERSARY_KEYS["param"],
+    "algorithm": Key(1, 1, "one path", field="algorithm_path", parse=_one(str)),
+    "environment": Key(1, 1, "one path", field="environment_path", parse=_one(str)),
+    "ladder": ENV_KEYS["ladder"],
+    "seed": ADVERSARY_KEYS["seed"],
+    "enum-bound": Key(1, 1, "one integer", field="enum_bound", parse=_integer(0)),
+    "query-budget": Key(
         2,
         2,
         "two integers c and d (budget c * n^d)",
@@ -210,35 +171,32 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         parse=_integers(0),
         render=_joined,
     ),
-    "hamming-radius": ConfigKey(1, 1, "one integer", field="hamming_radius", parse=_integer(0)),
-    "sweep-n": ConfigKey(
+    "hamming-radius": Key(1, 1, "one integer", field="hamming_radius", parse=_integer(0)),
+    "sweep-n": Key(
         1, None, "one or more integers", field="sweep_n", parse=_integers(1), render=_joined
     ),
-    "sweep-ratio": ConfigKey(
+    "sweep-ratio": Key(
         1, None, "one or more tokens", field="sweep_ratios", parse=_ratio_tokens, render=_joined
     ),
-    "panel-random": ConfigKey(1, 1, "one integer", field="panel_random", parse=_integer(0)),
-    "threshold": ConfigKey(
+    "panel-random": Key(1, 1, "one integer", field="panel_random", parse=_integer(0)),
+    "threshold": Key(
         1, 1, "one rational", field="threshold", parse=_one(parse_rational), render=format_rational
     ),
-    "input": ConfigKey(1, 1, "one input string", field="input_text", parse=_input_text),
-    "workers": ConfigKey(1, 1, "one integer", field="workers", parse=_integer(1), render=None),
-    "output": ConfigKey(1, 1, "one path", field="output", parse=_one(str), render=None),
+    "input": Key(1, 1, "one input string", field="input_text", parse=_input_text),
+    "workers": Key(1, 1, "one integer", field="workers", parse=_integer(1), render=None),
+    "output": Key(1, 1, "one path", field="output", parse=_one(str), render=None),
 }
 _SWEEP_KEYS = ("panel-random", "threshold")
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     config = ExperimentConfig()
-    param_lines: list[int] = []
 
     def record(line: int, key: str, args: list[str]) -> None:
-        config.set(key, args)
-        if key == "param":
-            param_lines.append(line)
+        CONFIG_KEYS[key].set(config, args)
 
-    read_records(text, CONFIG_HEADER, CONFIG_KEYS, source, record)
-    check_generator_params(config.generator, config.params, param_lines, source)
+    lines = read_records(text, CONFIG_HEADER, CONFIG_KEYS, source, record)
+    check_generator_params(config.generator, config.params, lines, source)
     return config
 
 

@@ -265,16 +265,23 @@ def input_at(index: int, n: int, k: int) -> ValuationVector:
     return ValuationVector(tuple([index // w % k for w in input_weights(n, k)]))
 
 
-def positions_above(levels: tuple[int, ...], k: int) -> list[int]:
-    """One input's positions above each level: bit i of entry c is set when
-    levels[i] exceeds c, for c < k - 1."""
-    return [sum(1 << i for i, lvl in enumerate(levels) if lvl > c) for c in range(k - 1)]
+def at_or_above(index: int, n: int, k: int) -> tuple[int, ...]:
+    """ge[c]: the positions of the input of n agents with this index at
+    level c or above, for c in 0..k (ge[k] is empty). Its positions above
+    level c are ge[c + 1] and its level-c positions ge[c] ^ ge[c + 1]."""
+    ge = [0] * (k + 1)
+    for i, w in enumerate(input_weights(n, k)):
+        ge[index // w % k] |= 1 << i
+    for c in range(k - 1, 0, -1):
+        ge[c - 1] |= ge[c]
+    return tuple(ge)
 
 
 def above_masks(n: int, k: int) -> list[list[int]]:
-    """Every input's `positions_above`, by input index: bit i of
+    """Every input's positions above each level, by input index: bit i of
     `above_masks(n, k)[c][u]` is set when agent i's level in input u exceeds
-    c, for c < k - 1. On two values the one list is the indices themselves."""
+    c, for c < k - 1 (`at_or_above(u, n, k)[c + 1]`). On two values the one
+    list is the indices themselves."""
     lists: list[list[int]] = [[0] for _ in range(k - 1)]
     for i in range(n):
         bit = 1 << i
@@ -346,8 +353,10 @@ class ScaledWelfare:
         bits; (0, None) when there are no candidates."""
         if not self._masks:
             return 0, None
+        k = len(self.weights)
+        ge = at_or_above(input_index(levels, k), len(levels), k)
         scores = self._bases
-        for step, above in zip(self._steps, positions_above(levels, len(self.weights))):
+        for step, above in zip(self._steps, ge[1:]):
             scores = [s + step * (m & above).bit_count() for s, m in zip(scores, self._masks)]
         best = max(scores)
         return best, self._masks[scores.index(best)]

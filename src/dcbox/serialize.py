@@ -6,6 +6,13 @@ Rationals render exactly ("10", "3/2"); inputs are level-digit strings
 (0 = lowest; letters l/m/h are accepted on input for ladders of two or
 three values); allocations are 0/1 bit strings. Environment documents
 round-trip bit-exactly: load(dump(env)) == env.
+
+Every record key is one `Key` row: its shape and, for a key that sets a
+field, the field, the parser of its arguments and the setter. A key that
+several kinds take is one row in all their tables: adversary documents
+hold `ENV_KEYS`' rows, and configs (`harness.CONFIG_KEYS`) hold the
+`ladder`, `generator`, `seed` and `param` rows, so such a key parses alike
+in configs, CLI flags and documents.
 """
 
 from __future__ import annotations
@@ -73,13 +80,17 @@ def parse_name(token: str, names: tuple[str, ...], what: str) -> str:
 
 
 def check_generator_params(
-    generator: str | None, params: Sequence[tuple[str, str]], lines: Sequence[int], source: str
+    generator: str | None,
+    params: Sequence[tuple[str, str]],
+    lines: Mapping[str, Sequence[int]],
+    source: str,
 ) -> None:
     """Check a record's (param, text) pairs against its generator once it is
-    read (`generator` may follow them); a refused one fails at its line."""
+    read (`generator` may follow them); a refused one fails at its line, from
+    `lines`, each key's record lines as `read_records` returns them."""
     if generator is None:
         return
-    for number, param in zip(lines, params):
+    for number, param in zip(lines.get("param", ()), params):
         try:
             GENERATORS[generator].parse(generator, [param])
         except ParameterError as exc:
@@ -132,17 +143,34 @@ def parse_allocation(
 
 @dataclass(frozen=True)
 class Key:
-    """How a record key is written: the fewest and the most arguments it
-    takes (`most` None: no limit), what it takes, for messages, and whether
-    it may repeat."""
+    """A record key: the fewest and the most arguments it takes (`most`
+    None: no limit), what it takes, for messages, and whether it may
+    repeat. A key that sets a field names it, with the parser from its
+    arguments to the field's value and the renderer of the value for the
+    config echo (None: not echoed); `field` None: its reader handles it."""
 
     least: int
     most: int | None
     takes: str
     repeats: bool = False
+    field: str | None = None
+    parse: Callable[[list[str]], object] | None = None
+    render: Callable[[object], str] | None = str
 
     def fits(self, args: list[str]) -> bool:
         return len(args) >= self.least and (self.most is None or len(args) <= self.most)
+
+    def set(self, target: object, args: list[str]) -> None:
+        """Set `target`'s field from the arguments, parsed; a repeating key
+        appends a (name, value) pair, and a name the field already holds is
+        refused. A bad value raises ParameterError."""
+        value = self.parse(args)
+        if self.repeats:
+            held = getattr(target, self.field)
+            if value[0] in dict(held):
+                raise ParameterError(f"repeated name {value[0]!r}")
+            value = (*held, value)
+        setattr(target, self.field, value)
 
 
 def read_records(
@@ -151,9 +179,10 @@ def read_records(
     keys: Mapping[str, Key],
     source: str,
     record: Callable[[int, str, list[str]], None],
-) -> None:
+) -> dict[str, list[int]]:
     """Check the header, then hand each "key args..." record to
-    `record(line, key, args)`, skipping blank and #-comment lines.
+    `record(line, key, args)`, skipping blank and #-comment lines; return
+    each key's record lines, in order.
 
     An unknown key, a repeat of a key that may not repeat, and a wrong
     argument count raise ParseError at the record's line, and so does a
@@ -169,47 +198,63 @@ def read_records(
     if " ".join(fields) != header:
         message = f"expected header {header!r}, got {' '.join(fields)!r}"
         raise ParseError(message, source=source, line=number)
-    first_line: dict[str, int] = {}
+    read: dict[str, list[int]] = {}
     for number, (key, *args) in lines:
         shape = keys.get(key)
         if shape is None:
             message = f"unknown key {key!r}"
-        elif key in first_line:
-            message = f"repeated key {key!r}, first at line {first_line[key]}"
+        elif key in read and not shape.repeats:
+            message = f"repeated key {key!r}, first at line {read[key][0]}"
         elif not shape.fits(args):
             message = f"{key} takes {shape.takes}"
         else:
-            if not shape.repeats:
-                first_line[key] = number
+            read.setdefault(key, []).append(number)
             try:
                 record(number, key, args)
             except ParameterError as exc:
                 raise ParseError(f"{key}: {exc}", source=source, line=number) from exc
             continue
         raise ParseError(message, source=source, line=number)
+    return read
+
+
+def _format_ladder(ladder: ValueLadder) -> str:
+    return " ".join(format_rational(v) for v in ladder.values)
 
 
 ENV_KEYS = {
-    "n": Key(1, 1, "one integer"),
-    "ladder": Key(0, None, "rational values"),
+    "n": Key(1, 1, "one integer", field="n", parse=lambda args: parse_integer(args[0], 0)),
+    "ladder": Key(
+        0, None, "rational values", field="ladder", parse=parse_ladder, render=_format_ladder
+    ),
     "maximal": Key(1, 1, "one bit string", repeats=True),
 }
 ADVERSARY_KEYS = {
     **ENV_KEYS,
-    "name": Key(1, None, "a name"),
-    "generator": Key(1, 1, "one generator name"),
-    "seed": Key(1, 1, "one integer"),
-    "param": Key(2, None, "a key and a value", repeats=True),
+    "name": Key(1, None, "a name", field="name", parse=" ".join),
+    "generator": Key(
+        1,
+        1,
+        "one generator name",
+        field="generator",
+        parse=lambda args: parse_name(args[0], GENERATOR_NAMES, "generator"),
+    ),
+    "seed": Key(1, 1, "one integer", field="seed", parse=lambda args: parse_integer(args[0])),
+    "param": Key(
+        2,
+        None,
+        "a key and a value",
+        repeats=True,
+        field="params",
+        parse=lambda args: (args[0], " ".join(args[1:])),
+    ),
     "default": Key(1, 1, "one allocation"),
     "case": Key(2, 2, "an input and an allocation", repeats=True),
 }
 
 
 def _env_lines(env: Environment) -> list[str]:
-    lines = [
-        f"n {env.n}",
-        "ladder " + " ".join(format_rational(v) for v in env.ladder.values),
-    ]
+    lines = [f"n {env.n}", f"ladder {_format_ladder(env.ladder)}"]
     for a in env.feasibility.sorted_maximal():
         lines.append(f"maximal {a.to_string()}")
     return lines
@@ -230,27 +275,14 @@ class _Records:
         self.name = "algorithm"
         self.generator: str | None = None
         self.seed: int | None = None
-        self.params: list[tuple[str, str]] = []
-        self.param_lines: list[int] = []
+        self.params: tuple[tuple[str, str], ...] = ()
         self.default: tuple[int, Allocation] | None = None  # (line, allocation)
         self.cases: list[tuple[int, str, str]] = []  # (line, input, allocation), parsed at the end
 
     def feed(self, number: int, key: str, args: list[str]) -> None:
-        if key == "n":
-            self.n = parse_integer(args[0], 0)
-        elif key == "ladder":
-            self.ladder = parse_ladder(args)
-        elif key == "name":
-            self.name = " ".join(args)
-        elif key == "generator":
-            self.generator = parse_name(args[0], GENERATOR_NAMES, "generator")
-        elif key == "seed":
-            self.seed = parse_integer(args[0])
-        elif key == "param":
-            if args[0] in dict(self.params):
-                raise ParameterError(f"repeated name {args[0]!r}")
-            self.params.append((args[0], " ".join(args[1:])))
-            self.param_lines.append(number)
+        row = ADVERSARY_KEYS[key]
+        if row.field is not None:
+            row.set(self, args)
         elif key == "case":
             self.cases.append((number, args[0], args[1]))
         else:  # maximal or default: an allocation over n agents
@@ -312,8 +344,8 @@ def dump_adversary(doc: AdversaryDocument) -> str:
 
 def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
     records = _Records(source)
-    read_records(text, ADVERSARY_HEADER, ADVERSARY_KEYS, source, records.feed)
-    check_generator_params(records.generator, records.params, records.param_lines, source)
+    lines = read_records(text, ADVERSARY_HEADER, ADVERSARY_KEYS, source, records.feed)
+    check_generator_params(records.generator, records.params, lines, source)
     if records.generator is not None:  # the metadata must suffice to regenerate the document
         try:
             GENERATORS[records.generator].check(records.generator, records.params, records.seed)
@@ -350,7 +382,7 @@ def load_adversary(text: str, source: str = "<adversary>") -> AdversaryDocument:
         name=records.name,
         generator=records.generator,
         seed=records.seed,
-        params=tuple(records.params),
+        params=records.params,
     )
 
 

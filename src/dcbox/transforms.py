@@ -43,10 +43,10 @@ The two-value kernels reach neighbours through XOR masks per (n, distance)
 index-level generator of the canonical scan order. `multi` reads one center
 record per evaluation while k**n <= 65536. A record is keyed on (n, k,
 center index) and holds everything about the center that no answer
-changes: its positions at or above each level (`_at_or_above`, from which
-each level's positions are one XOR) and its scan plans. A plan holds the
-center's neighbour indices at one exact distance, in canonical order, as an
-array of 16-bit indices. Records hold geometry only, never answers, so
+changes: its positions at or above each level (`model.at_or_above`, from
+which each level's positions are one XOR) and its scan plans. A plan holds
+the center's neighbour indices at one exact distance, in canonical order,
+as an array of 16-bit indices. Records hold geometry only, never answers, so
 every rule over the same (n, k) shares them. A record is built on its
 center's first evaluation, and each plan in it on the center's first scan
 at that distance. MAX_PLAN_INDICES caps the entries, masks and indices,
@@ -65,7 +65,7 @@ from typing import Callable, Iterable, Iterator
 
 from .blackbox import Algorithm, InstrumentedBlackBox
 from .errors import DimensionError, ParameterError
-from .model import Allocation, ValuationVector, index_within, input_weights
+from .model import Allocation, ValuationVector, at_or_above, index_within, input_weights
 
 
 def inputs_at_distance(v: ValuationVector, distance: int, k: int) -> Iterator[ValuationVector]:
@@ -245,22 +245,10 @@ def _neighbours(n: int, k: int, center: int, distance: int) -> Iterator[int]:
     return map(center.__add__, map(sum, itertools.chain.from_iterable(combos)))
 
 
-def _at_or_above(n: int, k: int, center: int) -> tuple[int, ...]:
-    """ge[c]: the positions of the input `center` at level c or above, for c
-    in 0..k (ge[k] is empty). Its level-c positions are ge[c] ^ ge[c + 1] and
-    the positions above level c are ge[c + 1]."""
-    ge = [0] * (k + 1)
-    for i, w in enumerate(input_weights(n, k)):
-        ge[center // w % k] |= 1 << i
-    for c in range(k - 1, 0, -1):
-        ge[c - 1] |= ge[c]
-    return tuple(ge)
-
-
 def _record(n: int, k: int, center: int) -> list | None:
     """`center`'s kept record: built on its first evaluation while
     k**n <= 65536 and the kept entries stay within MAX_PLAN_INDICES, else
-    None. record[0] is its `_at_or_above` masks and record[d], for
+    None. record[0] is its `at_or_above` masks and record[d], for
     1 <= d <= n, its plan at distance d, None until its first scan there.
     Built from the center index, never from a caller's levels, so every
     rule may trust it."""
@@ -272,7 +260,7 @@ def _record(n: int, k: int, center: int) -> list | None:
         by_center = store.plans[n, k] = {}
     record = by_center.get(center)
     if record is None and store.kept + k + 1 <= MAX_PLAN_INDICES:
-        record = by_center[center] = [_at_or_above(n, k, center), *[None] * n]
+        record = by_center[center] = [at_or_above(center, n, k), *[None] * n]
         store.kept += k + 1
     return record
 
@@ -299,7 +287,7 @@ def _scan_plan(n: int, k: int, center: int, distance: int) -> Iterable[int]:
 
 def _top_class(mask: int, ge: tuple[int, ...]) -> int:
     """The highest level c at which the allocation `mask` has a 1 on a
-    position of the input's level c or above (`ge[c]`, `_at_or_above`); the
+    position of the input's level c or above (`ge[c]`, `at_or_above`); the
     empty allocation counts as the lowest class: it is neither a high- nor
     a mid-class allocation."""
     c = len(ge) - 2
@@ -320,7 +308,7 @@ def t_multi(bb: InstrumentedBlackBox) -> Allocation:
     An input is its index (agent i has weight k**i). The center's geometry,
     its masks by level and its plan at each distance, comes from one lookup
     of its kept record (`_record`); past the cap, and on larger input
-    spaces, it is derived for this evaluation alone (`_at_or_above`,
+    spaces, it is derived for this evaluation alone (`at_or_above`,
     `_scan_plan`). Answers are reused through the box's `known` mapping:
     when the box reuses its answers, only inputs no evaluation has asked
     are queried.
@@ -331,7 +319,7 @@ def t_multi(bb: InstrumentedBlackBox) -> Allocation:
     query = bb.query
     index = bb.hamming_center
     record = _record(n, k, index)
-    ge = _at_or_above(n, k, index) if record is None else record[0]
+    ge = at_or_above(index, n, k) if record is None else record[0]
 
     # An Allocation is never falsy, so `or` queries only on a miss.
     x = known.get(index) or query(index)

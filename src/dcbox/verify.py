@@ -17,7 +17,7 @@ allocation masks listed by input index, from one evaluation per input in
 `welfare_report` and later calls. A raise of agent i from level lo to hi is
 the index k**i * (hi - lo) further on, exhaustive or sampled; a vector is
 built only for a violation reported. Welfare is scored, exhaustive or
-sampled, from the inputs' above-level masks (`model.positions_above` of one
+sampled, from the inputs' above-level masks (`model.at_or_above` of one
 input, `model.above_masks` of every input) with one popcount per level.
 """
 
@@ -38,11 +38,11 @@ from .model import (
     ValueLadder,
     ValuationVector,
     above_masks,
+    at_or_above,
     index_within,
     input_at,
     input_index,
     input_weights,
-    positions_above,
 )
 from .transforms import TransformedRule
 
@@ -55,9 +55,12 @@ AllocationRule = Callable[[ValuationVector], Allocation]
 def _evaluate(rule: AllocationRule, n: int, k: int, inputs: Iterable[int]) -> Iterator[int]:
     """The masks of the rule's allocations at the input indices `inputs`,
     each evaluated when it is read, in order: the one place the verifiers
-    call a rule. A TransformedRule or an Algorithm over (n, k) is passed the
-    index; any other rule the input (`input_at`). An allocation over other
-    than n agents raises DimensionError."""
+    call a rule. A CachedRule's rule is evaluated, not the CachedRule (only
+    `_masks` reads its table). A TransformedRule or an Algorithm over (n, k)
+    is passed the index; any other rule the input (`input_at`). An
+    allocation over other than n agents raises DimensionError."""
+    if isinstance(rule, CachedRule):
+        rule = rule.rule
     env = rule.env if isinstance(rule, (TransformedRule, Algorithm)) else None
     if env is None or (env.n, env.k) != (n, k):
         inputs = (input_at(u, n, k) for u in inputs)
@@ -257,11 +260,11 @@ def welfare_report(
     # sample is never held whole.
     if sampled:
         rng = random.Random(seed)
-        draws = (tuple(rng.randrange(k) for _ in range(n)) for _ in range(count))
+        draws = (input_index([rng.randrange(k) for _ in range(n)], k) for _ in range(count))
         batches = (
             (
-                lambda r: list(_evaluate(r, n, k, [input_index(lv, k) for lv in drawn])),
-                list(zip(*(positions_above(lv, k) for lv in drawn))),
+                lambda r: list(_evaluate(r, n, k, drawn)),
+                list(zip(*(at_or_above(u, n, k)[1:k] for u in drawn))),
             )
             for drawn in iter(lambda: list(itertools.islice(draws, _BATCH)), [])
         )

@@ -26,9 +26,11 @@ from dcbox import (
     gen_thm1,
     welfare_report,
 )
+from dcbox import transforms, verify
 from dcbox.adversaries import GENERATORS
 from dcbox.cli import main
 from dcbox.harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     _verify_entry,
     build_algorithm,
@@ -211,6 +213,15 @@ class TestBuildAlgorithm:
         }
 
 
+class TestConfigKeysInReadme:
+    def test_readme_names_every_config_key(self):
+        # README's "Config keys:" paragraph, up to "Generator params".
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("\nConfig keys:", 1)[1].split("\nGenerator params", 1)[0]
+        named = set(re.findall(r"`([a-z-]+)[` ]", " ".join(paragraph.split())))
+        assert set(CONFIG_KEYS) - named == set()
+
+
 class TestCmdVerify:
     def test_all_ones_record(self):
         config = parse_config(
@@ -294,6 +305,38 @@ class TestCmdVerify:
         assert "monotone.sampled true" in document
         assert "welfare.sampled true" in document
         assert strip_duration(document) == strip_duration(cmd_verify(config).to_document())
+
+    def test_sampled_entry_passes_indices_through_its_cached_rule(self, monkeypatch):
+        # Sampled verification evaluates the rule a CachedRule wraps, at the
+        # drawn indices: no input is decoded into a vector and indexed again.
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[module.__name__, name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(verify, "input_at")
+        counted(verify, "index_within")
+        counted(transforms, "index_within")
+        config = parse_config(
+            config_text(
+                "transformation two",
+                "generator random",
+                "param n 6",
+                "ladder 1 7",
+                "seed 3",
+                "enum-bound 30",
+            )
+        )
+        entry = cmd_verify(config).entries[0]
+        assert entry.monotone.sampled and entry.welfare.sampled
+        assert entry.monotone.violations == []
+        assert calls == Counter()
 
     def test_polynomial_query_budget_applies_per_evaluation(self):
         from dcbox import QueryBudgetExceeded

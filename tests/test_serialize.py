@@ -13,8 +13,10 @@ from dcbox import (
     gen_hamming_adversary,
     gen_thm1,
 )
-from dcbox.harness import parse_config
+from dcbox.harness import CONFIG_KEYS, parse_config
 from dcbox.serialize import (
+    ADVERSARY_KEYS,
+    ENV_KEYS,
     adversary_document_for,
     dump_adversary,
     dump_environment,
@@ -292,3 +294,32 @@ class TestRepeatedKeys:
         assert doc.params == (("m", "2"), ("f", "1"))
         config = parse_config("\n".join([*DOCUMENTS["config"][1], "param f 4"]) + "\n")
         assert config.params == (("m", "2"), ("f", "4"))
+
+
+class TestSharedKeyRows:
+    """Configs and documents read a key they share through one row."""
+
+    def test_configs_and_documents_hold_the_same_row(self):
+        for key in ("generator", "seed", "param"):
+            assert CONFIG_KEYS[key] is ADVERSARY_KEYS[key]
+        assert CONFIG_KEYS["ladder"] is ENV_KEYS["ladder"]
+        assert ADVERSARY_KEYS["ladder"] is ENV_KEYS["ladder"]
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["generator nope"],
+            ["seed x"],
+            ["param m 2", "param m 3"],
+            ["ladder " + " ".join(map(str, range(1, 12)))],
+        ],
+        ids=["generator", "seed", "param", "ladder"],
+    )
+    def test_a_bad_value_reads_alike_in_a_config_and_a_document(self, lines):
+        messages = []
+        for load, header in [(parse_config, "dcbox-config 1"), (load_adversary, "dcbox-adversary 1")]:
+            with pytest.raises(ParseError) as caught:
+                load("\n".join([header, *lines]) + "\n", source="doc")
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"doc:{len(lines) + 1}: {lines[0].split()[0]}: ")
