@@ -22,6 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .blackbox import Algorithm, CaseTable
@@ -320,12 +321,20 @@ def gen_knapsack(
     if policy not in ("greedy", "optimal"):
         raise ParameterError(f"knapsack policy must be greedy or optimal, got {policy!r}")
 
-    maximal = []
-    for mask in range(2**n):
-        total = sum(w for i, w in enumerate(weights) if mask >> i & 1)
-        room = capacity - total
-        if room >= 0 and all(w > room for i, w in enumerate(weights) if not mask >> i & 1):
-            maximal.append(Allocation.from_mask(n, mask))
+    # Sizes and capacity over their common denominator: the same comparisons
+    # in integers. totals[mask] is the size of the subset `mask`.
+    scale = lcm(capacity.denominator, *(w.denominator for w in weights))
+    sizes = [int(w * scale) for w in weights]
+    room = int(capacity * scale)
+    totals = [0]
+    for size in sizes:
+        totals += [total + size for total in totals]
+    maximal = [
+        Allocation.from_mask(n, mask)
+        for mask, total in enumerate(totals)
+        if total <= room
+        and all(totals[mask | 1 << i] > room for i in range(n) if not mask >> i & 1)
+    ]
     feasibility = FeasibilitySet(n, frozenset(maximal))
     environment = Environment(n, ladder, feasibility)
 
@@ -336,12 +345,12 @@ def gen_knapsack(
             levels = v.levels
             # A stable sort of the agents by rank: ties stay in agent order.
             order = sorted(range(n), key=lambda i: rank[i][levels[i]])
-            remaining = capacity
+            remaining = room
             mask = 0
             for i in order:
-                if weights[i] <= remaining:
+                if sizes[i] <= remaining:
                     mask |= 1 << i
-                    remaining -= weights[i]
+                    remaining -= sizes[i]
             return Allocation.from_mask(n, mask)
 
     else:

@@ -305,10 +305,21 @@ class ScaledWelfare:
     (w_c - w_{c-1}) * popcount(m & above[c - 1]), where above[c - 1] holds
     the input's positions at level >= c (`above_masks`): one popcount per
     level above the lowest, so a single one on a two-value ladder. `scores`
-    applies this to one mask per input, for a whole mask table at once;
-    `optima` (every input) and `optimum` (one input) maximise it over
-    `candidates`, an environment's maximal allocations, encoded once as
-    bitmasks with their base weights w_0 * popcount.
+    applies this to one mask per input, for a whole mask table at once.
+    Three kernels maximise it over `candidates`, an environment's maximal
+    allocations, encoded once as bitmasks with their base weights
+    w_0 * popcount: `optima_table` at every input of the cube, `optima` at
+    a list of inputs, and `optimum` at one input, with the mask attaining it.
+
+    `optima_table` merges the masks agent by agent, the max-plus form of the
+    subset-sum transform. Each mask starts with the table [0]. At agent i,
+    the tables whose masks agree above agent i pair up: `without` (mask
+    bit i clear) and `within` (set). Their merged table, over agents 0..i,
+    holds for each of agent i's levels l the block
+    max(without, within + w_l), or the one side that exists. After agent
+    n - 1 one table is left, indexed by sum(level_i * k**i), in
+    sum_i k * min(|candidates|, 2**(n - i - 1)) * k**i element steps
+    whatever the antichain's size.
     """
 
     def __init__(self, ladder: ValueLadder, candidates: Iterable[Allocation]):
@@ -346,6 +357,27 @@ class ScaledWelfare:
                 scores = [s + step * (m & a).bit_count() for s, a in zip(scores, above_c)]
             best = list(map(max, best, scores))
         return best
+
+    def optima_table(self, n: int, k: int) -> list[int]:
+        """The largest scaled welfare over the candidates at every input of
+        n agents on k levels, by input index; all 0 without candidates."""
+        if not self._masks:
+            return [0] * k**n
+        tables = dict.fromkeys(self._masks, [0])
+        for _ in range(n):
+            pairs: dict[int, list] = {}
+            for m, table in tables.items():
+                pairs.setdefault(m >> 1, [None, None])[m & 1] = table
+            tables = {}
+            for m, (without, within) in pairs.items():
+                if within is None:
+                    tables[m] = without * k
+                    continue
+                blocks = [map(operator.add, within, itertools.repeat(w)) for w in self.weights]
+                if without is not None:
+                    blocks = [map(max, without, block) for block in blocks]
+                tables[m] = list(itertools.chain.from_iterable(blocks))
+        return tables[0]
 
     def optimum(self, levels: tuple[int, ...]) -> tuple[int, int | None]:
         """The largest scaled welfare at `levels` over the candidates and the

@@ -19,6 +19,8 @@ the index k**i * (hi - lo) further on, exhaustive or sampled; a vector is
 built only for a violation reported. Welfare is scored, exhaustive or
 sampled, from the inputs' above-level masks (`model.at_or_above` of one
 input, `model.above_masks` of every input) with one popcount per level.
+The optimum at every input comes from `ScaledWelfare.optima_table`
+exhaustively, and at the drawn inputs from `ScaledWelfare.optima`.
 """
 
 from __future__ import annotations
@@ -249,32 +251,32 @@ def welfare_report(
 
     The rule and the original are each evaluated once per input: into mask
     tables exhaustively (the rule's is shared through CachedRule), in draw
-    order when sampled. Both cases are scored from the inputs' above-level
-    masks by the same kernels."""
+    order when sampled. Both cases score the two from the inputs'
+    above-level masks with the same kernel; the optimum at every input comes
+    from one table exhaustively, and from the drawn inputs' masks when
+    sampled."""
     k, n = env.ladder.k, env.n
     scaled = ScaledWelfare(env.ladder, env.feasibility.maximal)
     sampled = k**n > enum_bound
     count = max(1, enum_bound // 2) if sampled else k**n
-    # Per batch of inputs: a reader of a rule's masks there, and the inputs'
-    # above-level masks. Sampled, _BATCH drawn inputs at a time, so a large
-    # sample is never held whole.
+    # Per batch of inputs: a reader of a rule's masks there, the inputs'
+    # above-level masks and their optima. Sampled, _BATCH drawn inputs at a
+    # time, so a large sample is never held whole.
     if sampled:
         rng = random.Random(seed)
         draws = (input_index([rng.randrange(k) for _ in range(n)], k) for _ in range(count))
         batches = (
-            (
-                lambda r: list(_evaluate(r, n, k, drawn)),
-                list(zip(*(at_or_above(u, n, k)[1:k] for u in drawn))),
-            )
+            (lambda r: list(_evaluate(r, n, k, drawn)), above, scaled.optima(above))
             for drawn in iter(lambda: list(itertools.islice(draws, _BATCH)), [])
+            for above in [list(zip(*(at_or_above(u, n, k)[1:k] for u in drawn)))]
         )
     else:
-        batches = [(lambda r: _masks(r, n, k), above_masks(n, k))]
+        batches = [(lambda r: _masks(r, n, k), above_masks(n, k), scaled.optima_table(n, k))]
     # (rule, original, optimum) scaled welfare per input; masks go once scored.
     score = scaled.scores
     rows = itertools.chain.from_iterable(
-        zip(score(masks(rule), above), score(masks(original), above), scaled.optima(above))
-        for masks, above in batches
+        zip(score(masks(rule), above), score(masks(original), above), optima)
+        for masks, above, optima in batches
     )
 
     full = 0

@@ -1,12 +1,20 @@
 """Literal reference implementations that the package's kernels are tested
 against, and the test parameters several test modules share."""
 
+import itertools
 import operator
 from fractions import Fraction
 
 import pytest
 
-from dcbox import Allocation, DimensionError, ValuationVector
+from dcbox import (
+    Allocation,
+    DimensionError,
+    FeasibilitySet,
+    TransformedRule,
+    ValueLadder,
+    ValuationVector,
+)
 from dcbox.adversaries import stable_rng
 from dcbox.blackbox import Algorithm, CaseTable
 from dcbox.model import Environment, normalize_antichain
@@ -80,6 +88,127 @@ def literal_multi3(alg, v):
                 break
     cls = classify(cur, v)
     return Allocation(tuple(b if lvl >= cls else 0 for b, lvl in zip(cur.bits, v.levels)))
+
+
+def literal_greedy(weights, capacity, ladder, v):
+    """What `gen_knapsack(weights, capacity, "greedy", ladder)` answers at v,
+    in Fraction arithmetic: the agents by declared value / size, highest
+    first and ties to the lower index, each taken if it still fits."""
+    weights = [Fraction(w) for w in weights]
+    values = [ladder.values[lvl] for lvl in v.levels]
+    order = sorted(range(len(weights)), key=lambda i: (-(values[i] / weights[i]), i))
+    remaining, taken = Fraction(capacity), [0] * len(weights)
+    for i in order:
+        if weights[i] <= remaining:
+            taken[i] = 1
+            remaining -= weights[i]
+    return Allocation(taken)
+
+
+def literal_two(alg, v):
+    """Independent oracle for `two`: its four steps over level tuples, with no
+    masks, memo or black box.
+
+    1. If the allocation at v has a 1 on a high position, zero out the low
+       positions and return it.
+    2. Otherwise adopt the first input at distance 1, in canonical order,
+       whose allocation has a 1 on a high position of v; zero the lows.
+    3. Otherwise do the same at distance 2.
+    4. Otherwise return the allocation at v unchanged."""
+
+    def has_high(x):
+        return any(b and lvl == 1 for b, lvl in zip(x.bits, v.levels))
+
+    def zero_lows(x):
+        return Allocation(tuple(b if lvl == 1 else 0 for b, lvl in zip(x.bits, v.levels)))
+
+    x = alg(v)
+    if has_high(x):
+        return zero_lows(x)
+    for distance in (1, 2):
+        for u in inputs_at_distance(v, distance, 2):
+            if has_high(alg(u)):
+                return zero_lows(alg(u))
+    return x
+
+
+def literal_two_plus(alg, v):
+    """Independent oracle for `two-plus`: an eager, unmemoized reimplementation
+    of its seven steps over level tuples, recomputing every simulation from
+    scratch."""
+
+    def high_count(x, u):
+        return sum(1 for lvl, b in zip(u.levels, x.bits) if b and lvl == 1)
+
+    def zero_lows(x, u):
+        return Allocation(tuple(b if lvl == 1 else 0 for b, lvl in zip(x.bits, u.levels)))
+
+    def step1(u):
+        x = alg(u)
+        hc = high_count(x, u)
+        if hc:
+            for w in inputs_at_distance(u, 1, 2):
+                c = alg(w)
+                if high_count(c, u) > hc:
+                    return c
+        return x
+
+    def steps_1_to_5(u):
+        original = alg(u)
+        cur = step1(u)
+        if high_count(cur, u) == 0:
+            for w in inputs_at_distance(u, 1, 2):
+                c = step1(w)
+                if high_count(c, u):
+                    cur = c
+                    break
+        if high_count(cur, u) == 0:
+            for w in inputs_at_distance(u, 2, 2):
+                c = step1(w)
+                if high_count(c, u):
+                    cur = c
+                    break
+        if high_count(cur, u) > high_count(original, u):
+            cur = zero_lows(cur, u)
+        return cur
+
+    cur = steps_1_to_5(v)
+    result = list(cur.bits)
+    for i, lvl in enumerate(v.levels):
+        if lvl == 0 and result[i] == 1:
+            if steps_1_to_5(v.with_level(i, 1)).bits[i] == 0:
+                result[i] = 0
+    return Allocation(tuple(result))
+
+
+LITERAL_TWO_VALUE_SPECS = {"two": literal_two, "two-plus": literal_two_plus}
+
+
+def two_value_tables():
+    """The algorithms the two-value specs are checked on: every answer table
+    at n=2 (an allocation at each of the 4 inputs, 4**4 = 256 tables), then
+    seeded sparse tables at n = 3..5 with one to four answering inputs."""
+    ladder = ValueLadder.of(1, 9)
+    env = Environment(2, ladder, FeasibilitySet(2, frozenset({Allocation.full(2)})))
+    allocations = [Allocation.from_mask(2, mask) for mask in range(4)]
+    for answers in itertools.product(allocations, repeat=4):
+        # Agent 0's level is the low bit of the input index.
+        yield Algorithm(env, lambda v, a=answers: a[v.levels[0] + 2 * v.levels[1]])
+    for n in (3, 4, 5):
+        for count in range(1, 5):
+            for seed in range(3):
+                yield sparse_table(n, ladder, count, seed)
+
+
+def first_departure(kind, alg, spec, **options):
+    """The levels of the first input, in `all_inputs` order, where
+    `TransformedRule(kind, alg, **options)` answers other than `spec`; None
+    when they agree everywhere."""
+    rule = TransformedRule(kind, alg, **options)
+    for v in alg.env.inputs():
+        if rule(v) != spec(alg, v):
+            return v.levels
+    return None
 
 
 def random_algorithm_answer(env, seed, v):

@@ -24,7 +24,7 @@ from dcbox import (
     tabulate,
 )
 from dcbox.adversaries import _density_ranks, stable_rng
-from oracles import hamming_distance, random_algorithm_answer, welfare
+from oracles import hamming_distance, literal_greedy, random_algorithm_answer, welfare
 
 
 def bits(text):
@@ -249,12 +249,28 @@ class TestKnapsack:
                 lv = v.levels
                 literal = sorted(range(n), key=lambda i: (-(ladder.values[lv[i]] / weights[i]), i))
                 assert sorted(range(n), key=lambda i: (rank[i][lv[i]], i)) == literal
-                remaining, taken = capacity, [0] * n
-                for i in literal:
-                    if weights[i] <= remaining:
-                        taken[i] = 1
-                        remaining -= weights[i]
-                assert alg(v).bits == tuple(taken)
+                assert alg(v) == literal_greedy(weights, capacity, ladder, v)
+
+    def test_fractional_sizes_match_the_literal_knapsack(self):
+        # Sizes and capacity with different denominators, which the
+        # generator compares as integers over their common denominator.
+        weights = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), 1, Fraction(5, 6)]
+        capacity = Fraction(7, 4)
+        ladder = ValueLadder.of(1, Fraction(3, 2), 5)
+        alg = gen_knapsack(weights, capacity, "greedy", ladder)
+        fitting = [
+            subset
+            for subset in itertools.product((0, 1), repeat=5)
+            if sum((w for w, b in zip(weights, subset) if b), Fraction(0)) <= capacity
+        ]
+        maximal = {
+            Allocation(s)
+            for s in fitting
+            if not any(t != s and all(a <= b for a, b in zip(s, t)) for t in fitting)
+        }
+        assert alg.env.feasibility.maximal == maximal
+        for v in alg.env.inputs():
+            assert alg(v) == literal_greedy(weights, capacity, ladder, v), v.levels
 
     def test_greedy_equals_optimal_for_equal_weights(self):
         ladder = ValueLadder.of(1, 3)

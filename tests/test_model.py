@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import random
 import warnings
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from dcbox import (
     normalize_antichain,
     opt_welfare,
 )
-from dcbox.model import ScaledWelfare
+from dcbox.model import ScaledWelfare, above_masks
 from oracles import welfare
 
 L, H = 0, 1  # two-value level indices
@@ -228,6 +229,27 @@ def literal_optimum(v, maximal, ladder):
     return max(((welfare(v, m, ladder), m.bits) for m in maximal), default=(0, None))
 
 
+def brute_force_optima(n, ladder, maximal):
+    """Oracle: at every input, listed by index sum(level_i * k**i), the
+    largest welfare of any allocation in the whole downward closure of
+    `maximal`, in Fractions; 0 when the closure is empty."""
+    closure = [
+        candidate
+        for candidate in itertools.product((0, 1), repeat=n)
+        if any(all(c <= m for c, m in zip(candidate, mx.bits)) for mx in maximal)
+    ]
+    k = ladder.k
+    table = [None] * k**n
+    for levels in itertools.product(range(k), repeat=n):
+        values = [ladder.values[lvl] for lvl in levels]
+        index = sum(lvl * k**i for i, lvl in enumerate(levels))
+        table[index] = max(
+            (sum((val for val, b in zip(values, c) if b), Fraction(0)) for c in closure),
+            default=Fraction(0),
+        )
+    return table
+
+
 @st.composite
 def kernel_cases(draw):
     n = draw(st.integers(1, 8))
@@ -275,6 +297,38 @@ class TestOptimumKernel:
         value, mask = scaled.optimum(v.levels)
         assert scaled.fraction(value) == Fraction(16, 3)
         assert mask == 0b011  # bits 110: agents 0 and 1
+
+    # `optima_table` at every input against the brute force, and against
+    # `optima` at every input's above-level masks, which pins the exhaustive
+    # and the sampled kernels to each other.
+    LADDERS = {
+        2: [(1, 3), (Fraction(1, 3), Fraction(5, 2))],
+        3: [(1, 4, 16), (Fraction(1, 3), Fraction(5, 2), 7)],
+        4: [(1, 2, 3, 5), (Fraction(1, 3), Fraction(5, 2), 7, Fraction(19, 2))],
+    }
+
+    @staticmethod
+    def antichains(n, rng):
+        drawn = [Allocation.from_mask(n, rng.randrange(1 << n)) for _ in range(rng.randint(1, 6))]
+        return [[], [Allocation.zeros(n)], list(normalize_antichain(drawn, n).maximal)]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_brute_force_and_the_listed_kernel(self, k):
+        rng = random.Random(2026 + k)
+        for values in self.LADDERS[k]:
+            ladder = ValueLadder.of(*values)
+            for n in range(1, 6 if k < 4 else 5):
+                for maximal in self.antichains(n, rng):
+                    scaled = ScaledWelfare(ladder, maximal)
+                    table = scaled.optima_table(n, k)
+                    assert table == scaled.optima(above_masks(n, k))
+                    expected = brute_force_optima(n, ladder, maximal)
+                    assert [scaled.fraction(t) for t in table] == expected, (n, maximal)
+
+    def test_empty_antichain_and_the_empty_allocation_give_zero(self):
+        ladder = ValueLadder.of(1, 2, 4)
+        assert ScaledWelfare(ladder, []).optima_table(3, 3) == [0] * 27
+        assert ScaledWelfare(ladder, [Allocation.zeros(3)]).optima_table(3, 3) == [0] * 27
 
 
 class TestNormalizeAntichain:

@@ -1,5 +1,6 @@
 """Checkers with teeth: each mutant breaks one piece of a kernel, and
-`check_monotone` or a C-bound of the acceptance suite must catch it.
+`check_monotone` or a C-bound of the acceptance suite must catch it. Its
+kind's literal spec must tell it from the kernel too.
 
 A mutant is the kernel's own source with one piece of text replaced, run in
 a copy of the transforms module's namespace and registered as a row of
@@ -24,7 +25,7 @@ from dcbox import (
     welfare_report,
 )
 from dcbox.harness import standard_panel
-from oracles import sparse_table
+from oracles import LITERAL_TWO_VALUE_SPECS, first_departure, sparse_table, two_value_tables
 
 PANEL_SEED = 20260809  # the acceptance suite's
 SPARSE_SEEDS = 5  # sparse tables per answering-input count, so 20 per panel
@@ -142,14 +143,34 @@ def mutated(kernel, old, new):
     return namespace[kernel]
 
 
-@pytest.mark.parametrize("mutant", list(MUTANTS))
-def test_mutant_is_caught_on_its_smallest_panel(mutant, monkeypatch):
-    kind, kernel, old, new, n, caught = MUTANTS[mutant]
+def register(mutant, monkeypatch):
+    """Register the mutant as a row of TRANSFORMATIONS for one test; its kind."""
+    kind, kernel, old, new, _, _ = MUTANTS[mutant]
     size = transforms.TRANSFORMATIONS[kind][1]
     monkeypatch.setitem(transforms.TRANSFORMATIONS, mutant, (mutated(kernel, old, new), size))
+    return kind
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_mutant_is_caught_on_its_smallest_panel(mutant, monkeypatch):
+    kind = register(mutant, monkeypatch)
+    n, caught = MUTANTS[mutant][4:]
     failed_checks = FAILED_CHECKS[kind]
     for smaller in range(2, n):
         assert failed_checks(mutant, smaller) == set(), smaller
     assert failed_checks(mutant, n) == caught
     # The checks tell the mutant from the kernel: the kernel passes them all.
     assert failed_checks(kind, n) == set()
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_mutant_departs_from_its_literal_spec(mutant, monkeypatch):
+    # The kind's literal spec (tests/oracles.py) tells every mutant from the
+    # kernel on the tables the kernel matches it on: four of them on an n=2
+    # table, `two/radius-3` first on an n=3 sparse table with one answering
+    # input. That covers `two/radius-3` and `two-plus/first-pass-geq`, which
+    # only one check of their panels catches.
+    kind = register(mutant, monkeypatch)
+    spec = LITERAL_TWO_VALUE_SPECS[kind]
+    departures = (first_departure(mutant, alg, spec) for alg in two_value_tables())
+    assert any(levels is not None for levels in departures)

@@ -37,7 +37,16 @@ from dcbox.transforms import (
     t_two,
     t_two_plus,
 )
-from oracles import hamming_distance, kind_ladders, literal_multi3, sparse_table
+from oracles import (
+    LITERAL_TWO_VALUE_SPECS,
+    first_departure,
+    hamming_distance,
+    kind_ladders,
+    literal_multi3,
+    literal_two_plus,
+    sparse_table,
+    two_value_tables,
+)
 
 LAD2 = ValueLadder.of(1, 100)
 LAD3 = ValueLadder.of(1, 10, 100)
@@ -279,54 +288,6 @@ class TestTMulti:
             t_multi(centred(alg, vec(2, 1, 0)))
 
 
-def _literal_two_plus(alg, v):
-    """Independent oracle: eager, unmemoized reimplementation of the
-    provisional transformation, recomputing every simulation from scratch."""
-
-    def high_count(x, u):
-        return sum(1 for lvl, b in zip(u.levels, x.bits) if b and lvl == 1)
-
-    def zero_lows(x, u):
-        return Allocation(tuple(b if lvl == 1 else 0 for b, lvl in zip(x.bits, u.levels)))
-
-    def step1(u):
-        x = alg(u)
-        hc = high_count(x, u)
-        if hc:
-            for w in inputs_at_distance(u, 1, 2):
-                c = alg(w)
-                if high_count(c, u) > hc:
-                    return c
-        return x
-
-    def steps_1_to_5(u):
-        original = alg(u)
-        cur = step1(u)
-        if high_count(cur, u) == 0:
-            for w in inputs_at_distance(u, 1, 2):
-                c = step1(w)
-                if high_count(c, u):
-                    cur = c
-                    break
-        if high_count(cur, u) == 0:
-            for w in inputs_at_distance(u, 2, 2):
-                c = step1(w)
-                if high_count(c, u):
-                    cur = c
-                    break
-        if high_count(cur, u) > high_count(original, u):
-            cur = zero_lows(cur, u)
-        return cur
-
-    cur = steps_1_to_5(v)
-    result = list(cur.bits)
-    for i, lvl in enumerate(v.levels):
-        if lvl == 0 and result[i] == 1:
-            if steps_1_to_5(v.with_level(i, 1)).bits[i] == 0:
-                result[i] = 0
-    return Allocation(tuple(result))
-
-
 def _literal_multi(alg, v):
     """The step table that `multi` once extrapolated to ladders with k >= 4,
     written out as loops, classing with classify_allocation and comparing
@@ -371,7 +332,14 @@ class TestLiteralOracles:
             alg = gen_random_algorithm(env, 5100 + seed)
             rule = TransformedRule("two-plus", alg)
             for v in env.inputs():
-                assert rule(v) == _literal_two_plus(alg, v)
+                assert rule(v) == literal_two_plus(alg, v)
+
+    @pytest.mark.parametrize("kind", list(LITERAL_TWO_VALUE_SPECS))
+    def test_two_value_kernels_match_their_specs(self, kind):
+        spec = LITERAL_TWO_VALUE_SPECS[kind]
+        for shared_state in (True, False):
+            for alg in two_value_tables():
+                assert first_departure(kind, alg, spec, shared_state=shared_state) is None
 
     def test_multi_matches_unmemoized_oracle(self):
         ladder = ValueLadder.of(1, 5, 25)
