@@ -152,11 +152,20 @@ class FeasibilitySet:
         for a in maximal:
             if a.n != self.n:
                 raise DimensionError(f"maximal allocation of length {a.n} in a set over n={self.n}")
-        for a, b in itertools.combinations(maximal, 2):
-            if a.dominated_by(b) or b.dominated_by(a):
-                raise ParameterError(
-                    f"maximal elements must form an antichain: {a.to_string()} vs {b.to_string()}"
-                )
+        # Two distinct allocations of equal size never dominate each other, so
+        # each one is compared, by mask, with the larger ones only.
+        by_size: dict[int, list[Allocation]] = {}
+        for a in maximal:
+            by_size.setdefault(a.mask.bit_count(), []).append(a)
+        sizes = sorted(by_size)
+        for i, size in enumerate(sizes):
+            larger = [b for bigger in sizes[i + 1 :] for b in by_size[bigger]]
+            for a in by_size[size]:
+                for b in larger:
+                    if not a.mask & ~b.mask:
+                        raise ParameterError(
+                            f"maximal elements must form an antichain: {a.to_string()} vs {b.to_string()}"
+                        )
 
     def sorted_maximal(self) -> list[Allocation]:
         """Maximal elements in canonical (lexicographic bit) order."""

@@ -3,6 +3,7 @@ against, and the test parameters several test modules share."""
 
 import itertools
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,61 @@ from dcbox import (
     TransformedRule,
     ValueLadder,
     ValuationVector,
+    gen_random_algorithm,
+    gen_random_environment,
 )
 from dcbox.adversaries import stable_rng
 from dcbox.blackbox import Algorithm, CaseTable
 from dcbox.model import Environment, normalize_antichain
 from dcbox.transforms import TRANSFORMATIONS, inputs_at_distance
+
+
+def bits(text):
+    """The Allocation written as a bit string, agent 0 first."""
+    return Allocation(map(int, text))
+
+
+def vec(*levels):
+    """The ValuationVector with these levels."""
+    return ValuationVector(tuple(levels))
+
+
+def brute_force_opt(v, feasibility, ladder):
+    """Optimal welfare at v by brute force over the whole downward closure,
+    with inline domination and dot-product logic (no `is_feasible`, no
+    `welfare`)."""
+    values = [ladder.values[lvl] for lvl in v.levels]
+    maximal = [m.bits for m in feasibility.maximal]
+    best = Fraction(0)
+    for candidate in itertools.product((0, 1), repeat=v.n):
+        if any(all(c <= m for c, m in zip(candidate, mx)) for mx in maximal):
+            best = max(best, sum((x for x, b in zip(values, candidate) if b), Fraction(0)))
+    return best
+
+
+def naive_violations(rule, n, k):
+    """Monotonicity violations of `rule` by a double loop over every input
+    and every single-agent raise: (levels, agent, low, high), sorted."""
+    found = []
+    for base in itertools.product(range(k), repeat=n):
+        x = rule(ValuationVector(base))
+        for i in range(n):
+            for hi in range(base[i] + 1, k):
+                y = rule(ValuationVector(base[:i] + (hi,) + base[i + 1 :]))
+                if x.bits[i] == 1 and y.bits[i] == 0:
+                    found.append((base, i, base[i], hi))
+    return sorted(found)
+
+
+def counting(alg):
+    """alg with its rule's calls counted by input levels."""
+    calls = Counter()
+
+    def rule(v):
+        calls[v.levels] += 1
+        return alg.rule(v)
+
+    return Algorithm(alg.env, rule, alg.name), calls
 
 
 def hamming_distance(u, v) -> int:
@@ -186,8 +237,9 @@ LITERAL_TWO_VALUE_SPECS = {"two": literal_two, "two-plus": literal_two_plus}
 
 def two_value_tables():
     """The algorithms the two-value specs are checked on: every answer table
-    at n=2 (an allocation at each of the 4 inputs, 4**4 = 256 tables), then
-    seeded sparse tables at n = 3..5 with one to four answering inputs."""
+    at n=2 (an allocation at each of the 4 inputs, 4**4 = 256 tables),
+    seeded sparse tables at n = 3..5 with one to four answering inputs, then
+    four dense random algorithms at n=4."""
     ladder = ValueLadder.of(1, 9)
     env = Environment(2, ladder, FeasibilitySet(2, frozenset({Allocation.full(2)})))
     allocations = [Allocation.from_mask(2, mask) for mask in range(4)]
@@ -198,6 +250,8 @@ def two_value_tables():
         for count in range(1, 5):
             for seed in range(3):
                 yield sparse_table(n, ladder, count, seed)
+    for seed in range(4):
+        yield gen_random_algorithm(gen_random_environment(4, ladder, 5000 + seed), 5100 + seed)
 
 
 def first_departure(kind, alg, spec, **options):

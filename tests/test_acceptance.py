@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion. Each criterion states its own scale; everything asserted here is
-an exact rational comparison (no numeric tolerance anywhere).
+an exact rational comparison (no numeric tolerance anywhere). C1, C2, C4, C5
+and C8 read the rows of tests/claims.py over its verified panels.
 """
 
 import itertools
@@ -33,12 +34,10 @@ from dcbox import (
     welfare_report,
 )
 from dcbox.adversaries import stable_rng
-from dcbox.harness import standard_panel
 from dcbox.model import Environment, FeasibilitySet, input_index
 from dcbox.transforms import t_two
-from oracles import hamming_distance
-
-PANEL_SEED = 20260809
+import claims
+from oracles import brute_force_opt, hamming_distance, naive_violations
 
 
 def criterion(cid, description):
@@ -60,50 +59,33 @@ def criterion(cid, description):
     return decorator
 
 
-def panel(n, ladder):
-    return standard_panel(n, ladder, PANEL_SEED, random_count=20, include_optimal=True)
+def cells(*ids):
+    """(row, n, ladder, cell) for the claim rows `ids` at every n and ladder
+    the suite checks them at; each cell is verified once per session."""
+    for row in claims.CLAIMS:
+        if row.id in ids:
+            for n in row.sizes:
+                for ladder in row.ladders(n):
+                    yield row, n, ladder, claims.entries(row.kind, n, ladder)
+
+
+def assert_rows_hold(*ids):
+    for row, n, ladder, cell in cells(*ids):
+        assert not any(e.monotone.sampled or e.welfare.sampled for e in cell), (row.id, n, ladder)
+        assert row.holds(n, ladder, cell), (row.id, n, ladder)
 
 
 @criterion("C1", "t_two is monotone: n in 2..10, ratios {n,2n,n^2}, 23-algorithm panel")
 def test_c01_two_monotone():
-    for n in range(2, 11):
-        for ratio in (n, 2 * n, n * n):
-            ladder = ValueLadder.of(1, ratio)
-            for algorithm in panel(n, ladder):
-                rule = CachedRule(TransformedRule("two", algorithm))
-                report = check_monotone(rule, algorithm.env)
-                assert not report.sampled
-                assert report.checked_pairs == n * 2 ** (n - 1)
-                assert report.is_monotone, (n, ratio, algorithm.name, report.violations[:3])
+    assert_rows_hold("C1 monotone")
+    for _, n, _, cell in cells("C1 monotone"):
+        assert all(e.monotone.checked_pairs == n * 2 ** (n - 1) for e in cell), n
 
 
 @criterion("C2", "t_two keeps half the welfare pointwise when high/low >= n; floor R/(R+n-1)")
 def test_c02_two_pointwise_half():
-    # The exact floor over all algorithms is R/(R+n-1), R = high/low. If
-    # A(v) has a high 1, the output keeps only A(v)'s high 1s: at least R
-    # against at most R + (n-1). Otherwise the output either carries a high
-    # 1, at least R against at most n-1, or is A(v) itself. `all-ones`
-    # reaches the floor at any input with one high position, so it is the
-    # panel minimum in every cell.
-    half = Fraction(1, 2)
-    for n in range(2, 11):
-        for ratio in (n, 2 * n, n * n):
-            ladder = ValueLadder.of(1, ratio)
-            minima = []
-            for algorithm in panel(n, ladder):
-                rule = CachedRule(TransformedRule("two", algorithm))
-                report = welfare_report(rule, algorithm, algorithm.env)
-                assert not report.sampled
-                # inputs with zero original welfare satisfy the bound trivially
-                if report.pointwise_min_fraction is not None:
-                    assert report.pointwise_min_fraction >= half, (
-                        n,
-                        ratio,
-                        algorithm.name,
-                        report.pointwise_min_fraction,
-                    )
-                    minima.append(report.pointwise_min_fraction)
-            assert min(minima) == Fraction(ratio, ratio + n - 1), (n, ratio, min(minima))
+    # C1's cells: the rows read the same verified panels.
+    assert_rows_hold("C2 half", "C2 floor")
 
 
 @criterion("C3", "t_two over all-ones keeps full welfare at exactly 2 inputs")
@@ -118,33 +100,12 @@ def test_c03_two_full_welfare_count():
 
 @criterion("C4", "t_two_plus: monotone, 1/n full-welfare fraction, loss-count bound")
 def test_c04_two_plus_bounds():
-    for n in range(2, 9):
-        ladder = ValueLadder.of(1, n + 1)  # high/low > n
-        for algorithm in panel(n, ladder):
-            rule = CachedRule(TransformedRule("two-plus", algorithm))
-            mono = check_monotone(rule, algorithm.env)
-            assert mono.is_monotone, (n, algorithm.name, mono.violations[:3])
-            report = welfare_report(rule, algorithm, algorithm.env)
-            total = report.total_inputs
-            fraction = Fraction(report.full_welfare_count, total)
-            assert fraction >= Fraction(1, n), (n, algorithm.name, fraction)
-            losses = total - report.full_welfare_count
-            assert losses <= Fraction(n - 1, n) * 2**n, (n, algorithm.name, losses)
+    assert_rows_hold("C4 monotone", "C4 fraction", "C4 losses")
 
 
 @criterion("C5", "t_two_plus preserves total welfare when high/low > 2n")
 def test_c05_two_plus_expected_welfare():
-    for n in range(2, 9):
-        ladder = ValueLadder.of(1, 2 * n + 1)
-        for algorithm in panel(n, ladder):
-            rule = CachedRule(TransformedRule("two-plus", algorithm))
-            report = welfare_report(rule, algorithm, algorithm.env)
-            assert report.sum_welfare_rule >= report.sum_welfare_original, (
-                n,
-                algorithm.name,
-                report.sum_welfare_rule,
-                report.sum_welfare_original,
-            )
+    assert_rows_hold("C5")
 
 
 @criterion("C6", "t_const keeps a low/high fraction of the approximation ratio")
@@ -181,21 +142,35 @@ def test_c07_hamming_quantities():
 
 @criterion("C8", "t_multi (3 values, adjacent ratios n): monotone, 1/3 pointwise")
 def test_c08_multi_three_values():
-    third = Fraction(1, 3)
-    for n in range(2, 8):
-        ladder = ValueLadder.of(1, n, n * n)
-        for algorithm in panel(n, ladder):
-            rule = CachedRule(TransformedRule("multi", algorithm))
-            mono = check_monotone(rule, algorithm.env)
-            assert mono.is_monotone, (n, algorithm.name, mono.violations[:3])
-            report = welfare_report(rule, algorithm, algorithm.env)
-            assert not report.sampled
-            if report.pointwise_min_fraction is not None:
-                assert report.pointwise_min_fraction >= third, (
-                    n,
-                    algorithm.name,
-                    report.pointwise_min_fraction,
-                )
+    assert_rows_hold("C8 monotone", "C8 third")
+
+
+def test_locality_rows_hold_on_the_criteria_cells():
+    # `two` reads within radius 2, `two-plus` and `multi` within 5, on the
+    # cells of C1/C2, C4/C5 and C8.
+    assert_rows_hold("radius 2", "radius 5")
+
+
+def test_row_bounds_equal_the_paper_literals():
+    # Each row's bound, at every cell it has here, against the paper's bound
+    # written out, so the table cannot drift; ladders are (1, R) or (1, n, n^2).
+    literals = {
+        "C1 monotone": lambda n, ladder, e: 0,
+        "C2 half": lambda n, ladder, e: Fraction(1, 2),
+        "C2 floor": lambda n, ladder, e: Fraction(ladder[1], ladder[1] + n - 1),
+        "C4 monotone": lambda n, ladder, e: 0,
+        "C4 fraction": lambda n, ladder, e: Fraction(1, n),
+        "C4 losses": lambda n, ladder, e: Fraction(n - 1, n) * 2**n,
+        "C5": lambda n, ladder, e: e.welfare.sum_welfare_original,
+        "C8 monotone": lambda n, ladder, e: 0,
+        "C8 third": lambda n, ladder, e: Fraction(1, 3),
+        "radius 2": lambda n, ladder, e: 2,
+        "radius 5": lambda n, ladder, e: 5,
+    }
+    assert {row.id for row in claims.CLAIMS} == set(literals)
+    for row, n, ladder, cell in cells(*literals):
+        for e in cell:
+            assert row.bound(n, ladder, e) == literals[row.id](n, ladder, e), (row.id, n, ladder)
 
 
 def _assert_outputs_feasible(algorithm, sample_seed):
@@ -262,30 +237,6 @@ def test_c09_adversary_well_formedness():
         _assert_outputs_feasible(gen_random_algorithm(env, 700 + seed), sample_seed=seed)
 
 
-# Independent oracles for criterion 10, written against raw bit tuples.
-def brute_force_opt(v, feasibility, ladder):
-    values = [ladder.values[lvl] for lvl in v.levels]
-    maximal = [m.bits for m in feasibility.maximal]
-    best = Fraction(0)
-    for candidate in itertools.product((0, 1), repeat=v.n):
-        if not any(all(c <= m for c, m in zip(candidate, mx)) for mx in maximal):
-            continue
-        best = max(best, sum((x for x, b in zip(values, candidate) if b), Fraction(0)))
-    return best
-
-
-def naive_monotonicity_violations(rule, n, k):
-    found = []
-    for base in itertools.product(range(k), repeat=n):
-        x = rule(ValuationVector(base))
-        for i in range(n):
-            for hi in range(base[i] + 1, k):
-                y = rule(ValuationVector(base[:i] + (hi,) + base[i + 1 :]))
-                if x.bits[i] == 1 and y.bits[i] == 0:
-                    found.append((base, i, base[i], hi))
-    return sorted(found)
-
-
 @criterion("C10", "oracle equivalence: optimum, monotonicity checker, query locality")
 def test_c10_oracle_equivalences():
     # optimal welfare vs brute force over the whole downward closure, n <= 12
@@ -318,7 +269,7 @@ def test_c10_oracle_equivalences():
         report = check_monotone(rule, env)
         assert not report.sampled
         got = [(v.input.levels, v.agent, v.level_low, v.level_high) for v in report.violations]
-        assert got == naive_monotonicity_violations(rule, n, k)
+        assert got == naive_violations(rule, n, k)
 
     # t_two's query log never leaves Hamming radius 2 (and therefore also
     # runs to completion under a strict radius-3 restriction)

@@ -10,6 +10,7 @@ from dcbox import (
     Environment,
     FeasibilitySet,
     ParameterError,
+    TransformedRule,
     ValueLadder,
     ValuationVector,
     all_inputs,
@@ -22,17 +23,10 @@ from dcbox import (
     gen_thm1,
     is_feasible,
     tabulate,
+    welfare_report,
 )
 from dcbox.adversaries import _density_ranks, stable_rng
-from oracles import hamming_distance, literal_greedy, random_algorithm_answer, welfare
-
-
-def bits(text):
-    return Allocation(map(int, text))
-
-
-def vec(*levels):
-    return ValuationVector(tuple(levels))
+from oracles import bits, hamming_distance, literal_greedy, random_algorithm_answer, vec, welfare
 
 
 class TestThm1:
@@ -181,6 +175,33 @@ class TestHammingAdversary:
         lookup = tabulate(inst.algorithm).lookup()
         for v in inst.algorithm.env.inputs():
             assert lookup(v) == inst.algorithm(v)
+
+
+class TestNegativeSideMembers:
+    # Every member of a family at its smallest sizes, on the default ladder
+    # 1 2. Per kind: the least pointwise fraction and the least approximation
+    # ratio over the members. `thm1` is not here: only a seed names a member.
+    MINIMA = {  # const, two, two-plus
+        "block": ("1 1/4", "1 1/4", "1 1/4"),
+        "hamming-2": ("3/4 1/2", "2/3 1/2", "1 1/2"),
+        "hamming-3": ("2/3 1/2", "1/2 1/3", "1/2 1/3"),
+        "hamming-4": ("5/8 1/2", "2/5 1/4", "2/5 1/4"),
+    }
+
+    @pytest.mark.parametrize("family", list(MINIMA))
+    def test_least_fraction_and_ratio_over_every_member(self, family):
+        if family == "block":  # (8, 4, 1, 2): each 2 of the 4 middle positions
+            positions = itertools.combinations(range(4, 8), 2)
+            members = [gen_block_adversary(8, 4, 1, 2, positions=p).algorithm for p in positions]
+        else:
+            m = int(family.removeprefix("hamming-"))
+            members = [gen_hamming_adversary(m, f).algorithm for f in range(m + 1)]
+        least = []
+        for kind in ("const", "two", "two-plus"):
+            reports = [welfare_report(TransformedRule(kind, a), a, a.env) for a in members]
+            fraction = min(r.pointwise_min_fraction for r in reports)
+            least.append(f"{fraction} {min(r.approx_ratio_rule for r in reports)}")
+        assert tuple(least) == self.MINIMA[family]
 
 
 class TestAllOnes:

@@ -2,7 +2,6 @@
 
 import gc
 import weakref
-from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -30,11 +29,7 @@ from dcbox import (
 )
 from dcbox.blackbox import Algorithm
 from dcbox.model import Environment, FeasibilitySet, ValueLadder, input_at, input_index
-from oracles import hamming_distance
-
-
-def vec(*levels):
-    return ValuationVector(tuple(levels))
+from oracles import counting, hamming_distance, vec
 
 
 def ix(v, k=2):
@@ -224,15 +219,9 @@ class TestIndexQueries:
     def test_rule_runs_once_per_distinct_input(self, kind, ladder, shared_state):
         env = gen_random_environment(4, ValueLadder.of(*ladder), 8100)
         alg = gen_random_algorithm(env, 8200)
-        calls = Counter()
-
-        def counted(v):
-            calls[v.levels] += 1
-            return alg.rule(v)
-
-        counting = Algorithm(env, counted, alg.name)
+        counted, calls = counting(alg)
         for _ in range(2):
-            rule = TransformedRule(kind, counting, shared_state=shared_state)
+            rule = TransformedRule(kind, counted, shared_state=shared_state)
             for v in list(env.inputs()) * 2:
                 rule(v)
             assert set(calls.values()) == {1}
@@ -308,17 +297,6 @@ class TestAnswerReuse:
             assert not bb.reuse_answers
             assert (bb.known, bb.memo) == ({}, {})
             assert set(bb.answers) == {1}
-
-
-def counting(alg):
-    """alg with its rule's calls counted by input levels."""
-    calls = Counter()
-
-    def rule(v):
-        calls[v.levels] += 1
-        return alg.rule(v)
-
-    return Algorithm(alg.env, rule, alg.name), calls
 
 
 class TestLiveAnswerTable:

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from dcbox import (
-    Algorithm,
     CachedRule,
     NonMonotoneRuleError,
     ParameterError,
@@ -44,6 +43,7 @@ from dcbox.harness import (
     ratio_value,
 )
 from dcbox.model import ValueLadder
+from oracles import counting
 
 
 def config_text(*lines):
@@ -613,13 +613,8 @@ class TestVerifyEntry:
         # The welfare report's original, the algorithm, answers from the rule's live table.
         env = gen_random_environment(4, ValueLadder.of(*ladder), 8100)
         alg = gen_random_algorithm(env, 8200)
-        calls = Counter()
-
-        def counted(v):
-            calls[v.levels] += 1
-            return alg.rule(v)
-
-        entry = _verify_entry(ExperimentConfig(), Algorithm(env, counted, alg.name), kind)
+        counted, calls = counting(alg)
+        entry = _verify_entry(ExperimentConfig(), counted, kind)
         assert sum(calls.values()) == len(ladder) ** 4
         assert set(calls.values()) == {1}
         assert entry.welfare == welfare_report(CachedRule(TransformedRule(kind, alg)), alg, env)

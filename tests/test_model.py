@@ -20,36 +20,15 @@ from dcbox import (
     ValueLadder,
     ValuationVector,
     all_inputs,
+    gen_knapsack,
     is_feasible,
     normalize_antichain,
     opt_welfare,
 )
 from dcbox.model import ScaledWelfare, above_masks
-from oracles import welfare
+from oracles import bits, brute_force_opt, vec, welfare
 
 L, H = 0, 1  # two-value level indices
-
-
-def bits(text):
-    return Allocation(map(int, text))
-
-
-def vec(*levels):
-    return ValuationVector(tuple(levels))
-
-
-# Independent oracle: brute force over the entire downward closure, with
-# inline domination and dot-product logic (bypasses is_feasible/welfare).
-def brute_force_opt(v, feasibility, ladder):
-    values = [ladder.values[lvl] for lvl in v.levels]
-    maximal = [m.bits for m in feasibility.maximal]
-    best = Fraction(0)
-    for candidate in itertools.product((0, 1), repeat=v.n):
-        if not any(all(c <= m for c, m in zip(candidate, mx)) for mx in maximal):
-            continue
-        total = sum((val for val, bit in zip(values, candidate) if bit), Fraction(0))
-        best = max(best, total)
-    return best
 
 
 class TestAllocationMask:
@@ -159,6 +138,15 @@ class TestFeasibility:
     def test_constructor_rejects_non_antichain(self):
         with pytest.raises(ParameterError):
             FeasibilitySet(2, frozenset({bits("11"), bits("10")}))
+
+    def test_constructor_rejects_domination_across_sizes(self):
+        # 0011 and 1100 are an antichain; 1110 dominates 1100.
+        with pytest.raises(ParameterError, match="antichain: 1100 vs 1110$"):
+            FeasibilitySet(4, frozenset({bits("0011"), bits("1100"), bits("1110")}))
+
+    def test_constructor_takes_a_large_antichain(self):
+        # Every 8 of 16 unit-size agents: C(16, 8) maximal sets of one size.
+        assert len(gen_knapsack([1] * 16, 8).env.feasibility.maximal) == 12870
 
     def test_monotone_decreasing(self):
         # any coordinatewise-smaller vector of a feasible one stays feasible

@@ -1,91 +1,23 @@
 """Checkers with teeth: each mutant breaks one piece of a kernel, and
-`check_monotone` or a C-bound of the acceptance suite must catch it. Its
-kind's literal spec must tell it from the kernel too.
+a row of its kind in tests/claims.py, the acceptance suite's bounds, must
+catch it. Its kind's literal spec must tell it from the kernel too.
 
 A mutant is the kernel's own source with one piece of text replaced, run in
 a copy of the transforms module's namespace and registered as a row of
-`TRANSFORMATIONS` for one test. The panels are the acceptance panels
-(`standard_panel` at the acceptance seed) plus hand-built sparse tables,
-where one to four inputs answer anything and every other input answers
-empty: the shape of algorithm the dense random members never take.
-"""
+`TRANSFORMATIONS` for one test. The panels are the acceptance panels plus
+hand-built sparse tables (`claims.panel` with `sparse`)."""
 
 import inspect
 import textwrap
-from fractions import Fraction
 
 import pytest
 
-from dcbox import (
-    CachedRule,
-    TransformedRule,
-    ValueLadder,
-    check_monotone,
-    transforms,
-    welfare_report,
-)
-from dcbox.harness import standard_panel
-from oracles import LITERAL_TWO_VALUE_SPECS, first_departure, sparse_table, two_value_tables
-
-PANEL_SEED = 20260809  # the acceptance suite's
-SPARSE_SEEDS = 5  # sparse tables per answering-input count, so 20 per panel
-
-
-def panel(n, ladder):
-    sparse = [
-        sparse_table(n, ladder, count, seed)
-        for count in range(1, 5)
-        for seed in range(SPARSE_SEEDS)
-    ]
-    return standard_panel(n, ladder, PANEL_SEED, random_count=20, include_optimal=True) + sparse
-
-
-def failed_two_checks(kind, n):
-    """C1, C2 and `two`'s query radius of 2 over the panels at ratios n, 2n
-    and n^2: the checks that fail."""
-    failed = set()
-    for ratio in (n, 2 * n, n * n):
-        minima = []
-        for algorithm in panel(n, ValueLadder.of(1, ratio)):
-            transformed = TransformedRule(kind, algorithm)
-            rule = CachedRule(transformed)
-            if not check_monotone(rule, algorithm.env).is_monotone:
-                failed.add("C1 monotone")
-            if transformed.max_radius > 2:
-                failed.add("radius 2")
-            report = welfare_report(rule, algorithm, algorithm.env)
-            if report.pointwise_min_fraction is not None:
-                if report.pointwise_min_fraction < Fraction(1, 2):
-                    failed.add("C2 half")
-                minima.append(report.pointwise_min_fraction)
-        if min(minima) != Fraction(ratio, ratio + n - 1):
-            failed.add("C2 floor")
-    return failed
-
-
-def failed_two_plus_checks(kind, n):
-    """C4 at ratio n+1 and C5 at ratio 2n+1 over the panels: the checks that fail."""
-    failed = set()
-    for algorithm in panel(n, ValueLadder.of(1, n + 1)):
-        rule = CachedRule(TransformedRule(kind, algorithm))
-        if not check_monotone(rule, algorithm.env).is_monotone:
-            failed.add("C4 monotone")
-        report = welfare_report(rule, algorithm, algorithm.env)
-        if Fraction(report.full_welfare_count, report.total_inputs) < Fraction(1, n):
-            failed.add("C4 fraction")
-        if report.total_inputs - report.full_welfare_count > Fraction(n - 1, n) * 2**n:
-            failed.add("C4 losses")
-    for algorithm in panel(n, ValueLadder.of(1, 2 * n + 1)):
-        report = welfare_report(CachedRule(TransformedRule(kind, algorithm)), algorithm, algorithm.env)
-        if report.sum_welfare_rule < report.sum_welfare_original:
-            failed.add("C5")
-    return failed
-
-
-FAILED_CHECKS = {"two": failed_two_checks, "two-plus": failed_two_plus_checks}
+from dcbox import transforms
+import claims
+from oracles import LITERAL_TWO_VALUE_SPECS, first_departure, two_value_tables
 
 # mutant id: (kind, kernel, text replaced, replacement, the smallest n whose
-# panels catch it, the checks that fail there).
+# panels catch it, the ids of the claim rows that fail there).
 MUTANTS = {
     "two/no-zero-out": (
         "two",
@@ -155,12 +87,11 @@ def register(mutant, monkeypatch):
 def test_mutant_is_caught_on_its_smallest_panel(mutant, monkeypatch):
     kind = register(mutant, monkeypatch)
     n, caught = MUTANTS[mutant][4:]
-    failed_checks = FAILED_CHECKS[kind]
     for smaller in range(2, n):
-        assert failed_checks(mutant, smaller) == set(), smaller
-    assert failed_checks(mutant, n) == caught
-    # The checks tell the mutant from the kernel: the kernel passes them all.
-    assert failed_checks(kind, n) == set()
+        assert claims.failed(kind, smaller, mutant, sparse=True) == set(), smaller
+    assert claims.failed(kind, n, mutant, sparse=True) == caught
+    # The rows tell the mutant from the kernel: the kernel passes them all.
+    assert claims.failed(kind, n, sparse=True) == set()
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))

@@ -3,7 +3,6 @@
 import pytest
 
 from dcbox import (
-    Allocation,
     Environment,
     FeasibilitySet,
     ParameterError,
@@ -27,10 +26,7 @@ from dcbox.serialize import (
     parse_input,
     parse_rational,
 )
-
-
-def bits(text):
-    return Allocation(map(int, text))
+from oracles import bits
 
 
 class TestRationals:

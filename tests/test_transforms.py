@@ -18,7 +18,6 @@ from dcbox import (
     QueryBudgetExceeded,
     TransformedRule,
     ValueLadder,
-    ValuationVector,
     check_monotone,
     gen_all_ones,
     gen_random_algorithm,
@@ -39,6 +38,7 @@ from dcbox.transforms import (
 )
 from oracles import (
     LITERAL_TWO_VALUE_SPECS,
+    bits,
     first_departure,
     hamming_distance,
     kind_ladders,
@@ -46,19 +46,12 @@ from oracles import (
     literal_two_plus,
     sparse_table,
     two_value_tables,
+    vec,
 )
 
 LAD2 = ValueLadder.of(1, 100)
 LAD3 = ValueLadder.of(1, 10, 100)
 SPARSE_ORACLE_SEEDS = 3  # sparse tables per (n, answering-input count)
-
-
-def bits(text):
-    return Allocation(map(int, text))
-
-
-def vec(*levels):
-    return ValuationVector(tuple(levels))
 
 
 def centred(alg, v, **options):

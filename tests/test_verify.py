@@ -30,31 +30,9 @@ from dcbox.adversaries import stable_rng
 from dcbox.blackbox import Algorithm
 from dcbox.model import input_index
 from dcbox.verify import DEFAULT_ENUM_BOUND, WelfareReport
-from oracles import kind_ladders, welfare
+from oracles import bits, kind_ladders, naive_violations, vec, welfare
 
 LAD2 = ValueLadder.of(1, 100)
-
-
-def bits(text):
-    return Allocation(map(int, text))
-
-
-def vec(*levels):
-    return ValuationVector(tuple(levels))
-
-
-# Independent oracle: double loop over all ordered raise pairs.
-def naive_violations(rule, n, k):
-    found = []
-    for base in itertools.product(range(k), repeat=n):
-        x = rule(ValuationVector(base))
-        for i in range(n):
-            for hi in range(base[i] + 1, k):
-                raised = base[:i] + (hi,) + base[i + 1 :]
-                y = rule(ValuationVector(raised))
-                if x.bits[i] == 1 and y.bits[i] == 0:
-                    found.append((base, i, base[i], hi))
-    return sorted(found)
 
 
 def table_rule(n, k, seed):
