@@ -78,11 +78,6 @@ class ValuationVector:
     def n(self) -> int:
         return len(self.levels)
 
-    def with_level(self, agent: int, level: int) -> "ValuationVector":
-        lv = list(self.levels)
-        lv[agent] = level
-        return ValuationVector(tuple(lv))
-
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Allocation:
@@ -126,11 +121,22 @@ class Allocation:
     def __repr__(self) -> str:
         return f"Allocation(bits={self.bits!r})"
 
-    def dominated_by(self, other: "Allocation") -> bool:
-        """Coordinatewise self <= other."""
-        if self.n != other.n:
-            raise DimensionError(f"cannot compare allocations of lengths {self.n} and {other.n}")
-        return not self.mask & ~other.mask
+
+def _dominated(allocs: Iterable[Allocation]) -> Iterator[tuple[Allocation, Allocation]]:
+    """Each of the distinct, equal-length `allocs` that another one dominates
+    (coordinatewise <=), with the first that does: by size, then in the
+    order given. Two distinct allocations of equal size never dominate each
+    other, so each is compared, by mask, with the larger ones only."""
+    by_size: dict[int, list[Allocation]] = {}
+    for a in allocs:
+        by_size.setdefault(a.mask.bit_count(), []).append(a)
+    sizes = sorted(by_size)
+    for i, size in enumerate(sizes):
+        larger = [b for bigger in sizes[i + 1 :] for b in by_size[bigger]]
+        for a in by_size[size]:
+            b = next((b for b in larger if not a.mask & ~b.mask), None)
+            if b is not None:
+                yield a, b
 
 
 @dataclass(frozen=True)
@@ -152,20 +158,10 @@ class FeasibilitySet:
         for a in maximal:
             if a.n != self.n:
                 raise DimensionError(f"maximal allocation of length {a.n} in a set over n={self.n}")
-        # Two distinct allocations of equal size never dominate each other, so
-        # each one is compared, by mask, with the larger ones only.
-        by_size: dict[int, list[Allocation]] = {}
-        for a in maximal:
-            by_size.setdefault(a.mask.bit_count(), []).append(a)
-        sizes = sorted(by_size)
-        for i, size in enumerate(sizes):
-            larger = [b for bigger in sizes[i + 1 :] for b in by_size[bigger]]
-            for a in by_size[size]:
-                for b in larger:
-                    if not a.mask & ~b.mask:
-                        raise ParameterError(
-                            f"maximal elements must form an antichain: {a.to_string()} vs {b.to_string()}"
-                        )
+        for a, b in _dominated(maximal):
+            raise ParameterError(
+                f"maximal elements must form an antichain: {a.to_string()} vs {b.to_string()}"
+            )
 
     def sorted_maximal(self) -> list[Allocation]:
         """Maximal elements in canonical (lexicographic bit) order."""
@@ -201,7 +197,7 @@ def is_feasible(x: Allocation, feasibility: FeasibilitySet) -> bool:
     """Membership in the downward closure: x is dominated by a maximal element."""
     if x.n != feasibility.n:
         raise DimensionError(f"allocation of length {x.n} vs feasibility over n={feasibility.n}")
-    return any(x.dominated_by(m) for m in feasibility.maximal)
+    return any(not x.mask & ~m.mask for m in feasibility.maximal)
 
 
 def opt_welfare(v: ValuationVector, feasibility: FeasibilitySet, ladder: ValueLadder) -> Fraction:
@@ -236,12 +232,8 @@ def normalize_antichain(allocs: Iterable[Allocation], n: int | None = None) -> F
     for a in unique:
         if a.n != length:
             raise DimensionError("allocations must all have the same length")
-    keep = [
-        a
-        for a in unique
-        if not any(a is not b and a != b and a.dominated_by(b) for b in unique)
-    ]
-    return FeasibilitySet(length, frozenset(keep))
+    dominated = {a for a, _ in _dominated(unique)}
+    return FeasibilitySet(length, frozenset(a for a in unique if a not in dominated))
 
 
 def all_inputs(n: int, k: int) -> Iterator[ValuationVector]:

@@ -13,10 +13,10 @@ verifier's (n, k) is passed the index itself; any other rule gets the
 input's `ValuationVector` (`input_at`), so a rule over another n still
 refuses it. Exhaustively the verifiers work on mask tables: a rule's
 allocation masks listed by input index, from one evaluation per input in
-`all_inputs` order. A `CachedRule` keeps its table for `check_monotone`,
-`welfare_report` and later calls. A raise of agent i from level lo to hi is
-the index k**i * (hi - lo) further on, exhaustive or sampled; a vector is
-built only for a violation reported. Welfare is scored, exhaustive or
+`all_inputs` order. A `CachedRule` keeps its table for both verifiers,
+`myerson_payments` and later calls. A raise of agent i from level lo to hi
+is the index k**i * (hi - lo) further on, exhaustive or sampled; a vector
+is built only for a violation reported. Welfare is scored, exhaustive or
 sampled, from the inputs' above-level masks (`model.at_or_above` of one
 input, `model.above_masks` of every input) with one popcount per level.
 The optimum at every input comes from `ScaledWelfare.optima_table`
@@ -57,11 +57,15 @@ AllocationRule = Callable[[ValuationVector], Allocation]
 def _evaluate(rule: AllocationRule, n: int, k: int, inputs: Iterable[int]) -> Iterator[int]:
     """The masks of the rule's allocations at the input indices `inputs`,
     each evaluated when it is read, in order: the one place the verifiers
-    call a rule. A CachedRule's rule is evaluated, not the CachedRule (only
-    `_masks` reads its table). A TransformedRule or an Algorithm over (n, k)
-    is passed the index; any other rule the input (`input_at`). An
-    allocation over other than n agents raises DimensionError."""
+    call a rule. A CachedRule whose kept table is over (n, k) answers from
+    the table; otherwise its rule is evaluated, not the CachedRule. A
+    TransformedRule or an Algorithm over (n, k) is passed the index; any
+    other rule the input (`input_at`). An allocation over other than n
+    agents raises DimensionError."""
     if isinstance(rule, CachedRule):
+        if rule._shape == (n, k):
+            yield from map(rule._table.__getitem__, inputs)
+            return
         rule = rule.rule
     env = rule.env if isinstance(rule, (TransformedRule, Algorithm)) else None
     if env is None or (env.n, env.k) != (n, k):
@@ -76,11 +80,11 @@ def _evaluate(rule: AllocationRule, n: int, k: int, inputs: Iterable[int]) -> It
 class CachedRule:
     """A deterministic allocation rule with its mask table; single-worker use.
 
-    `masks` evaluates the rule once per input and keeps the table, which
-    both exhaustive verifiers read; a table for another (n, k) replaces it.
-    A call at an input the table covers answers from it; any other call
-    evaluates the rule and keeps nothing. `cache` stays empty: it is kept
-    only because the bench tracer reads it."""
+    `masks` evaluates the rule once per input and keeps the table, which the
+    exhaustive verifiers and `_evaluate` read; a table for another (n, k)
+    replaces it. A call at an input the table covers answers from it; any
+    other call evaluates the rule and keeps nothing. `cache` stays empty: it
+    is kept only because the bench tracer reads it."""
 
     def __init__(self, rule: AllocationRule):
         self.rule = rule
@@ -326,17 +330,20 @@ def myerson_payments(
     optimal. The scan is well defined for any rule (the declared level
     always wins), but prices from a non-monotone rule carry no truthfulness
     guarantee; callers wanting a guarantee must check monotonicity first.
+    The rule is read through `_evaluate` by index: at v's index u, then for
+    each winner i at u - (own - l) * k**i for l = 0, 1, ... up to a win.
     """
-    mask = rule(v).mask
+    n, k = v.n, ladder.k
+    for level in v.levels:
+        ladder.value(level)  # refuses a level off the ladder, which no index names
+    u = input_index(v.levels, k)
+    (mask,) = _evaluate(rule, n, k, [u])
     payments: list[Fraction] = []
-    for agent, own in enumerate(v.levels):
+    for agent, (own, weight) in enumerate(zip(v.levels, input_weights(n, k))):
         if not mask >> agent & 1:
             payments.append(Fraction(0))
             continue
-        critical = own
-        for level in range(own):
-            if rule(v.with_level(agent, level)).mask >> agent & 1:
-                critical = level
-                break
+        lowered = _evaluate(rule, n, k, (u - (own - level) * weight for level in range(own)))
+        critical = next((level for level, x in enumerate(lowered) if x >> agent & 1), own)
         payments.append(ladder.value(critical))
     return payments

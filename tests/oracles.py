@@ -34,6 +34,38 @@ def vec(*levels):
     return ValuationVector(tuple(levels))
 
 
+def set_level(v, agent, level):
+    """The ValuationVector v with agent's level set to `level`."""
+    return ValuationVector(v.levels[:agent] + (level,) + v.levels[agent + 1 :])
+
+
+def literal_antichain(allocs):
+    """The allocations in `allocs` that no other one dominates, by comparing
+    every pair coordinatewise over bits: what `normalize_antichain` keeps."""
+    allocs = set(allocs)
+    return frozenset(
+        a
+        for a in allocs
+        if not any(a != b and all(map(operator.le, a.bits, b.bits)) for b in allocs)
+    )
+
+
+def literal_payments(rule, v, ladder):
+    """Critical-value payments at v by a scan over level tuples, the spec of
+    `myerson_payments`: the rule is called at v, then for each winner at v
+    with its own level lowered to 0, 1, ... up to the first level that still
+    wins; that level's value is its payment. Losers pay 0."""
+    won = rule(v).bits
+    payments = []
+    for i, own in enumerate(v.levels):
+        if not won[i]:
+            payments.append(Fraction(0))
+            continue
+        lowered = (lvl for lvl in range(own) if rule(set_level(v, i, lvl)).bits[i])
+        payments.append(ladder.values[next(lowered, own)])
+    return payments
+
+
 def brute_force_opt(v, feasibility, ladder):
     """Optimal welfare at v by brute force over the whole downward closure,
     with inline domination and dot-product logic (no `is_feasible`, no
@@ -227,7 +259,7 @@ def literal_two_plus(alg, v):
     result = list(cur.bits)
     for i, lvl in enumerate(v.levels):
         if lvl == 0 and result[i] == 1:
-            if steps_1_to_5(v.with_level(i, 1)).bits[i] == 0:
+            if steps_1_to_5(set_level(v, i, 1)).bits[i] == 0:
                 result[i] = 0
     return Allocation(tuple(result))
 

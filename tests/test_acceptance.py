@@ -37,7 +37,7 @@ from dcbox.adversaries import stable_rng
 from dcbox.model import Environment, FeasibilitySet, input_index
 from dcbox.transforms import t_two
 import claims
-from oracles import brute_force_opt, hamming_distance, naive_violations
+from oracles import brute_force_opt, hamming_distance, literal_antichain, naive_violations
 
 
 def criterion(cid, description):
@@ -246,9 +246,7 @@ def test_c10_oracle_equivalences():
         n = rng.choice([4, 6, 9, 12])
         count = rng.randint(1, 6)
         allocs = [Allocation(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(count)]
-        feasibility = FeasibilitySet(
-            n, frozenset(a for a in allocs if not any(a != b and a.dominated_by(b) for b in allocs))
-        )
+        feasibility = FeasibilitySet(n, literal_antichain(allocs))
         for _ in range(6):
             v = ValuationVector(tuple(rng.randint(0, 1) for _ in range(n)))
             assert opt_welfare(v, feasibility, ladder) == brute_force_opt(v, feasibility, ladder)

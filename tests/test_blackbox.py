@@ -88,11 +88,11 @@ class TestInstrumentedBlackBox:
         # center (h^6, l^6), radius 3: distance 3 is not < 3
         center = vec(*([1] * 6 + [0] * 6))
         bb = centred(gen_all_ones(12), ix(center), hamming_radius=3)
-        probe = center.with_level(0, 0).with_level(1, 0).with_level(2, 0)
+        probe = vec(*([0] * 3 + [1] * 3 + [0] * 6))
         assert hamming_distance(center, probe) == 3
         with pytest.raises(HammingRestrictionViolation):
             bb.query(ix(probe))
-        inside = center.with_level(0, 0).with_level(1, 0)
+        inside = vec(*([0] * 2 + [1] * 4 + [0] * 6))
         bb.query(ix(inside))  # distance 2 < 3 is fine
         assert bb.max_radius == 2
 

@@ -26,7 +26,7 @@ from dcbox import (
     opt_welfare,
 )
 from dcbox.model import ScaledWelfare, above_masks
-from oracles import bits, brute_force_opt, vec, welfare
+from oracles import bits, brute_force_opt, literal_antichain, vec, welfare
 
 L, H = 0, 1  # two-value level indices
 
@@ -66,7 +66,8 @@ class TestAllocationMask:
         for other in range(2**n):
             z = Allocation.from_mask(n, other)
             covered = all(a <= b for a, b in zip(oracle, z.bits))
-            assert x.dominated_by(z) == y.dominated_by(z) == covered
+            closure = FeasibilitySet(n, frozenset({z}))
+            assert is_feasible(x, closure) == is_feasible(y, closure) == covered
         for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert clone == y and clone.mask == mask and clone.n == n
 
@@ -147,6 +148,10 @@ class TestFeasibility:
     def test_constructor_takes_a_large_antichain(self):
         # Every 8 of 16 unit-size agents: C(16, 8) maximal sets of one size.
         assert len(gen_knapsack([1] * 16, 8).env.feasibility.maximal) == 12870
+        # Every 7 of 14: normalizing C(14, 7) = 3432 sets of one size keeps them all.
+        maximal = gen_knapsack([1] * 14, 7).env.feasibility.maximal
+        assert len(maximal) == 3432
+        assert normalize_antichain(maximal).maximal == maximal
 
     def test_monotone_decreasing(self):
         # any coordinatewise-smaller vector of a feasible one stays feasible
@@ -331,6 +336,20 @@ class TestNormalizeAntichain:
     def test_pairwise_domination_scan(self):
         feas = normalize_antichain([bits("110"), bits("011"), bits("010")])
         assert feas.maximal == frozenset({bits("110"), bits("011")})
+
+    def test_matches_the_literal_pairwise_rule(self):
+        # Seeded collections with repeats, nested chains and the empty allocation.
+        rng = random.Random(2033)
+        for n in range(1, 9):
+            for _ in range(12):
+                drawn = [rng.randrange(1 << n) for _ in range(rng.randint(1, 10))]
+                chain = [rng.choice(drawn)]
+                while chain[-1]:
+                    chain.append(chain[-1] & rng.randrange(1 << n))
+                masks = drawn + chain + rng.sample(drawn, min(3, len(drawn))) + [0]
+                rng.shuffle(masks)
+                allocs = [Allocation.from_mask(n, m) for m in masks]
+                assert normalize_antichain(allocs, n).maximal == literal_antichain(allocs)
 
     def test_empty_needs_explicit_n(self):
         with pytest.raises(ParameterError):

@@ -651,14 +651,14 @@ class TestFeasibilityInvariant:
                 for fn in (t_two, t_two_plus, t_const):
                     bb = centred(alg, v)
                     out = fn(bb)
-                    assert any(out.dominated_by(answer) for answer in bb.log.values())
+                    assert any(not out.mask & ~answer.mask for answer in bb.log.values())
         for seed in range(2):
             env = gen_random_environment(3, LAD3, seed + 1200)
             alg = gen_random_algorithm(env, seed + 1300)
             for v in env.inputs():
                 bb = centred(alg, v)
                 out = t_multi(bb)
-                assert any(out.dominated_by(answer) for answer in bb.log.values())
+                assert any(not out.mask & ~answer.mask for answer in bb.log.values())
 
     # every transformation output is feasible in its environment
     def test_outputs_feasible_two_values(self):

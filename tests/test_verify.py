@@ -30,7 +30,15 @@ from dcbox.adversaries import stable_rng
 from dcbox.blackbox import Algorithm
 from dcbox.model import input_index
 from dcbox.verify import DEFAULT_ENUM_BOUND, WelfareReport
-from oracles import bits, kind_ladders, naive_violations, vec, welfare
+from oracles import (
+    bits,
+    kind_ladders,
+    literal_payments,
+    naive_violations,
+    set_level,
+    vec,
+    welfare,
+)
 
 LAD2 = ValueLadder.of(1, 100)
 
@@ -238,10 +246,66 @@ class TestMyersonPayments:
                     declared = env.ladder.value(v.levels[i])
                     assert payments[i] <= declared
                     for hi in range(v.levels[i] + 1, env.k):
-                        raised = v.with_level(i, hi)
+                        raised = set_level(v, i, hi)
                         assert rule(raised).bits[i] == 1  # monotone
                         raised_payment = myerson_payments(rule, raised, env.ladder)[i]
                         assert raised_payment <= env.ladder.value(hi)
+
+    def test_answer_of_the_wrong_length_is_refused(self):
+        env = gen_all_ones(3, LAD2).env
+        two_bits = Algorithm(env, lambda v: Allocation((1, 1)))
+        length = r"^allocation of length 2 vs input of length 3$"
+        with pytest.raises(DimensionError, match=length):
+            myerson_payments(two_bits, vec(1, 0, 1), env.ladder)
+
+    @pytest.mark.parametrize("shared_state", [True, False])
+    @pytest.mark.parametrize(
+        "kind, values",
+        [("two", (1, 9)), ("two-plus", (1, 9)), ("multi", (1, 5, 25)), (None, (1, 5, 25))],
+    )
+    def test_matches_the_literal_scan(self, kind, values, shared_state):
+        # Through a CachedRule's kept table after an exhaustive check, and
+        # through the rule itself after a sampled one, which keeps no table.
+        # kind None is the algorithm itself.
+        ladder = ValueLadder.of(*values)
+        for n in range(1, 5):
+            env = gen_random_environment(n, ladder, 800 + n)
+            alg = gen_random_algorithm(env, 900 + n)
+
+            def make():
+                return alg if kind is None else TransformedRule(kind, alg, shared_state=shared_state)
+
+            kept, unkept = CachedRule(make()), CachedRule(make())
+            assert not check_monotone(kept, env).sampled
+            assert check_monotone(unkept, env, enum_bound=env.k**n - 1).sampled
+            spec = make()
+            for v in env.inputs():
+                expected = literal_payments(spec, v, ladder)
+                assert myerson_payments(kept, v, ladder) == expected, v.levels
+                assert myerson_payments(unkept, v, ladder) == expected, v.levels
+
+    def test_evaluates_the_literal_scans_inputs_in_order(self):
+        ladder = ValueLadder.of(1, 5, 25)
+        env = gen_random_environment(3, ladder, 810)
+        base = gen_random_algorithm(env, 910)
+        calls = []
+
+        def rule(v):
+            calls.append(v.levels)
+            return base.rule(v)
+
+        alg = Algorithm(env, rule)
+        for v in env.inputs():
+            literal_payments(alg, v, ladder)
+            expected, calls[:] = calls[:], []
+            myerson_payments(alg, v, ladder)
+            assert calls == expected, v.levels
+            calls.clear()
+
+    def test_level_off_the_ladder_is_refused(self):
+        alg = gen_all_ones(2, LAD2)
+        with pytest.raises(ParameterError, match=r"^level 2 outside ladder of 2 values$"):
+            myerson_payments(alg, vec(1, 2), LAD2)
 
 
 # Oracles for the mask-table verifiers, over levels and exact Fractions
@@ -263,7 +327,7 @@ def oracle_monotone(rule, env, enum_bound, seed):
         hi = rng.randrange(lo + 1, k)
         levels[i] = lo
         low = ValuationVector(tuple(levels))
-        if rule(low).bits[i] and not rule(low.with_level(i, hi)).bits[i]:
+        if rule(low).bits[i] and not rule(set_level(low, i, hi)).bits[i]:
             found.append((low.levels, i, lo, hi))
     return sorted(found), pairs, 2 * pairs, True, seed
 
